@@ -46,7 +46,19 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _sweep_max_error(sweep_max: int, scripts: tuple[str, ...]) -> bool:
+    """Report a cap at which some script admits no tuple, an input error."""
+    smallest = max(ell_calc.smallest_sweep_max(s) for s in scripts)
+    if sweep_max < smallest:
+        print(f"error: --sweep-max {sweep_max} is below {smallest}, the smallest cap at "
+              "which every sweep admits a tuple", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_verify(args) -> int:
+    if _sweep_max_error(args.sweep_max, ("ic", "k3a", "kad")):
+        return 2
     report = corpus.verify_paper(sweep_max=args.sweep_max)
     payload = {
         "checks": [dataclasses.asdict(c) for c in report.checks],
@@ -160,6 +172,8 @@ def _cmd_flip(args) -> int:
 def _run_disproof(args, runner, needs_subcase: bool) -> int:
     extra = (args.subcase,) if needs_subcase else ()
     if args.sweep_max is not None:
+        if _sweep_max_error(args.sweep_max, extra or ("ic",)):
+            return 2
         if needs_subcase:
             summary = ell_calc.kad_sweep(args.subcase, args.sweep_max)
         else:
@@ -167,7 +181,7 @@ def _run_disproof(args, runner, needs_subcase: bool) -> int:
         payload = dataclasses.asdict(summary)
         line = (
             f"sweep {summary.script} (max {args.sweep_max}): {summary.total} tuples, "
-            f"{'all contradicted' if summary.all_contradicted else 'FAILURE'}"
+            f"{summary.verdict()}"
         )
         _emit(args, payload, [line])
         return 0 if summary.all_contradicted else 1

@@ -308,23 +308,19 @@ def verify_paper(sweep_max: int = 49, corpus: dict | None = None) -> VerifyRepor
     for case in sorted(data["cases"], key=lambda c: c["name"]):
         _check_case(case, report)
 
-    ic = ell_calc.ic_sweep(sweep_max)
-    report.checks.append(CheckResult(
-        "sweep", "rigid-chain exclusion", ic.all_contradicted,
-        "all tuples contradicted", "ok" if ic.all_contradicted else "failure"))
-    report.sweep_lines.append(
-        f"sweep ic (max {sweep_max}): {ic.total} tuples, "
-        f"{ic.survivors} reach the final step, "
-        f"{'all contradicted' if ic.all_contradicted else 'FAILURE'}"
+    sweeps = (
+        ("rigid-chain exclusion", ell_calc.ic_sweep(sweep_max)),
+        ("k3a exclusion", ell_calc.kad_sweep("k3a", sweep_max)),
+        ("kad exclusion", ell_calc.kad_sweep("kad", sweep_max)),
     )
-    for sub in ("k3a", "kad"):
-        summary = ell_calc.kad_sweep(sub, sweep_max)
+    for check, summary in sweeps:
+        ok = summary.all_contradicted
         report.checks.append(CheckResult(
-            "sweep", f"{sub} exclusion", summary.all_contradicted,
-            "all tuples contradicted", "ok" if summary.all_contradicted else "failure"))
+            "sweep", check, ok, "all tuples contradicted", "ok" if ok else summary.failure))
+        survivors = f"{summary.survivors} reach the final step, " if summary.script == "ic" else ""
         report.sweep_lines.append(
             f"sweep {summary.script} (max {sweep_max}): {summary.total} tuples, "
-            f"{'all contradicted' if summary.all_contradicted else 'FAILURE'}"
+            f"{survivors}{summary.verdict()}"
         )
 
     table = germ_rules.check_table2()

@@ -20,8 +20,10 @@ deg(B) + deg(A)/d >= 0, strictly for birational contractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import count
 from math import gcd
 
 
@@ -94,16 +96,25 @@ class EllDivisor:
         return f"({' + '.join(parts)})"
 
 
+def _carry(c: int, raw, indices) -> tuple[int, ...]:
+    """Normal form (c', w_1, ..., w_k) of c + sum raw_i P_i, where P_i has
+    index indices[i]: each weight is reduced into [0, index) and the overflow
+    is carried into the integer part."""
+    weights = []
+    for w, n in zip(raw, indices):
+        q, r = divmod(w, n)
+        c += q
+        weights.append(r)
+    return (c, *weights)
+
+
 def normalize(c: int, raw: dict[MarkedPoint, int]) -> EllDivisor:
     """Reduce raw integer weights mod the point indices, carrying into c."""
-    weights = {}
-    carry = 0
     for p, w in raw.items():
         if not isinstance(w, int):
             raise ValueError(f"weight at {p.label} must be an integer, got {w!r}")
-        carry += w // p.index
-        weights[p] = w % p.index
-    return EllDivisor(c + carry, weights)
+    nf = _carry(c, raw.values(), [p.index for p in raw])
+    return EllDivisor(nf[0], dict(zip(raw, nf[1:])))
 
 
 def _merged_points(*divisors: EllDivisor) -> dict[str, MarkedPoint]:
@@ -136,11 +147,19 @@ def ell_deg(div: "EllDivisor | GlobalEllDivisor") -> Fraction:
 
 
 def h0(div: EllDivisor) -> int:
-    return max(0, div.c + 1)
+    return _h0(div.c)
 
 
 def h1(div: EllDivisor) -> int:
-    return max(0, -div.c - 1)
+    return _h1(div.c)
+
+
+def _h0(c: int) -> int:
+    return max(0, c + 1)
+
+
+def _h1(c: int) -> int:
+    return max(0, -c - 1)
 
 
 def node_invariant_dim(g: int, t: int, lam: int, m: int) -> int:
@@ -227,21 +246,30 @@ def glued_h0(div: GlobalEllDivisor) -> int:
     and in that case a nonzero section on either side evaluates nonzero there,
     imposing one matching condition.
     """
-    w, parts = _glued_setup(div)
-    total = h0(parts[0]) + h0(parts[1])
-    if w % div.node.index == 0 and total > 0:
-        total -= 1
-    return total
+    c1, c2, invariant = _glued_setup(div)
+    return _glued_h0(c1, c2, invariant)
 
 
 def glued_h1(div: GlobalEllDivisor) -> int:
-    w, parts = _glued_setup(div)
-    invariant = 1 if w % div.node.index == 0 else 0
-    matched = 1 if invariant and (h0(parts[0]) > 0 or h0(parts[1]) > 0) else 0
-    return h1(parts[0]) + h1(parts[1]) + invariant - matched
+    c1, c2, invariant = _glued_setup(div)
+    matched = invariant and (_h0(c1) > 0 or _h0(c2) > 0)
+    return _h1(c1) + _h1(c2) + invariant - matched
 
 
-def _glued_setup(div: GlobalEllDivisor):
+def _glued_h0(c1: int, c2: int, invariant: bool) -> int:
+    total = _h0(c1) + _h0(c2)
+    return total - 1 if invariant and total > 0 else total
+
+
+def _node_invariant(w1: int, w2: int, index: int) -> bool:
+    """Whether the node fiber carries invariant sections, from the node
+    weights on the two sides, which must be complementary mod the index."""
+    if (w1 + w2) % index:
+        raise ValueError(f"node weights {w1} + {w2} are not complementary mod {index}")
+    return w1 % index == 0
+
+
+def _glued_setup(div: GlobalEllDivisor) -> tuple[int, int, bool]:
     if div.node.lam != 1:
         raise ValueError(
             "cohomology across a length-2 node is not determined by component "
@@ -249,13 +277,9 @@ def _glued_setup(div: GlobalEllDivisor):
         )
     if len(div.parts) != 2:
         raise ValueError("gluing is implemented for two components")
-    (n1, d1), (n2, d2) = div.parts
-    w1, w2 = d1.weight(div.node.label), d2.weight(div.node.label)
-    if (w1 + w2) % div.node.index:
-        raise ValueError(
-            f"node weights {w1} + {w2} are not complementary mod {div.node.index}"
-        )
-    return w1, (d1, d2)
+    (_, d1), (_, d2) = div.parts
+    label = div.node.label
+    return d1.c, d2.c, _node_invariant(d1.weight(label), d2.weight(label), div.node.index)
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +315,19 @@ def thm812_check(
         if a.node != b.node or [n for n, _ in a.parts] != [n for n, _ in b.parts]:
             raise ValueError("global divisors live on different component universes")
     value = ell_deg(b) + Fraction(ell_deg(a), d)
+    return WidthTestResult(value, d * value, _width_verdict(value, kind))
+
+
+def _width_verdict(value, kind: str) -> str:
+    """Verdict of the width test from its value, or from anything of the
+    same sign."""
     if value < 0:
-        verdict = "contradiction"
-    elif value == 0:
-        verdict = "contradiction" if kind == "birational" else (
+        return "contradiction"
+    if value == 0:
+        return "contradiction" if kind == "birational" else (
             "qcb_forced" if kind == "unknown" else "holds"
         )
-    else:
-        verdict = "holds"
-    return WidthTestResult(value, d * value, verdict)
+    return "holds"
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +369,89 @@ class DisproofTrace:
         return lines
 
 
-def _reject(script: str, inputs, reason: str, value: Fraction | None = None) -> DisproofTrace:
-    return DisproofTrace(script, tuple(inputs), "rejected", (), reason, value)
+class ScriptCheckError(AssertionError):
+    """An internal consistency check of a scripted run failed at ``step``."""
+
+    def __init__(self, step: str, message: str):
+        super().__init__(message)
+        self.step = step
 
 
-def _expect(label: str, got: EllDivisor, want: EllDivisor) -> None:
+def _check(ok: bool, step: str, message: str) -> None:
+    if not ok:
+        raise ScriptCheckError(step, message)
+
+
+class _Component:
+    """The marked points of one component, resolved once per script run.
+
+    A divisor on it is the int tuple (c, w_1, ..., w_k) of its normal form,
+    with the weights in the order the points were given.
+    """
+
+    __slots__ = ("labels", "indices")
+
+    def __init__(self, **points: int):
+        self.labels = tuple(points)
+        self.indices = tuple(points.values())
+
+    def tensor(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return _carry(a[0] + b[0], [x + y for x, y in zip(a[1:], b[1:])], self.indices)
+
+    def dual(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        return _carry(-a[0], [-w for w in a[1:]], self.indices)
+
+    def degree(self, a: tuple[int, ...], den: int) -> int:
+        """den * ell_deg(a), for a den divisible by every index."""
+        return a[0] * den + sum(w * (den // n) for w, n in zip(a[1:], self.indices))
+
+    def divisor(self, a: tuple[int, ...]) -> EllDivisor:
+        return EllDivisor(a[0], {
+            MarkedPoint(label, n): w for label, n, w in zip(self.labels, self.indices, a[1:])
+        })
+
+
+def _expect(step: str, label: str, comp: _Component, got: tuple, want: tuple) -> None:
     if got != want:
-        raise AssertionError(f"{label}: computed {got!r}, expected {want!r}")
+        raise ScriptCheckError(
+            step, f"{label}: computed {comp.divisor(got)!r}, expected {comp.divisor(want)!r}"
+        )
+
+
+def _rejected(script: str, inputs: tuple[int, ...], rejection) -> DisproofTrace:
+    reason, value = rejection
+    return DisproofTrace(script, inputs, "rejected", (), reason,
+                         None if value is None else Fraction(*value))
+
+
+def _chain_point_rejection(m_prime: int, a_prime: int):
+    if m_prime < 3:
+        return "m' must be >= 3", None
+    if not 0 < a_prime < m_prime:
+        return "need 0 < a' < m'", None
+    if gcd(a_prime, m_prime) != 1:
+        return "need gcd(a', m') = 1", None
+    return None
+
+
+def _ic_index_rejection(m: int):
+    if m < 5 or m % 2 == 0:
+        return "m must be odd and >= 5", None
+    return None
+
+
+def ic_rejection(m: int, m_prime: int, a_prime: int):
+    """Why ic_disproof rejects (m, m', a'), as (reason, value) with the value
+    a (numerator, denominator) pair or None; None for an admissible tuple."""
+    rejection = _ic_index_rejection(m) or _chain_point_rejection(m_prime, a_prime)
+    if rejection is not None:
+        return rejection
+    # the k-negativity value (m+1)/(2m) - a'/m' must be negative
+    if (m + 1) * m_prime >= 2 * m * a_prime:
+        return "K-negativity fails", ((m + 1) * m_prime - 2 * m * a_prime, 2 * m * m_prime)
+    if 2 * (m_prime - a_prime) >= m_prime:
+        return "need 2(m' - a') < m'", None
+    return None
 
 
 def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
@@ -361,103 +465,88 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
     """
     script = "ic"
     inputs = (m, m_prime, a_prime)
-    if m < 5 or m % 2 == 0:
-        return _reject(script, inputs, "m must be odd and >= 5")
-    if m_prime < 3:
-        return _reject(script, inputs, "m' must be >= 3")
-    if not 0 < a_prime < m_prime:
-        return _reject(script, inputs, "need 0 < a' < m'")
-    if gcd(a_prime, m_prime) != 1:
-        return _reject(script, inputs, "need gcd(a', m') = 1")
-    kneg = Fraction(m + 1, 2 * m) - Fraction(a_prime, m_prime)
-    if kneg >= 0:
-        return _reject(script, inputs, "K-negativity fails", kneg)
-    if 2 * (m_prime - a_prime) >= m_prime:
-        return _reject(script, inputs, "need 2(m' - a') < m'")
+    rejection = ic_rejection(m, m_prime, a_prime)
+    if rejection is not None:
+        return _rejected(script, inputs, rejection)
 
-    p = MarkedPoint("P", m)
-    r = MarkedPoint("R", m_prime)
-    node = Node("P", m, lam=2)
-    a_div = GlobalEllDivisor(
-        [
-            ("C1", EllDivisor(-1, {p: m - 1, r: 1})),
-            ("C2", EllDivisor(0, {p: 2})),
-        ],
-        node,
-    )
-    b_div = GlobalEllDivisor(
-        [
-            ("C1", EllDivisor(-1, {p: (m + 1) // 2, r: m_prime - a_prime})),
-            ("C2", EllDivisor(-1, {p: m - 1})),
-        ],
-        node,
-    )
+    # C1 carries the node P and R, C2 carries P; the gluing has length 2
+    c1, c2 = _Component(P=m, R=m_prime), _Component(P=m)
+    a1, a2 = (-1, m - 1, 1), (0, 2)
+    b1, b2 = (-1, (m + 1) // 2, m_prime - a_prime), (-1, m - 1)
+    den = m * m_prime  # degrees below are numerators over den
+    deg_a = c1.degree(a1, den) + c2.degree(a2, den)
+    deg_b = c1.degree(b1, den) + c2.degree(b2, den)
     steps = [
-        TraceStep("k-negativity", kneg, "holds"),
-        TraceStep("deg-A", ell_deg(a_div), "holds"),
-        TraceStep("deg-B", ell_deg(b_div), "holds"),
+        TraceStep("k-negativity",
+                  Fraction((m + 1) * m_prime - 2 * m * a_prime, 2 * den), "holds"),
+        TraceStep("deg-A", Fraction(deg_a, den), "holds"),
+        TraceStep("deg-B", Fraction(deg_b, den), "holds"),
     ]
 
-    width2 = thm812_check(a_div, b_div, 2, kind="unknown")
-    expected2 = Fraction(m_prime + 1 - 2 * a_prime, m_prime)
-    if width2.scaled != expected2:
-        raise AssertionError(f"width-2 degree {width2.scaled} != {expected2}")
-    if width2.verdict == "contradiction":
-        steps.append(TraceStep("width-2-degree", width2.scaled, "contradiction",
+    # the width-d degree d*deg(B) + deg(A) has the sign of the width-d test
+    width2 = 2 * deg_b + deg_a
+    if width2 * m_prime != (m_prime + 1 - 2 * a_prime) * den:
+        raise ScriptCheckError("width-2-degree", f"width-2 degree {Fraction(width2, den)} "
+                               f"!= {Fraction(m_prime + 1 - 2 * a_prime, m_prime)}")
+    if _width_verdict(width2, "unknown") == "contradiction":
+        steps.append(TraceStep("width-2-degree", Fraction(width2, den), "contradiction",
                                "negative width-2 degree"))
         return DisproofTrace(script, inputs, "contradiction", tuple(steps))
-    steps.append(TraceStep("width-2-degree", width2.scaled, "forces_cb",
+    steps.append(TraceStep("width-2-degree", Fraction(width2, den), "forces_cb",
                            "zero degree rules out the birational cases"))
 
-    if not (2 * a_prime == m_prime + 1 and m > m_prime):
-        raise AssertionError("forced parameter equality failed")
+    _check(2 * a_prime == m_prime + 1 and m > m_prime, "forced-equality",
+           "forced parameter equality failed")
     steps.append(TraceStep("forced-equality", None, "holds", "2a' = m'+1 and m > m'"))
 
-    obstruction = global_tensor(global_dual(a_div), global_tensor(b_div, b_div))
-    _expect("obstruction on C1", obstruction.part("C1"),
-            EllDivisor(-1, {p: 2, r: m_prime - 2}))
-    _expect("obstruction on C2", obstruction.part("C2"),
-            EllDivisor(-1, {p: m - 4}))
-    for name in ("C1", "C2"):
-        if h1(obstruction.part(name)) != 0:
-            raise AssertionError(f"splitting obstruction does not vanish on {name}")
-    steps.append(TraceStep("split-obstruction-h1", Fraction(0), "holds",
+    step = "split-obstruction-h1"
+    obstruction1 = c1.tensor(c1.dual(a1), c1.tensor(b1, b1))
+    obstruction2 = c2.tensor(c2.dual(a2), c2.tensor(b2, b2))
+    _expect(step, "obstruction on C1", c1, obstruction1, (-1, 2, m_prime - 2))
+    _expect(step, "obstruction on C2", c2, obstruction2, (-1, m - 4))
+    for name, obstruction in (("C1", obstruction1), ("C2", obstruction2)):
+        if _h1(obstruction[0]):
+            raise ScriptCheckError(step, f"splitting obstruction does not vanish on {name}")
+    steps.append(TraceStep(step, Fraction(0), "holds",
                            "both component obstructions have h1 = 0"))
 
     # node residues for the length-2 gluing, pinned from the weight tables:
     # the A-generator matches the node coordinate weight m-2, so the
     # obstruction generator sits at -(m-2) + 2*1 = 4 - m.
     nid = node_invariant_dim((4 - m) % m, (m - 2) % m, 2, m)
-    if nid != 0:
-        raise AssertionError("node invariants unexpectedly nonzero")
+    _check(nid == 0, "node-invariants", "node invariants unexpectedly nonzero")
     steps.append(TraceStep("node-invariants", Fraction(nid), "holds",
                            "no invariant node sections: the extension splits"))
 
-    width3 = thm812_check(a_div, b_div, 3, kind="cb")
-    expected3 = -Fraction(m + m_prime, 2 * m * m_prime)
-    if width3.scaled != expected3 or width3.scaled != ell_deg(b_div):
-        raise AssertionError("width-3 degree mismatch")
-    steps.append(TraceStep("width-3-degree", width3.scaled, "contradiction",
+    # width 3 must give -(m+m')/(2mm'), which over den = mm' is -(m+m')/2,
+    # and equal deg(B)
+    width3 = 3 * deg_b + deg_a
+    _check(2 * width3 == -(m + m_prime) and width3 == deg_b, "width-3-degree",
+           "width-3 degree mismatch")
+    steps.append(TraceStep("width-3-degree", Fraction(width3, den), "contradiction",
                            "width-3 inequality fails"))
     return DisproofTrace(script, inputs, "contradiction", tuple(steps))
 
 
-def _kad_table(m: int, m_prime: int, a_prime: int, subcase: str):
-    """Graded-sheaf normal forms for the chain-plus-heavy-point scripts."""
-    p1 = MarkedPoint("P", m)
-    q = MarkedPoint("Q", m_prime)
-    p2 = MarkedPoint("P", m)
-    r = MarkedPoint("R", 2)
-    half_up = (m + 1) // 2
-    half_down = (m - 1) // 2
-    i2 = 0 if subcase == "kad" else -1
-    a1 = EllDivisor(-1, {p1: half_up, q: m_prime - a_prime})
-    b1 = EllDivisor(0, {q: 1})
-    a2 = EllDivisor(i2, {p2: half_down, r: 1})
-    b2 = EllDivisor(-1, {r: 1})
-    om1 = EllDivisor(-1, {p1: half_up, q: m_prime - a_prime})
-    om2 = EllDivisor(-1, {p2: half_down, r: 1})
-    return p1, q, p2, r, a1, b1, a2, b2, om1, om2
+def _kad_index_rejection(m: int, subcase: str):
+    if subcase not in ("k3a", "kad"):
+        raise ValueError("subcase must be 'k3a' or 'kad'")
+    if subcase == "k3a" and m != 3:
+        return "subcase k3a forces m = 3", None
+    if subcase == "kad" and (m < 5 or m % 2 == 0):
+        return "subcase kad needs odd m >= 5", None
+    return None
+
+
+def kad_rejection(m: int, m_prime: int, a_prime: int, subcase: str):
+    """Why kad_disproof rejects (m, m', a') in ``subcase`` ("k3a" or "kad"),
+    in the form ic_rejection uses."""
+    rejection = _kad_index_rejection(m, subcase) or _chain_point_rejection(m_prime, a_prime)
+    if rejection is not None:
+        return rejection
+    if 2 * (m_prime - a_prime) >= m_prime:
+        return f"m'-a' = {m_prime - a_prime} >= m'/2", (m_prime - a_prime, 1)
+    return None
 
 
 def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTrace:
@@ -468,201 +557,207 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     graded pieces) or "kad" (odd m >= 5, pushes the filtration one step
     further and ends on a multiplicity conflict).
     """
-    script = f"kad/{subcase}"
     subcase = subcase.lower()
+    script = f"kad/{subcase}"
     inputs = (m, m_prime, a_prime)
-    if subcase not in ("k3a", "kad"):
-        raise ValueError("subcase must be 'k3a' or 'kad'")
-    if subcase == "k3a" and m != 3:
-        return _reject(script, inputs, "subcase k3a forces m = 3")
-    if subcase == "kad" and (m < 5 or m % 2 == 0):
-        return _reject(script, inputs, "subcase kad needs odd m >= 5")
-    if m_prime < 3:
-        return _reject(script, inputs, "m' must be >= 3")
-    if not 0 < a_prime < m_prime:
-        return _reject(script, inputs, "need 0 < a' < m'")
-    if gcd(a_prime, m_prime) != 1:
-        return _reject(script, inputs, "need gcd(a', m') = 1")
-    if 2 * (m_prime - a_prime) >= m_prime:
-        return _reject(
-            script, inputs,
-            f"m'-a' = {m_prime - a_prime} >= m'/2", Fraction(m_prime - a_prime)
-        )
+    rejection = kad_rejection(m, m_prime, a_prime, subcase)
+    if rejection is not None:
+        return _rejected(script, inputs, rejection)
 
-    p1, q, p2, r, a1, b1, a2, b2, om1, om2 = _kad_table(m, m_prime, a_prime, subcase)
-    node = Node("P", m, lam=1)
-
-    def glob(d1: EllDivisor, d2: EllDivisor) -> GlobalEllDivisor:
-        return GlobalEllDivisor([("C1", d1), ("C2", d2)], node)
-
-    a_glob, b_glob = glob(a1, a2), glob(b1, b2)
+    # C1 carries the node P and Q, C2 carries P and R; the gluing has length 1
+    c1, c2 = _Component(P=m, Q=m_prime), _Component(P=m, R=2)
     gap = m_prime - a_prime
-    steps: list[TraceStep] = []
+    up, down = (m + 1) // 2, (m - 1) // 2
+    # graded-sheaf normal forms; the canonical restriction om1 equals a1
+    a1 = om1 = (-1, up, gap)
+    b1 = (0, 0, 1)
+    a2 = (0 if subcase == "kad" else -1, down, 1)
+    b2 = (-1, 0, 1)
+    om2 = (-1, down, 1)
+
+    def sections(x: tuple, y: tuple) -> int:
+        return _glued_h0(x[0], y[0], _node_invariant(x[1], y[1], m))
 
     # the tensor-square/product table, recomputed and pinned
-    _expect("A1^2", tensor(a1, a1), EllDivisor(-1, {p1: 1, q: 2 * gap}))
-    _expect("B1^2", tensor(b1, b1), EllDivisor(0, {q: 2}))
-    _expect("A1*B1", tensor(a1, b1), EllDivisor(-1, {p1: (m + 1) // 2, q: gap + 1}))
-    _expect("B2^2", tensor(b2, b2), EllDivisor(-1))
+    step = "degree-table"
+    a1a1, b1b1, a1b1 = c1.tensor(a1, a1), c1.tensor(b1, b1), c1.tensor(a1, b1)
+    a2a2, a2b2, b2b2 = c2.tensor(a2, a2), c2.tensor(a2, b2), c2.tensor(b2, b2)
+    _expect(step, "A1^2", c1, a1a1, (-1, 1, 2 * gap))
+    _expect(step, "B1^2", c1, b1b1, (0, 0, 2))
+    _expect(step, "A1*B1", c1, a1b1, (-1, up, gap + 1))
+    _expect(step, "B2^2", c2, b2b2, (-1, 0, 0))
     if subcase == "kad":
-        _expect("A2^2", tensor(a2, a2), EllDivisor(1, {p2: m - 1}))
-        _expect("A2*B2", tensor(a2, b2), EllDivisor(0, {p2: (m - 1) // 2}))
+        _expect(step, "A2^2", c2, a2a2, (1, m - 1, 0))
+        _expect(step, "A2*B2", c2, a2b2, (0, down, 0))
     else:
-        _expect("A2^2", tensor(a2, a2), EllDivisor(-1, {p2: 2}))
-        _expect("A2*B2", tensor(a2, b2), EllDivisor(-1, {p2: 1}))
-    steps.append(TraceStep("degree-table", None, "holds", "graded normal forms verified"))
+        _expect(step, "A2^2", c2, a2a2, (-1, 2, 0))
+        _expect(step, "A2*B2", c2, a2b2, (-1, 1, 0))
+    steps = [TraceStep(step, None, "holds", "graded normal forms verified")]
 
-    for label, div in (("C1", om1), ("C2", om2)):
-        if h0(div) or h1(div):
-            raise AssertionError(f"canonical restriction to {label} has sections")
-    steps.append(TraceStep("canonical-restrictions", Fraction(0), "holds",
-                           "h0 = h1 = 0 on both components"))
+    step = "canonical-restrictions"
+    for label, om in (("C1", om1), ("C2", om2)):
+        if _h0(om[0]) or _h1(om[0]):
+            raise ScriptCheckError(step, f"canonical restriction to {label} has sections")
+    steps.append(TraceStep(step, Fraction(0), "holds", "h0 = h1 = 0 on both components"))
 
     if subcase == "k3a":
-        hh1 = h1(tensor(tensor(a2, b2), om2))
-        _expect("A2*B2*om", tensor(tensor(a2, b2), om2), EllDivisor(-2, {p2: 2, r: 1}))
-        steps.append(TraceStep("h1-a2b2-omega", Fraction(hh1), "holds"))
-        hh2 = h1(tensor(tensor(b2, b2), om2))
-        _expect("B2^2*om", tensor(tensor(b2, b2), om2), EllDivisor(-2, {p2: 1, r: 1}))
-        steps.append(TraceStep("h1-b2sq-omega", Fraction(hh2), "holds"))
-        if hh1 != 1 or hh2 != 1:
-            raise AssertionError("expected h1 = 1 twice")
+        twist1, twist2 = c2.tensor(a2b2, om2), c2.tensor(b2b2, om2)
+        _expect("h1-a2b2-omega", "A2*B2*om", c2, twist1, (-2, 2, 1))
+        steps.append(TraceStep("h1-a2b2-omega", Fraction(_h1(twist1[0])), "holds"))
+        _expect("h1-b2sq-omega", "B2^2*om", c2, twist2, (-2, 1, 1))
+        steps.append(TraceStep("h1-b2sq-omega", Fraction(_h1(twist2[0])), "holds"))
+        _check(_h1(twist1[0]) == 1 and _h1(twist2[0]) == 1, "forces-conic-bundle",
+               "expected h1 = 1 twice")
         steps.append(TraceStep("forces-conic-bundle", None, "forces_cb",
                                "h1 of the twisted square is >= 2"))
-        h_gr1 = glued_h0(a_glob) + glued_h0(b_glob)
+        h_gr1 = sections(a1, a2) + sections(b1, b2)
         steps.append(TraceStep("h0-gr1", Fraction(h_gr1), "holds"))
-        h_sym = (
-            glued_h0(global_tensor(a_glob, a_glob))
-            + glued_h0(global_tensor(a_glob, b_glob))
-            + glued_h0(global_tensor(b_glob, b_glob))
-        )
+        h_sym = sections(a1a1, a2a2) + sections(a1b1, a2b2) + sections(b1b1, b2b2)
         steps.append(TraceStep("h0-sym2", Fraction(h_sym), "holds"))
-        if h_gr1 != 0 or h_sym != 0:
-            raise AssertionError("expected no sections in weights 1 and 2")
+        _check(h_gr1 == 0 and h_sym == 0, "section-count-conflict",
+               "expected no sections in weights 1 and 2")
         steps.append(TraceStep("section-count-conflict", None, "contradiction",
                                "two independent width-2 sections cannot fit in "
                                "h0 <= h0(sym2) + 1 = 1"))
         return DisproofTrace(script, inputs, "contradiction", tuple(steps))
 
     # kad, m >= 5
-    gr1_omega_1 = tensor(om1, b1)
-    gr1_omega_2 = tensor(om2, b2)
-    _expect("om*B1", gr1_omega_1, EllDivisor(-1, {p1: (m + 1) // 2, q: gap + 1}))
-    _expect("om*B2", gr1_omega_2, EllDivisor(-1, {p2: (m - 1) // 2}))
-    if any(h0(x) or h1(x) for x in (gr1_omega_1, gr1_omega_2)):
-        raise AssertionError("twisted weight-1 piece has sections")
-    steps.append(TraceStep("gr1-omega-vanishing", Fraction(0), "holds"))
+    step = "gr1-omega-vanishing"
+    twist1, twist2 = c1.tensor(om1, b1), c2.tensor(om2, b2)
+    _expect(step, "om*B1", c1, twist1, (-1, up, gap + 1))
+    _expect(step, "om*B2", c2, twist2, (-1, down, 0))
+    if any(_h0(x[0]) or _h1(x[0]) for x in (twist1, twist2)):
+        raise ScriptCheckError(step, "twisted weight-1 piece has sections")
+    steps.append(TraceStep(step, Fraction(0), "holds"))
 
-    split1 = tensor(tensor(b1, b1), dual(a1))
-    obstruction1 = h1(split1)
+    split1 = c1.tensor(b1b1, c1.dual(a1))
+    obstruction1 = _h1(split1[0])
     steps.append(TraceStep("split-check-c1", Fraction(obstruction1), "holds",
-                           f"splitting obstruction {split1!r}"))
-    d1, e1 = tensor(b1, b1), a1
-    d2, e2 = EllDivisor(0), EllDivisor(-1, {p2: (m - 1) // 2, r: 1})
-    mm1 = tensor(tensor(e1, b1), dual(d1))
-    mm2 = tensor(tensor(e2, b2), dual(d2))
-    _expect("E1*B1/D1", mm1, EllDivisor(-1, {p1: (m + 1) // 2, q: gap - 1}))
-    _expect("E2*B2/D2", mm2, EllDivisor(-1, {p2: (m - 1) // 2}))
-    obstruction2 = h1(mm1) + h1(mm2)
-    steps.append(TraceStep("split-check-thickening", Fraction(obstruction2), "holds"))
-    if obstruction1 or obstruction2:
-        raise AssertionError("splitting obstruction does not vanish")
+                           f"splitting obstruction {c1.divisor(split1)!r}"))
+    step = "split-check-thickening"
+    d1, e1, d2, e2 = b1b1, a1, (0, 0, 0), om2
+    mm1 = c1.tensor(c1.tensor(e1, b1), c1.dual(d1))
+    mm2 = c2.tensor(c2.tensor(e2, b2), c2.dual(d2))
+    _expect(step, "E1*B1/D1", c1, mm1, (-1, up, gap - 1))
+    _expect(step, "E2*B2/D2", c2, mm2, (-1, down, 0))
+    obstruction2 = _h1(mm1[0]) + _h1(mm2[0])
+    steps.append(TraceStep(step, Fraction(obstruction2), "holds"))
+    _check(not (obstruction1 or obstruction2), step, "splitting obstruction does not vanish")
 
-    oe1, oe2 = tensor(om1, e1), tensor(om2, e2)
-    _expect("om*E1", oe1, EllDivisor(-1, {p1: 1, q: 2 * gap}))
-    _expect("om*E2", oe2, EllDivisor(-1, {p2: m - 1}))
-    if any(h0(x) or h1(x) for x in (oe1, oe2)):
-        raise AssertionError("twisted splitting piece has sections")
-    steps.append(TraceStep("omega-e-vanishing", Fraction(0), "holds"))
+    step = "omega-e-vanishing"
+    oe1, oe2 = c1.tensor(om1, e1), c2.tensor(om2, e2)
+    _expect(step, "om*E1", c1, oe1, (-1, 1, 2 * gap))
+    _expect(step, "om*E2", c2, oe2, (-1, m - 1, 0))
+    if any(_h0(x[0]) or _h1(x[0]) for x in (oe1, oe2)):
+        raise ScriptCheckError(step, "twisted splitting piece has sections")
+    steps.append(TraceStep(step, Fraction(0), "holds"))
 
-    key = tensor(oe2, b2)
-    _expect("om*E*B2", key, EllDivisor(-2, {p2: m - 1, r: 1}))
-    hk = h1(key)
-    steps.append(TraceStep("h1-omega-e-b2", Fraction(hk), "forces_cb",
+    step = "h1-omega-e-b2"
+    key = c2.tensor(oe2, b2)
+    _expect(step, "om*E*B2", c2, key, (-2, m - 1, 1))
+    hk = _h1(key[0])
+    steps.append(TraceStep(step, Fraction(hk), "forces_cb",
                            "nonvanishing h1 rules out the birational cases"))
-    if hk != 1:
-        raise AssertionError("expected h1 = 1 on the key twist")
+    _check(hk == 1, step, "expected h1 = 1 on the key twist")
 
-    h_a = glued_h0(a_glob)
-    h_b = glued_h0(b_glob)
+    h_a, h_b = sections(a1, a2), sections(b1, b2)
     steps.append(TraceStep("h0-gr1", Fraction(h_a + h_b), "holds",
                            "the unique weight-1 section lives on C2"))
-    if (h_a, h_b) != (1, 0):
-        raise AssertionError("weight-1 section count off")
-    sq_a = glued_h0(global_tensor(a_glob, a_glob))
-    sq_ab = glued_h0(global_tensor(a_glob, b_glob))
-    sq_b = glued_h0(global_tensor(b_glob, b_glob))
-    c1_side = h0(tensor(a1, a1)) + h0(tensor(a1, b1)) + sq_b
+    _check((h_a, h_b) == (1, 0), "h0-gr1", "weight-1 section count off")
+    sq_a, sq_ab, sq_b = sections(a1a1, a2a2), sections(a1b1, a2b2), sections(b1b1, b2b2)
+    c1_side = _h0(a1a1[0]) + _h0(a1b1[0]) + sq_b
     steps.append(TraceStep("h0-gr2", Fraction(sq_a + sq_ab + sq_b), "holds",
                            "all weight-2 sections restrict to zero on C1"))
-    if (sq_a, sq_ab, sq_b) != (2, 1, 0) or c1_side != 0:
-        raise AssertionError("weight-2 section count off")
+    _check((sq_a, sq_ab, sq_b) == (2, 1, 0) and c1_side == 0, "h0-gr2",
+           "weight-2 section count off")
     steps.append(TraceStep("multiplicity-conflict", None, "contradiction",
                            "a second base section must vanish to order 3 along "
                            "C1, against the length-4 budget"))
     return DisproofTrace(script, inputs, "contradiction", tuple(steps))
 
 
+def _admissible(rejection, index_rejection, sweep_max: int):
+    """The tuples with m, m' <= sweep_max that ``rejection`` admits, skipping
+    each m that ``index_rejection``, the part of the rule on m alone, rejects."""
+    for m in range(1, sweep_max + 1):
+        if index_rejection(m) is not None:
+            continue
+        for m_prime in range(1, sweep_max + 1):
+            for a_prime in range(1, m_prime):
+                if rejection(m, m_prime, a_prime) is None:
+                    yield (m, m_prime, a_prime)
+
+
 def ic_admissible(sweep_max: int = 49):
     """Input triples accepted by ic_disproof, with m, m' capped."""
-    for m in range(5, sweep_max + 1, 2):
-        for m_prime in range(3, sweep_max + 1):
-            for a_prime in range(1, m_prime):
-                if gcd(a_prime, m_prime) != 1:
-                    continue
-                if Fraction(m + 1, 2 * m) - Fraction(a_prime, m_prime) >= 0:
-                    continue
-                if 2 * (m_prime - a_prime) >= m_prime:
-                    continue
-                yield (m, m_prime, a_prime)
+    return _admissible(ic_rejection, _ic_index_rejection, sweep_max)
 
 
 def kad_admissible(subcase: str, sweep_max: int = 49):
-    ms = (3,) if subcase == "k3a" else tuple(range(5, sweep_max + 1, 2))
-    for m in ms:
-        for m_prime in range(3, sweep_max + 1):
-            for a_prime in range(1, m_prime):
-                if gcd(a_prime, m_prime) != 1:
-                    continue
-                if 2 * (m_prime - a_prime) >= m_prime:
-                    continue
-                yield (m, m_prime, a_prime)
+    subcase = subcase.lower()
+    return _admissible(partial(kad_rejection, subcase=subcase),
+                       partial(_kad_index_rejection, subcase=subcase), sweep_max)
+
+
+def smallest_sweep_max(script: str) -> int:
+    """The least cap at which the sweep of ``script`` ("ic", "k3a" or "kad")
+    admits a tuple."""
+    tuples = ic_admissible if script == "ic" else partial(kad_admissible, script)
+    return next(n for n in count(1) if next(tuples(n), None) is not None)
 
 
 @dataclass(frozen=True)
 class SweepSummary:
     script: str
     total: int
-    survivors: int  # tuples that reach the final step instead of failing early
-    all_contradicted: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    survivors: int  # tuples whose trace reaches the script's final step
+    all_contradicted: bool  # false as well when no tuple is admitted
+    failures: int = 0
+    failure: str = ""  # on failure: the count and the first failing tuple and step
+
+    def verdict(self) -> str:
+        return "all contradicted" if self.all_contradicted else f"FAILURE: {self.failure}"
+
+
+def _sweep(script: str, tuples, run, final_step: str, reaches_final) -> SweepSummary:
+    """Run every tuple, counting a failure for each trace that raises in an
+    internal check, is not a contradiction, or reaches ``final_step`` other
+    than as ``reaches_final`` predicts."""
+    total = survivors = failures = 0
+    first = ""
+    for inputs in tuples:
+        total += 1
+        try:
+            trace = run(*inputs)
+        except (AssertionError, ValueError) as err:
+            step = getattr(err, "step", None)
+            problem = f"at {step}: {err}" if step else f"raised {type(err).__name__}: {err}"
+        else:
+            end = trace.steps[-1].name if trace.steps else "rejection"
+            reached = end == final_step
+            survivors += reached
+            if trace.status == "contradiction" and reached == reaches_final(*inputs):
+                continue
+            problem = f"ends {trace.status} at {end}"
+        failures += 1
+        first = first or f"first {inputs} {problem}"
+    if total == 0:
+        failure = "no admissible tuples"
+    else:
+        failure = f"{failures} of {total} failed, {first}" if failures else ""
+    return SweepSummary(script, total, survivors, not failure, failures, failure)
 
 
 def ic_sweep(sweep_max: int = 49) -> SweepSummary:
-    total = 0
-    ok = True
-    survivors: set[tuple[int, int, int]] = set()
-    expected_survivors: set[tuple[int, int, int]] = set()
-    for m, m_prime, a_prime in ic_admissible(sweep_max):
-        total += 1
-        if 2 * a_prime == m_prime + 1 and m > m_prime:
-            expected_survivors.add((m, m_prime, a_prime))
-        trace = ic_disproof(m, m_prime, a_prime)
-        if trace.status != "contradiction":
-            ok = False
-        if any(s.name == "width-3-degree" for s in trace.steps):
-            survivors.add((m, m_prime, a_prime))
-    if survivors != expected_survivors:
-        ok = False
-    return SweepSummary("ic", total, len(survivors), ok)
+    """ic_disproof on every admissible tuple up to the cap; exactly the tuples
+    with 2a' = m'+1 and m > m' must reach the width-3 step."""
+    return _sweep("ic", ic_admissible(sweep_max), ic_disproof, "width-3-degree",
+                  lambda m, m_prime, a_prime: 2 * a_prime == m_prime + 1 and m > m_prime)
 
 
 def kad_sweep(subcase: str, sweep_max: int = 49) -> SweepSummary:
-    total = 0
-    ok = True
-    for m, m_prime, a_prime in kad_admissible(subcase, sweep_max):
-        total += 1
-        trace = kad_disproof(m, m_prime, a_prime, subcase)
-        if trace.status != "contradiction":
-            ok = False
-    return SweepSummary(f"kad/{subcase}", total, total, ok)
+    subcase = subcase.lower()
+    final = "section-count-conflict" if subcase == "k3a" else "multiplicity-conflict"
+    return _sweep(f"kad/{subcase}", kad_admissible(subcase, sweep_max),
+                  lambda m, m_prime, a_prime: kad_disproof(m, m_prime, a_prime, subcase),
+                  final, lambda *_: True)

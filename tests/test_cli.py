@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from germcalc import ell_calc
 from germcalc.cli_corpus import corpus
 from germcalc.cli_corpus.cli import main
 
@@ -150,6 +153,31 @@ class TestDisproveCommands:
     def test_missing_tuple(self, capsys):
         assert main(["ic-disprove"]) == 2
 
+    @pytest.mark.parametrize("argv, smallest", [
+        (["ic-disprove", "--sweep-max", "-5"], 5),
+        (["ic-disprove", "--sweep-max", "4"], 5),
+        (["kad-disprove", "--subcase", "kad", "--sweep-max", "0"], 5),
+        (["kad-disprove", "--subcase", "k3a", "--sweep-max", "2"], 3),
+        (["verify-paper", "--sweep-max", "3"], 5),
+        (["--json", "verify-paper", "--sweep-max", "4"], 5),
+    ])
+    def test_sweep_max_below_smallest_cap_is_an_input_error(self, capsys, argv, smallest):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --sweep-max ")
+        assert f"below {smallest}," in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["ic-disprove", "--sweep-max", "5"],
+        ["kad-disprove", "--subcase", "k3a", "--sweep-max", "3"],
+        ["kad-disprove", "--subcase", "kad", "--sweep-max", "5"],
+    ])
+    def test_smallest_cap_is_accepted(self, capsys, argv):
+        assert main(argv) == 0
+        assert "all contradicted" in capsys.readouterr().out
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
@@ -164,6 +192,22 @@ class TestVerifyCommand:
         assert rc == 0
         assert payload["ok"] is True
         assert any(c["case"] == "iidual" for c in payload["checks"])
+
+    def test_sweep_failure_exits_1_without_traceback(self, capsys, monkeypatch):
+        real = ell_calc.ic_disproof
+
+        def failing(m, mp, ap):
+            if (m, mp, ap) == (9, 5, 3):
+                raise AssertionError("injected")
+            return real(m, mp, ap)
+
+        monkeypatch.setattr(ell_calc, "ic_disproof", failing)
+        assert main(["verify-paper", "--sweep-max", "9"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "FAIL sweep: rigid-chain exclusion" in captured.out
+        assert "first (9, 5, 3) raised AssertionError: injected" in captured.out
+        assert "237 checks, 1 failed" in captured.out
 
     def test_deterministic_output(self, capsys):
         main(["verify-paper", "--sweep-max", "9"])

@@ -1,6 +1,7 @@
 import copy
 from fractions import Fraction as F
 
+from germcalc import ell_calc
 from germcalc.cli_corpus import corpus
 from germcalc.cli_corpus.corpus import analyze_graph, load_corpus, verify_paper
 from germcalc.dual_graph import parse_graph
@@ -49,6 +50,24 @@ class TestVerify:
         a = verify_paper(sweep_max=9).render()
         b = verify_paper(sweep_max=9).render()
         assert a == b
+
+    def test_sweep_failure_is_a_fail_line(self, monkeypatch):
+        real = ell_calc.kad_disproof
+
+        def failing(m, mp, ap, subcase):
+            if (m, mp, ap) == (7, 5, 4) and subcase == "kad":
+                raise AssertionError("injected")
+            return real(m, mp, ap, subcase)
+
+        monkeypatch.setattr(ell_calc, "kad_disproof", failing)
+        report = verify_paper(sweep_max=9)
+        assert not report.ok
+        assert len(report.checks) == 237
+        bad = [c.line() for c in report.checks if not c.ok]
+        assert bad == ["FAIL sweep: kad exclusion (expected all tuples contradicted, got "
+                       "1 of 39 failed, first (7, 5, 4) raised AssertionError: injected)"]
+        assert "sweep kad/kad (max 9): 39 tuples, FAILURE: 1 of 39 failed" in (
+            "\n".join(report.render()))
 
     def test_mutated_expectation_fails_with_diff(self):
         data = copy.deepcopy(load_corpus())

@@ -1,13 +1,19 @@
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
+
+from germcalc import ell_calc
 from germcalc.ell_calc import (
     ic_admissible,
     ic_disproof,
+    ic_rejection,
     ic_sweep,
     kad_admissible,
     kad_disproof,
+    kad_rejection,
     kad_sweep,
+    smallest_sweep_max,
 )
 
 
@@ -31,6 +37,14 @@ class TestIcScript:
         assert trace.status == "rejected"
         assert "K-negativity" in trace.rejection
         assert trace.rejection_value == F(4, 15)
+
+    def test_k_negativity_value_is_the_fraction_difference(self):
+        for m, mp, ap in [(5, 3, 1), (7, 5, 2), (9, 4, 1), (11, 7, 3)]:
+            reason, value = ic_rejection(m, mp, ap)
+            assert reason == "K-negativity fails"
+            assert F(*value) == F(m + 1, 2 * m) - F(ap, mp)
+        # exactly zero is rejected: (m+1)/(2m) = a'/m' at (5, 5, 3)
+        assert ic_rejection(5, 5, 3) == ("K-negativity fails", (0, 50))
 
     def test_even_m_rejected(self):
         assert ic_disproof(6, 3, 2).status == "rejected"
@@ -65,6 +79,9 @@ class TestIcScript:
             if 2 * ap == mp + 1 and m > mp
         }
         assert summary.survivors == len(expected)
+
+    def test_admissibility_matches_preconditions(self):
+        check_admissibility("ic")
 
     def test_all_admissible_end_in_contradiction(self):
         for m, mp, ap in ic_admissible(25):
@@ -126,9 +143,99 @@ class TestKadScript:
             assert trace.step("h1-omega-e-b2").value == 1
 
     def test_admissibility_matches_preconditions(self):
-        listed = set(kad_admissible("kad", 15))
-        for m in range(5, 16, 2):
-            for mp in range(3, 16):
-                for ap in range(1, mp):
-                    ok = gcd(ap, mp) == 1 and 2 * (mp - ap) < mp
-                    assert ((m, mp, ap) in listed) == ok
+        check_admissibility("k3a")
+        check_admissibility("kad")
+
+    def test_upper_case_subcase_is_labelled_lower_case(self):
+        trace = kad_disproof(5, 3, 2, "KAD")
+        assert trace.script == "kad/kad"
+        assert trace == kad_disproof(5, 3, 2, "kad")
+        assert kad_disproof(3, 5, 3, "K3A").script == "kad/k3a"
+        assert kad_sweep("KAD", 9) == kad_sweep("kad", 9)
+
+
+def _ic_conditions(m, mp, ap):
+    return (m >= 5 and m % 2 == 1 and mp >= 3 and 0 < ap < mp and gcd(ap, mp) == 1
+            and F(m + 1, 2 * m) - F(ap, mp) < 0 and 2 * (mp - ap) < mp)
+
+
+def _kad_conditions(subcase, m, mp, ap):
+    m_ok = m == 3 if subcase == "k3a" else m >= 5 and m % 2 == 1
+    return m_ok and mp >= 3 and 0 < ap < mp and gcd(ap, mp) == 1 and 2 * (mp - ap) < mp
+
+
+def check_admissibility(script):
+    """The enumerator, the runner and the stated conditions agree on every
+    tuple of a box that reaches past the cap and outside the parameter ranges."""
+    cap = 15
+    if script == "ic":
+        listed = set(ic_admissible(cap))
+        run, rejection = ic_disproof, ic_rejection
+        conditions = _ic_conditions
+    else:
+        listed = set(kad_admissible(script, cap))
+        def run(m, mp, ap):
+            return kad_disproof(m, mp, ap, script)
+        def rejection(m, mp, ap):
+            return kad_rejection(m, mp, ap, script)
+        def conditions(m, mp, ap):
+            return _kad_conditions(script, m, mp, ap)
+    for m in range(-1, cap + 3):
+        for mp in range(-1, cap + 3):
+            for ap in range(-2, mp + 3):
+                ok = conditions(m, mp, ap)
+                assert ((m, mp, ap) in listed) == (ok and m <= cap and mp <= cap)
+                assert (rejection(m, mp, ap) is None) == ok
+                trace = run(m, mp, ap)
+                assert (trace.status != "rejected") == ok, (m, mp, ap)
+                if not ok:
+                    reason, value = rejection(m, mp, ap)
+                    assert trace.rejection == reason
+                    assert trace.rejection_value == (None if value is None else F(*value))
+
+
+class TestSweepVerdicts:
+    def test_smallest_caps(self):
+        assert [smallest_sweep_max(s) for s in ("ic", "k3a", "kad")] == [5, 3, 5]
+
+    @pytest.mark.parametrize("script, cap", [("ic", 4), ("ic", -5), ("k3a", 2), ("kad", 0)])
+    def test_empty_sweep_fails(self, script, cap):
+        summary = ic_sweep(cap) if script == "ic" else kad_sweep(script, cap)
+        assert summary.total == 0
+        assert not summary.all_contradicted
+        assert summary.verdict() == "FAILURE: no admissible tuples"
+
+    def test_smallest_cap_passes(self):
+        for summary in (ic_sweep(5), kad_sweep("k3a", 3), kad_sweep("kad", 5)):
+            assert summary.total > 0 and summary.all_contradicted
+            assert summary.failures == 0 and summary.failure == ""
+
+    def test_failing_check_is_counted_with_tuple_and_step(self, monkeypatch):
+        real = ell_calc.node_invariant_dim
+
+        def broken(g, t, lam, m):
+            return 1 if m == 7 else real(g, t, lam, m)
+
+        monkeypatch.setattr(ell_calc, "node_invariant_dim", broken)
+        summary = ic_sweep(15)
+        survivors_at_7 = [t for t in ic_admissible(15)
+                          if t[0] == 7 and 2 * t[2] == t[1] + 1 and t[0] > t[1]]
+        assert not summary.all_contradicted
+        assert summary.failures == len(survivors_at_7) > 0
+        assert summary.failure == (
+            f"{summary.failures} of {summary.total} failed, first {survivors_at_7[0]} "
+            "at node-invariants: node invariants unexpectedly nonzero")
+
+    def test_trace_that_does_not_contradict_is_a_failure(self, monkeypatch):
+        real = ell_calc.kad_disproof
+
+        def rejecting(m, mp, ap, subcase):
+            trace = real(m, mp, ap, subcase)
+            if (m, mp, ap) == (3, 5, 3):
+                return ell_calc.DisproofTrace(trace.script, trace.inputs, "rejected")
+            return trace
+
+        monkeypatch.setattr(ell_calc, "kad_disproof", rejecting)
+        summary = kad_sweep("k3a", 9)
+        assert summary.failures == 1
+        assert summary.failure.endswith("first (3, 5, 3) ends rejected at rejection")
