@@ -194,12 +194,15 @@ def _run_disproof(args, runner, needs_subcase: bool) -> int:
         "inputs": list(trace.inputs),
         "status": trace.status,
         "rejection": trace.rejection or None,
-        "steps": [
-            {"name": s.name, "value": None if s.value is None else fmt(s.value),
-             "verdict": s.verdict, "note": s.note}
-            for s in trace.steps
-        ],
     }
+    if trace.status == "rejected":
+        value = trace.rejection_value
+        payload["rejection_value"] = None if value is None else fmt(value)
+    payload["steps"] = [
+        {"name": s.name, "value": None if s.value is None else fmt(s.value),
+         "verdict": s.verdict, "note": s.note}
+        for s in trace.steps
+    ]
     _emit(args, payload, trace.render())
     if trace.status == "contradiction":
         return 0

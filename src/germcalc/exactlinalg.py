@@ -1,16 +1,177 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra on sparse symmetric integer matrices.
 
 Everything here works over plain Python integers and ``fractions.Fraction``;
 no floating point is used anywhere in the package.
+
+``eliminate`` is the one elimination behind both the definiteness verdict
+and the linear solve.  It removes the row with the fewest remaining
+neighbours first; on a tree that is always a leaf, which creates no fill-in,
+so a tree costs O(n) (the continued-fraction reduction of plumbing graphs,
+Neumann 1981).  By Sylvester's law of inertia the form is negative definite
+iff every pivot is negative, whatever the order.  The dense routines
+``det_bareiss`` and ``leading_principal_minors`` are the tests' reference.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a linear solve meets a singular coefficient matrix."""
+    """Raised when a solve meets a matrix that is not negative definite.
+
+    Singular matrices are among them: elimination stops at a zero pivot.
+    """
+
+
+@dataclass(frozen=True)
+class SymmetricForm:
+    """A symmetric integer matrix as its diagonal and, for each row ``i``, the
+    pairs ``(j, M[i][j])`` with ``j != i`` and ``M[i][j] != 0``."""
+
+    diag: tuple[int, ...]
+    links: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.diag)
+
+    @classmethod
+    def from_rows(cls, rows) -> SymmetricForm:
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise ValueError("expected a square matrix")
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("expected a symmetric matrix")
+        return cls(
+            tuple([int(r[i]) for i, r in enumerate(rows)]),
+            tuple([tuple([(j, int(x)) for j, x in enumerate(r) if x and j != i])
+                   for i, r in enumerate(rows)]),
+        )
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix."""
+        n = len(self.diag)
+        out = []
+        for i, links in enumerate(self.links):
+            row = [0] * n
+            row[i] = self.diag[i]
+            for j, x in links:
+                row[j] = x
+            out.append(tuple(row))
+        return tuple(out)
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """Result of ``eliminate``: ``pivots[k]`` is the pivot of row ``order[k]``.
+
+    On a form that is not negative definite the lists end at the first pivot
+    that is not negative, and ``solution`` is None.
+    """
+
+    order: tuple[int, ...]
+    pivots: tuple[Fraction, ...]
+    negative_definite: bool
+    solution: tuple[Fraction, ...] | None = None
+
+
+def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
+    """Symmetric Gaussian elimination, fewest remaining neighbours first.
+
+    Rows of degree at most one wait in a leaf stack, the rest in a heap keyed
+    by (degree, row) that is read only when no leaf is left, so a tree never
+    reads it.  Only a heap row can create fill-in, and it is taken only
+    while no leaf exists, so a row in the leaf stack keeps degree at most one.
+    With ``rhs``, back substitution gives the solution of ``M x = rhs`` when
+    every pivot is negative.
+
+    Row v of the remaining Schur complement has diagonal ``D[v] / s[v]`` and
+    right-hand side ``B[v] / s[v]`` in integers, ``s[v] > 0``.  On a tree with
+    an integer right-hand side, ``D[v]`` and ``s[v]`` are, up to sign, the
+    determinants of the part eliminated into v with and without v, so no gcd
+    is needed.  Off-diagonal entries stay ints until fill-in.
+    """
+    n = len(form.diag)
+    if rhs is not None and len(rhs) != n:
+        raise ValueError("expected one right-hand side entry per row")
+    b = [0] * n if rhs is None else rhs
+    s = [x.denominator for x in b]
+    B = [x.numerator for x in b]
+    D = [d * k for d, k in zip(form.diag, s)]
+    nbrs: list = [dict(links) for links in form.links]
+    # lowest row first, so the order is reproducible
+    leaves = [v for v in range(n - 1, -1, -1) if len(nbrs[v]) <= 1]
+    heap = [(len(row), v) for v, row in enumerate(nbrs) if len(row) > 1]
+    heapify(heap)
+    order: list[int] = []
+    pivots: list[Fraction] = []
+    rows_at_pivot: list[dict] = []
+    while len(order) < n:
+        if leaves:
+            v = leaves.pop()
+        else:
+            degree, v = heappop(heap)
+            if nbrs[v] is None or degree != len(nbrs[v]):
+                continue  # stale entry
+        Dv, sv, Bv = D[v], s[v], B[v]
+        order.append(v)
+        pivots.append(Fraction(Dv, sv))
+        if Dv >= 0:
+            return Elimination(tuple(order), tuple(pivots), False)
+        row = nbrs[v]
+        nbrs[v] = None
+        rows_at_pivot.append(row)
+        q = Fraction(sv, Dv) if len(row) > 1 else None  # 1 / pivot, for fill-in
+        for u, a in row.items():
+            nu = nbrs[u]
+            had = len(nu)
+            del nu[v]
+            # subtract a^2 / pivot from the diagonal and a * b[v] / pivot from b[u]
+            an, ad = a.numerator, a.denominator
+            su, m = s[u], ad * ad * Dv
+            D[u] = an * an * sv * su - D[u] * m
+            B[u] = an * ad * Bv * su - B[u] * m
+            s[u] = -su * m
+            if ad != 1:
+                g = gcd(D[u], s[u], B[u])
+                D[u], s[u], B[u] = D[u] // g, s[u] // g, B[u] // g
+            for w, c in row.items():
+                if w != u:
+                    x = nu.get(w, 0) - a * c * q
+                    if x:
+                        nu[w] = x
+                    else:
+                        nu.pop(w, None)
+            if len(nu) <= 1 < had:
+                leaves.append(u)
+            elif len(nu) > 1:
+                heappush(heap, (len(nu), u))
+    if rhs is None:
+        return Elimination(tuple(order), tuple(pivots), True)
+    x: list = [None] * n
+    for v, row in zip(reversed(order), reversed(rows_at_pivot)):
+        # x[v] = (b[v] - t) / pivot with t = sum of a * x[u], kept as tn / td
+        tn, td = 0, 1
+        for u, a in row.items():
+            xu = x[u]
+            yn, yd = a.numerator * xu.numerator, a.denominator * xu.denominator
+            tn, td = tn * yd + yn * td, td * yd
+        x[v] = Fraction(B[v] * td - s[v] * tn, D[v] * td)
+    return Elimination(tuple(order), tuple(pivots), True, tuple(x))
+
+
+def solve_exact(form: SymmetricForm, rhs) -> list[Fraction]:
+    """Solve M x = rhs exactly for a negative-definite form M.
+
+    Raises SingularMatrixError when M is not negative definite.
+    """
+    result = eliminate(form, rhs)
+    if not result.negative_definite:
+        raise SingularMatrixError("matrix is not negative definite")
+    return list(result.solution)
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
@@ -40,36 +201,6 @@ def det_bareiss(rows: list[list[int]]) -> int:
 def leading_principal_minors(rows: list[list[int]]) -> list[int]:
     """Minors det(M[:k, :k]) for k = 1..n."""
     return [det_bareiss([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
-
-
-def solve_exact(rows: list[list[int]], rhs: list[int | Fraction]) -> list[Fraction]:
-    """Solve M x = b exactly.
-
-    Pivoting is deterministic: for each column the first row (in input order)
-    with a nonzero entry is used, so reports built from the solution are
-    reproducible across runs.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("solve_exact expects a square system")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    perm = list(range(n))
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            perm[col], perm[pivot] = perm[pivot], perm[col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = s / a[r][r]
-    return x
 
 
 def fmt(value: Fraction | int) -> str:

@@ -3,34 +3,32 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from germcalc.dual_graph import ConfigGraph, Vertex, VertexKind
 
 
-def char_poly_coeffs(rows: list[list[int]]) -> list[Fraction]:
+def char_poly_coeffs(rows: list[list[int]]) -> list[int]:
     """Coefficients c_1..c_n of det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n.
 
-    Faddeev-LeVerrier recursion over exact rationals; independent of the
-    leading-minor route used by the package.
+    Faddeev-LeVerrier recursion; independent of the elimination route used by
+    the package.  For an integer matrix every c_k and every work matrix is an
+    integer, so the division by k is exact and the recursion stays in ints.
     """
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    coeffs: list[Fraction] = []
+    m = [[int(x) for x in row] for row in rows]
+    coeffs: list[int] = []
     work = [row[:] for row in m]
     for k in range(1, n + 1):
-        ck = -sum(work[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(work[i][i] for i in range(n)), k)
+        assert rem == 0, "Faddeev-LeVerrier division must be exact"
         coeffs.append(ck)
         if k == n:
             break
         for i in range(n):
             work[i][i] += ck
-        work = [
-            [sum(m[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        work = [[sum(x * y for x, y in zip(row, col)) for col in zip(*work)] for row in m]
     return coeffs
 
 

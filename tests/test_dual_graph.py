@@ -166,6 +166,11 @@ class TestIntersectionMatrix:
         with pytest.raises(GraphError, match="unknown"):
             intersection_matrix(g, ["zz"])
 
+    def test_repeated_id(self):
+        g = parse_graph("vertex a kind=exc self=-4")
+        with pytest.raises(GraphError, match="listed twice"):
+            intersection_matrix(g, ["a", "a"])
+
 
 class TestNegativeDefinite:
     def test_single(self):

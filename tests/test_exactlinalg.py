@@ -1,0 +1,164 @@
+"""The symmetric elimination kernel against independent oracles.
+
+Each form is checked three ways: the product of the pivots against a dense
+Bareiss determinant of the rows eliminated so far, the verdict against the
+characteristic-polynomial test, and the solution by substituting it back into
+M x = b in Fractions.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from fractions import Fraction
+from math import prod
+
+import pytest
+
+from conftest import neg_def_by_char_poly, random_symmetric, random_tree_graph
+from germcalc.dual_graph import (
+    ConfigGraph,
+    Vertex,
+    VertexKind,
+    exceptional_clusters,
+    intersection_matrix,
+    is_negative_definite,
+)
+from germcalc.exactlinalg import (
+    SingularMatrixError,
+    SymmetricForm,
+    det_bareiss,
+    eliminate,
+    solve_exact,
+)
+from germcalc.resolution import codiscrepancy
+
+
+def check_against_oracles(rows: list[list[int]], rhs: list) -> bool:
+    """Assert every oracle on one form; return its verdict."""
+    n = len(rows)
+    form = SymmetricForm.from_rows(rows)
+    result = eliminate(form, rhs)
+    order = list(result.order)
+    assert len(set(order)) == len(order) == len(result.pivots)
+    assert prod(result.pivots) == det_bareiss([[rows[i][j] for j in order] for i in order])
+    assert all(p < 0 for p in result.pivots[:-1])
+    verdict = neg_def_by_char_poly(rows)
+    assert result.negative_definite == verdict
+    if verdict:
+        assert sorted(order) == list(range(n))
+        assert prod(result.pivots) == det_bareiss(rows)
+        x = result.solution
+        for i in range(n):
+            assert sum(Fraction(rows[i][j]) * x[j] for j in range(n)) == rhs[i]
+        assert solve_exact(form, rhs) == list(x)
+    else:
+        assert result.pivots[-1] >= 0 and result.solution is None
+        with pytest.raises(SingularMatrixError):
+            solve_exact(form, rhs)
+    return verdict
+
+
+def cyclic_graph(rng: random.Random, n: int, extra: int) -> ConfigGraph:
+    """Random tree on n exceptional vertices plus ``extra`` chords (capped at
+    what the complete graph allows)."""
+    extra = min(extra, (n - 1) * (n - 2) // 2)
+    g = random_tree_graph(rng, n)
+    edges = {tuple(sorted(e)) for e in g.edges}
+    ids = [v.id for v in g.vertices]
+    while len(edges) < n - 1 + extra:
+        a, b = rng.sample(ids, 2)
+        edges.add((min(a, b), max(a, b)))
+    return ConfigGraph(list(g.vertices), sorted(edges))
+
+
+def cluster_forms(g: ConfigGraph):
+    for cluster in exceptional_clusters(g):
+        yield intersection_matrix(g, cluster.ids)
+
+
+def test_random_trees(rng):
+    verdicts = set()
+    for _ in range(300):
+        g = random_tree_graph(rng, rng.randint(1, 12), rng.randint(0, 3))
+        for m in cluster_forms(g):
+            rows = m.as_lists()
+            adjunction = [2 + d for d in m.form.diag]
+            verdicts.add(check_against_oracles(rows, adjunction))
+            check_against_oracles(rows, [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                         for _ in rows])
+    assert verdicts == {True, False}
+
+
+def test_cyclic_clusters(rng):
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        g = cyclic_graph(rng, n, rng.randint(1, n))
+        for m in cluster_forms(g):
+            verdicts.add(check_against_oracles(m.as_lists(), [2 + d for d in m.form.diag]))
+    assert verdicts == {True, False}
+
+
+def test_dense_forms_with_fill(rng):
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        rows = random_symmetric(rng, n)
+        check_against_oracles(rows, [rng.randint(-5, 5) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_cycle_of_minus_twos_ends_at_a_zero_pivot(n):
+    vs = [Vertex(f"x{i}", VertexKind.EXCEPTIONAL, -2) for i in range(n)]
+    g = ConfigGraph(vs, [(f"x{i}", f"x{(i + 1) % n}") for i in range(n)])
+    m = intersection_matrix(g, [v.id for v in vs])
+    result = eliminate(m.form)
+    assert not result.negative_definite
+    assert len(result.pivots) == n and result.pivots[-1] == 0
+    check_against_oracles(m.as_lists(), [0] * n)
+
+
+def test_leaf_first_order_on_a_chain():
+    vs = [Vertex(f"e{i}", VertexKind.EXCEPTIONAL, -2) for i in range(6)]
+    g = ConfigGraph(vs, [(f"e{i}", f"e{i + 1}") for i in range(5)])
+    result = eliminate(intersection_matrix(g, [v.id for v in vs]).form)
+    # the chain is peeled from its first end; pivot k is -(k + 2)/(k + 1)
+    assert result.order == (0, 1, 2, 3, 4, 5)
+    assert result.pivots == tuple(Fraction(-(k + 2), k + 1) for k in range(6))
+
+
+def test_from_rows_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="square"):
+        SymmetricForm.from_rows([[1, 2]])
+    with pytest.raises(ValueError, match="symmetric"):
+        SymmetricForm.from_rows([[-2, 1], [0, -2]])
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_exact(SymmetricForm.from_rows([[-2]]), [1, 2])
+
+
+def big_chain(rng: random.Random, n: int) -> ConfigGraph:
+    vs = [Vertex(f"e{i}", VertexKind.EXCEPTIONAL, -rng.randint(2, 5)) for i in range(n)]
+    return ConfigGraph(vs, [(f"e{i}", f"e{i + 1}") for i in range(n - 1)])
+
+
+def big_tree(rng: random.Random, n: int) -> ConfigGraph:
+    """Random tree with self-intersection at most minus the degree: diagonally
+    dominant, strictly at the leaves, hence negative definite."""
+    g = random_tree_graph(rng, n)
+    vs = [Vertex(v.id, v.kind, min(v.self_int, -len(g.adjacency[v.id]))) for v in g.vertices]
+    return ConfigGraph(vs, list(g.edges))
+
+
+@pytest.mark.parametrize("build", [big_chain, big_tree])
+def test_400_vertices_finish_fast(rng, build):
+    g = build(rng, 400)
+    ids = [v.id for v in g.vertices]
+    start = time.perf_counter()
+    assert is_negative_definite(intersection_matrix(g, ids))
+    d = codiscrepancy(g, ids)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0  # generous: about 0.02 s on a 2-CPU machine
+    m = intersection_matrix(g, ids)
+    for i, v in enumerate(ids):
+        lhs = m.form.diag[i] * d.coeffs[v] + sum(a * d.coeffs[ids[j]] for j, a in m.form.links[i])
+        assert lhs == 2 + m.form.diag[i]
