@@ -19,8 +19,8 @@ Du Val chains (all entries 2) are never class T under either criterion.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 
@@ -82,23 +82,29 @@ class TCertificate:
     def replay(self) -> tuple[int, ...]:
         if not self.verdict:
             raise ValueError("no derivation on a negative certificate")
-        cur = list(self.base or ())
+        cur = deque(self.base or ())
         for step in self.steps or ():
             if step == "L":
-                cur = [2] + cur[:-1] + [cur[-1] + 1]
+                cur[-1] += 1
+                cur.appendleft(2)
             elif step == "R":
-                cur = [cur[0] + 1] + cur[1:] + [2]
+                cur[0] += 1
+                cur.append(2)
             else:
                 raise ValueError(f"unknown derivation step {step!r}")
         return tuple(cur)
 
 
 def chain_to_quot(c: HJChain) -> CycQuot:
-    """Evaluate the continued fraction of the chain as a reduced type."""
-    value = Fraction(c.entries[-1])
+    """Evaluate the continued fraction of the chain as a reduced type.
+
+    From the right, p/q becomes a - q/p = (a p - q)/p; consecutive
+    continuants are coprime, so n/q needs no reduction.
+    """
+    n, q = c.entries[-1], 1
     for a in reversed(c.entries[:-1]):
-        value = a - 1 / value
-    return CycQuot(value.numerator, value.denominator)
+        n, q = a * n - q, n
+    return CycQuot(n, q)
 
 
 def quot_to_chain(s: CycQuot) -> HJChain:
@@ -133,33 +139,33 @@ def _is_base(entries: tuple[int, ...]) -> bool:
 def _find_derivation(entries: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[str, ...]] | None:
     """Run the growth moves backwards until a base chain appears.
 
-    Both inverse moves can apply when the chain starts and ends with 2; the
-    search branches there (chains are short, so this stays cheap).
+    Each move leaves a 2 at one end and an entry >= 3 at the other, and
+    neither base has a 2 at an end, so at most one inverse move applies at
+    any point: the walk is forced and takes O(r) steps.  A chain with a 2 at
+    both ends is never reached by a move.  The current chain is
+    ``(left, entries[lo+1:hi], right)``, or ``(left,)`` once ``lo == hi``.
     """
-    if _is_base(entries):
-        return entries, ()
-    if len(entries) < 2:
+    lo, hi = 0, len(entries) - 1
+    left, right = entries[0], entries[-1]
+    undone = []
+    while lo < hi:
+        if left == 2 and right >= 3:  # undo "L": drop the leading 2, lower the last entry
+            lo += 1
+            right -= 1
+            left = entries[lo] if lo < hi else right
+            undone.append("L")
+        elif right == 2 and left >= 3:  # undo "R": drop the trailing 2, lower the first entry
+            hi -= 1
+            left -= 1
+            right = entries[hi] if lo < hi else left
+            undone.append("R")
+        else:
+            break
+    base = (left,) if lo == hi else (left, *entries[lo + 1:hi], right)
+    if not _is_base(base):
         return None
-    if entries[0] == 2 and entries[-1] >= 3:
-        shrunk = entries[1:-1] + (entries[-1] - 1,)
-        found = _find_derivation(shrunk)
-        if found:
-            return found[0], found[1] + ("L",)
-    if entries[-1] == 2 and entries[0] >= 3:
-        shrunk = (entries[0] - 1,) + entries[1:-1]
-        found = _find_derivation(shrunk)
-        if found:
-            return found[0], found[1] + ("R",)
-    if entries[0] == 2 and entries[-1] == 2 and len(entries) >= 3:
-        for shrunk, step in (
-            (entries[1:-1] + (entries[-1] - 1,), "L"),
-            ((entries[0] - 1,) + entries[1:-1], "R"),
-        ):
-            if all(a >= 2 for a in shrunk):
-                found = _find_derivation(shrunk)
-                if found:
-                    return found[0], found[1] + (step,)
-    return None
+    undone.reverse()
+    return base, tuple(undone)
 
 
 def _arithmetic_witness(s: CycQuot) -> tuple[int, int, int] | None:

@@ -17,8 +17,9 @@ with ids matching ``[A-Za-z0-9_]+``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .exactlinalg import SymmetricForm, eliminate
 
@@ -64,17 +65,41 @@ class Cluster:
     shape: ClusterShape
 
 
-@dataclass(frozen=True)
 class IntersectionMatrix:
-    ids: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-    # the same matrix in the sparse layout elimination reads; derived from
-    # ``rows`` when not given
-    form: SymmetricForm = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    """The intersection form over ``ids``; immutable.
 
-    def __post_init__(self):
-        if self.form is None:
-            object.__setattr__(self, "form", SymmetricForm.from_rows(self.rows))
+    ``form`` holds it in the sparse layout elimination reads.  Built from the
+    dense ``rows`` alone, the form is derived from them; built from a form,
+    the rows are derived from it on first read, since the analysis never
+    reads them.
+    """
+
+    def __init__(self, ids: tuple[str, ...], rows: tuple[tuple[int, ...], ...] | None = None,
+                 form: SymmetricForm | None = None):
+        if form is None:
+            form = SymmetricForm.from_rows(rows)
+        if rows is not None:
+            self.__dict__["rows"] = rows
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "form", form)
+
+    def __setattr__(self, *_):
+        raise AttributeError("IntersectionMatrix is immutable")
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return self.form.rows()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntersectionMatrix):
+            return NotImplemented
+        return (self.ids, self.rows) == (other.ids, other.rows)
+
+    def __hash__(self):
+        return hash((self.ids, self.rows))
+
+    def __repr__(self):
+        return f"IntersectionMatrix(ids={self.ids!r}, rows={self.rows!r})"
 
     def as_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -288,7 +313,7 @@ def intersection_matrix(g: ConfigGraph, subset: list[str] | tuple[str, ...]) -> 
         tuple([tuple([(pos[nb], 1) for nb in g.adjacency[vid] if nb in pos])
                for vid in subset]),
     )
-    return IntersectionMatrix(tuple(subset), form.rows(), form)
+    return IntersectionMatrix(tuple(subset), form=form)
 
 
 def is_negative_definite(m: IntersectionMatrix) -> bool:

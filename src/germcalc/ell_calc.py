@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from itertools import count
 from math import gcd
 
@@ -342,14 +342,53 @@ class TraceStep:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DisproofTrace:
+    """The outcome of a scripted run.
+
+    The scripts record each step as a plain tuple (name, num, den, verdict,
+    note): the value is num/den, or None when num is None, and the note is a
+    string or a function that returns one.  ``steps`` builds the TraceSteps
+    from them on first read, so a sweep that reads only ``status`` and ``end``
+    never builds them.
+    """
+
     script: str
     inputs: tuple[int, ...]
     status: str  # "contradiction" | "rejected"
-    steps: tuple[TraceStep, ...] = ()
+    records: tuple[tuple, ...] = ()
     rejection: str = ""
     rejection_value: Fraction | None = None
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple([
+            TraceStep(name, None if num is None else Fraction(num, den), verdict,
+                      note() if callable(note) else note)
+            for name, num, den, verdict, note in self.records
+        ])
+
+    @property
+    def end(self) -> str:
+        """The name of the final step, "" when there is none."""
+        return self.records[-1][0] if self.records else ""
+
+    def _key(self) -> tuple:
+        return (self.script, self.inputs, self.status, self.steps, self.rejection,
+                self.rejection_value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DisproofTrace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"DisproofTrace(script={self.script!r}, inputs={self.inputs!r}, "
+                f"status={self.status!r}, steps={self.steps!r}, "
+                f"rejection={self.rejection!r}, rejection_value={self.rejection_value!r})")
 
     def step(self, name: str) -> TraceStep:
         return next(s for s in self.steps if s.name == name)
@@ -477,10 +516,9 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
     deg_a = c1.degree(a1, den) + c2.degree(a2, den)
     deg_b = c1.degree(b1, den) + c2.degree(b2, den)
     steps = [
-        TraceStep("k-negativity",
-                  Fraction((m + 1) * m_prime - 2 * m * a_prime, 2 * den), "holds"),
-        TraceStep("deg-A", Fraction(deg_a, den), "holds"),
-        TraceStep("deg-B", Fraction(deg_b, den), "holds"),
+        ("k-negativity", (m + 1) * m_prime - 2 * m * a_prime, 2 * den, "holds", ""),
+        ("deg-A", deg_a, den, "holds", ""),
+        ("deg-B", deg_b, den, "holds", ""),
     ]
 
     # the width-d degree d*deg(B) + deg(A) has the sign of the width-d test
@@ -489,15 +527,15 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
         raise ScriptCheckError("width-2-degree", f"width-2 degree {Fraction(width2, den)} "
                                f"!= {Fraction(m_prime + 1 - 2 * a_prime, m_prime)}")
     if _width_verdict(width2, "unknown") == "contradiction":
-        steps.append(TraceStep("width-2-degree", Fraction(width2, den), "contradiction",
-                               "negative width-2 degree"))
+        steps.append(("width-2-degree", width2, den, "contradiction",
+                      "negative width-2 degree"))
         return DisproofTrace(script, inputs, "contradiction", tuple(steps))
-    steps.append(TraceStep("width-2-degree", Fraction(width2, den), "forces_cb",
-                           "zero degree rules out the birational cases"))
+    steps.append(("width-2-degree", width2, den, "forces_cb",
+                  "zero degree rules out the birational cases"))
 
     _check(2 * a_prime == m_prime + 1 and m > m_prime, "forced-equality",
            "forced parameter equality failed")
-    steps.append(TraceStep("forced-equality", None, "holds", "2a' = m'+1 and m > m'"))
+    steps.append(("forced-equality", None, 1, "holds", "2a' = m'+1 and m > m'"))
 
     step = "split-obstruction-h1"
     obstruction1 = c1.tensor(c1.dual(a1), c1.tensor(b1, b1))
@@ -507,24 +545,22 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
     for name, obstruction in (("C1", obstruction1), ("C2", obstruction2)):
         if _h1(obstruction[0]):
             raise ScriptCheckError(step, f"splitting obstruction does not vanish on {name}")
-    steps.append(TraceStep(step, Fraction(0), "holds",
-                           "both component obstructions have h1 = 0"))
+    steps.append((step, 0, 1, "holds", "both component obstructions have h1 = 0"))
 
     # node residues for the length-2 gluing, pinned from the weight tables:
     # the A-generator matches the node coordinate weight m-2, so the
     # obstruction generator sits at -(m-2) + 2*1 = 4 - m.
     nid = node_invariant_dim((4 - m) % m, (m - 2) % m, 2, m)
     _check(nid == 0, "node-invariants", "node invariants unexpectedly nonzero")
-    steps.append(TraceStep("node-invariants", Fraction(nid), "holds",
-                           "no invariant node sections: the extension splits"))
+    steps.append(("node-invariants", nid, 1, "holds",
+                  "no invariant node sections: the extension splits"))
 
     # width 3 must give -(m+m')/(2mm'), which over den = mm' is -(m+m')/2,
     # and equal deg(B)
     width3 = 3 * deg_b + deg_a
     _check(2 * width3 == -(m + m_prime) and width3 == deg_b, "width-3-degree",
            "width-3 degree mismatch")
-    steps.append(TraceStep("width-3-degree", Fraction(width3, den), "contradiction",
-                           "width-3 inequality fails"))
+    steps.append(("width-3-degree", width3, den, "contradiction", "width-3 inequality fails"))
     return DisproofTrace(script, inputs, "contradiction", tuple(steps))
 
 
@@ -549,6 +585,34 @@ def kad_rejection(m: int, m_prime: int, a_prime: int, subcase: str):
     return None
 
 
+@lru_cache(maxsize=1)
+def _kad_c2_forms(m: int, subcase: str) -> tuple:
+    """The normal forms on C2 of kad_disproof, which depend on m and the
+    subcase alone: (C2, A2, B2, om2, A2^2, A2*B2, B2^2, twists), where the
+    twists are (A2*B2*om, B2^2*om) for k3a and (om*B2, E2*B2/D2, om*E2,
+    om*E2*B2) for kad.
+
+    A sweep enumerates m outermost, so one entry serves every tuple of an m.
+    kad_disproof still pins each form on every tuple, and a sweep clears the
+    cache when it starts, so it never reads forms computed before it began.
+    """
+    c2 = _Component(P=m, R=2)
+    down = (m - 1) // 2
+    # graded-sheaf normal forms; om2 is the canonical restriction
+    a2 = (0 if subcase == "kad" else -1, down, 1)
+    b2 = (-1, 0, 1)
+    om2 = (-1, down, 1)
+    a2b2, b2b2 = c2.tensor(a2, b2), c2.tensor(b2, b2)
+    if subcase == "k3a":
+        twists = (c2.tensor(a2b2, om2), c2.tensor(b2b2, om2))
+    else:
+        d2, e2 = (0, 0, 0), om2
+        oe2 = c2.tensor(om2, e2)
+        twists = (c2.tensor(om2, b2), c2.tensor(c2.tensor(e2, b2), c2.dual(d2)), oe2,
+                  c2.tensor(oe2, b2))
+    return c2, a2, b2, om2, c2.tensor(a2, a2), a2b2, b2b2, twists
+
+
 def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTrace:
     """Cohomology-count run excluding a two-component germ with a chain
     component joined to a component carrying an extra index-2 point.
@@ -565,15 +629,13 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
         return _rejected(script, inputs, rejection)
 
     # C1 carries the node P and Q, C2 carries P and R; the gluing has length 1
-    c1, c2 = _Component(P=m, Q=m_prime), _Component(P=m, R=2)
+    c1 = _Component(P=m, Q=m_prime)
+    c2, a2, b2, om2, a2a2, a2b2, b2b2, twists = _kad_c2_forms(m, subcase)
     gap = m_prime - a_prime
     up, down = (m + 1) // 2, (m - 1) // 2
     # graded-sheaf normal forms; the canonical restriction om1 equals a1
     a1 = om1 = (-1, up, gap)
     b1 = (0, 0, 1)
-    a2 = (0 if subcase == "kad" else -1, down, 1)
-    b2 = (-1, 0, 1)
-    om2 = (-1, down, 1)
 
     def sections(x: tuple, y: tuple) -> int:
         return _glued_h0(x[0], y[0], _node_invariant(x[1], y[1], m))
@@ -581,7 +643,6 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     # the tensor-square/product table, recomputed and pinned
     step = "degree-table"
     a1a1, b1b1, a1b1 = c1.tensor(a1, a1), c1.tensor(b1, b1), c1.tensor(a1, b1)
-    a2a2, a2b2, b2b2 = c2.tensor(a2, a2), c2.tensor(a2, b2), c2.tensor(b2, b2)
     _expect(step, "A1^2", c1, a1a1, (-1, 1, 2 * gap))
     _expect(step, "B1^2", c1, b1b1, (0, 0, 2))
     _expect(step, "A1*B1", c1, a1b1, (-1, up, gap + 1))
@@ -592,87 +653,84 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     else:
         _expect(step, "A2^2", c2, a2a2, (-1, 2, 0))
         _expect(step, "A2*B2", c2, a2b2, (-1, 1, 0))
-    steps = [TraceStep(step, None, "holds", "graded normal forms verified")]
+    steps = [(step, None, 1, "holds", "graded normal forms verified")]
 
     step = "canonical-restrictions"
     for label, om in (("C1", om1), ("C2", om2)):
         if _h0(om[0]) or _h1(om[0]):
             raise ScriptCheckError(step, f"canonical restriction to {label} has sections")
-    steps.append(TraceStep(step, Fraction(0), "holds", "h0 = h1 = 0 on both components"))
+    steps.append((step, 0, 1, "holds", "h0 = h1 = 0 on both components"))
 
     if subcase == "k3a":
-        twist1, twist2 = c2.tensor(a2b2, om2), c2.tensor(b2b2, om2)
+        twist1, twist2 = twists
         _expect("h1-a2b2-omega", "A2*B2*om", c2, twist1, (-2, 2, 1))
-        steps.append(TraceStep("h1-a2b2-omega", Fraction(_h1(twist1[0])), "holds"))
+        steps.append(("h1-a2b2-omega", _h1(twist1[0]), 1, "holds", ""))
         _expect("h1-b2sq-omega", "B2^2*om", c2, twist2, (-2, 1, 1))
-        steps.append(TraceStep("h1-b2sq-omega", Fraction(_h1(twist2[0])), "holds"))
+        steps.append(("h1-b2sq-omega", _h1(twist2[0]), 1, "holds", ""))
         _check(_h1(twist1[0]) == 1 and _h1(twist2[0]) == 1, "forces-conic-bundle",
                "expected h1 = 1 twice")
-        steps.append(TraceStep("forces-conic-bundle", None, "forces_cb",
-                               "h1 of the twisted square is >= 2"))
+        steps.append(("forces-conic-bundle", None, 1, "forces_cb",
+                      "h1 of the twisted square is >= 2"))
         h_gr1 = sections(a1, a2) + sections(b1, b2)
-        steps.append(TraceStep("h0-gr1", Fraction(h_gr1), "holds"))
+        steps.append(("h0-gr1", h_gr1, 1, "holds", ""))
         h_sym = sections(a1a1, a2a2) + sections(a1b1, a2b2) + sections(b1b1, b2b2)
-        steps.append(TraceStep("h0-sym2", Fraction(h_sym), "holds"))
+        steps.append(("h0-sym2", h_sym, 1, "holds", ""))
         _check(h_gr1 == 0 and h_sym == 0, "section-count-conflict",
                "expected no sections in weights 1 and 2")
-        steps.append(TraceStep("section-count-conflict", None, "contradiction",
-                               "two independent width-2 sections cannot fit in "
-                               "h0 <= h0(sym2) + 1 = 1"))
+        steps.append(("section-count-conflict", None, 1, "contradiction",
+                      "two independent width-2 sections cannot fit in "
+                      "h0 <= h0(sym2) + 1 = 1"))
         return DisproofTrace(script, inputs, "contradiction", tuple(steps))
 
     # kad, m >= 5
+    twist2, mm2, oe2, key = twists
     step = "gr1-omega-vanishing"
-    twist1, twist2 = c1.tensor(om1, b1), c2.tensor(om2, b2)
+    twist1 = c1.tensor(om1, b1)
     _expect(step, "om*B1", c1, twist1, (-1, up, gap + 1))
     _expect(step, "om*B2", c2, twist2, (-1, down, 0))
     if any(_h0(x[0]) or _h1(x[0]) for x in (twist1, twist2)):
         raise ScriptCheckError(step, "twisted weight-1 piece has sections")
-    steps.append(TraceStep(step, Fraction(0), "holds"))
+    steps.append((step, 0, 1, "holds", ""))
 
     split1 = c1.tensor(b1b1, c1.dual(a1))
     obstruction1 = _h1(split1[0])
-    steps.append(TraceStep("split-check-c1", Fraction(obstruction1), "holds",
-                           f"splitting obstruction {c1.divisor(split1)!r}"))
+    steps.append(("split-check-c1", obstruction1, 1, "holds",
+                  lambda: f"splitting obstruction {c1.divisor(split1)!r}"))
     step = "split-check-thickening"
-    d1, e1, d2, e2 = b1b1, a1, (0, 0, 0), om2
+    d1, e1 = b1b1, a1
     mm1 = c1.tensor(c1.tensor(e1, b1), c1.dual(d1))
-    mm2 = c2.tensor(c2.tensor(e2, b2), c2.dual(d2))
     _expect(step, "E1*B1/D1", c1, mm1, (-1, up, gap - 1))
     _expect(step, "E2*B2/D2", c2, mm2, (-1, down, 0))
     obstruction2 = _h1(mm1[0]) + _h1(mm2[0])
-    steps.append(TraceStep(step, Fraction(obstruction2), "holds"))
+    steps.append((step, obstruction2, 1, "holds", ""))
     _check(not (obstruction1 or obstruction2), step, "splitting obstruction does not vanish")
 
     step = "omega-e-vanishing"
-    oe1, oe2 = c1.tensor(om1, e1), c2.tensor(om2, e2)
+    oe1 = c1.tensor(om1, e1)
     _expect(step, "om*E1", c1, oe1, (-1, 1, 2 * gap))
     _expect(step, "om*E2", c2, oe2, (-1, m - 1, 0))
     if any(_h0(x[0]) or _h1(x[0]) for x in (oe1, oe2)):
         raise ScriptCheckError(step, "twisted splitting piece has sections")
-    steps.append(TraceStep(step, Fraction(0), "holds"))
+    steps.append((step, 0, 1, "holds", ""))
 
     step = "h1-omega-e-b2"
-    key = c2.tensor(oe2, b2)
     _expect(step, "om*E*B2", c2, key, (-2, m - 1, 1))
     hk = _h1(key[0])
-    steps.append(TraceStep(step, Fraction(hk), "forces_cb",
-                           "nonvanishing h1 rules out the birational cases"))
+    steps.append((step, hk, 1, "forces_cb", "nonvanishing h1 rules out the birational cases"))
     _check(hk == 1, step, "expected h1 = 1 on the key twist")
 
     h_a, h_b = sections(a1, a2), sections(b1, b2)
-    steps.append(TraceStep("h0-gr1", Fraction(h_a + h_b), "holds",
-                           "the unique weight-1 section lives on C2"))
+    steps.append(("h0-gr1", h_a + h_b, 1, "holds", "the unique weight-1 section lives on C2"))
     _check((h_a, h_b) == (1, 0), "h0-gr1", "weight-1 section count off")
     sq_a, sq_ab, sq_b = sections(a1a1, a2a2), sections(a1b1, a2b2), sections(b1b1, b2b2)
     c1_side = _h0(a1a1[0]) + _h0(a1b1[0]) + sq_b
-    steps.append(TraceStep("h0-gr2", Fraction(sq_a + sq_ab + sq_b), "holds",
-                           "all weight-2 sections restrict to zero on C1"))
+    steps.append(("h0-gr2", sq_a + sq_ab + sq_b, 1, "holds",
+                  "all weight-2 sections restrict to zero on C1"))
     _check((sq_a, sq_ab, sq_b) == (2, 1, 0) and c1_side == 0, "h0-gr2",
            "weight-2 section count off")
-    steps.append(TraceStep("multiplicity-conflict", None, "contradiction",
-                           "a second base section must vanish to order 3 along "
-                           "C1, against the length-4 budget"))
+    steps.append(("multiplicity-conflict", None, 1, "contradiction",
+                  "a second base section must vanish to order 3 along "
+                  "C1, against the length-4 budget"))
     return DisproofTrace(script, inputs, "contradiction", tuple(steps))
 
 
@@ -723,6 +781,7 @@ def _sweep(script: str, tuples, run, final_step: str, reaches_final) -> SweepSum
     """Run every tuple, counting a failure for each trace that raises in an
     internal check, is not a contradiction, or reaches ``final_step`` other
     than as ``reaches_final`` predicts."""
+    _kad_c2_forms.cache_clear()
     total = survivors = failures = 0
     first = ""
     for inputs in tuples:
@@ -733,7 +792,7 @@ def _sweep(script: str, tuples, run, final_step: str, reaches_final) -> SweepSum
             step = getattr(err, "step", None)
             problem = f"at {step}: {err}" if step else f"raised {type(err).__name__}: {err}"
         else:
-            end = trace.steps[-1].name if trace.steps else "rejection"
+            end = trace.end or "rejection"
             reached = end == final_step
             survivors += reached
             if trace.status == "contradiction" and reached == reaches_final(*inputs):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import germcalc
 from germcalc import ell_calc
 from germcalc.cli_corpus import corpus
 from germcalc.cli_corpus.cli import main
@@ -92,6 +97,18 @@ class TestQuotCommands:
 
     def test_tchain_rejects_non_coprime(self, capsys):
         assert main(["tchain", "9", "3"]) == 2
+
+    def test_tchain_of_index_1100_in_a_child_process(self):
+        # 1/1100^2(1, 1100*1099 - 1): a Wahl chain of 1,099 entries
+        src = str(Path(germcalc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "germcalc.cli_corpus.cli", "tchain", "1210000", "1208899"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr
+        assert "class T: yes, index 1100 (d=1, m=1100, a=1099)" in done.stdout
 
 
 class TestClassify:

@@ -143,3 +143,20 @@ class TestClassT:
             cert = classify_T(s)
             assert cert.verdict
             assert t_index(cert) == m
+
+    @pytest.mark.parametrize("length", [1500, 3000, 10_000])
+    def test_long_wahl_chain(self, length):
+        # deep enough to exhaust the interpreter stack under a recursive search
+        m = length + 1
+        entries = (2,) * (m - 2) + (m + 2,)
+        cert = classify_T(chain_to_quot(HJChain(entries)))
+        assert cert.verdict and cert.chain.entries == entries
+        assert (cert.d, cert.m, cert.a) == (1, m, m - 1)
+        assert cert.base == (4,) and cert.steps == ("L",) * (m - 2)
+        assert cert.replay() == entries
+
+    def test_chain_with_a_two_at_both_ends_is_never_class_t(self):
+        for r in range(2, 8):
+            for middle in product(range(2, 6), repeat=r - 2):
+                entries = (2, *middle, 2)
+                assert not classify_T(chain_to_quot(HJChain(entries))).verdict, entries

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import partial
 from math import gcd
 
 import pytest
@@ -239,3 +240,72 @@ class TestSweepVerdicts:
         summary = kad_sweep("k3a", 9)
         assert summary.failures == 1
         assert summary.failure.endswith("first (3, 5, 3) ends rejected at rejection")
+
+
+def _corrupt_carry(monkeypatch, m, good, bad):
+    """Make every carry on the C2 of index m that yields ``good`` yield ``bad``."""
+    real = ell_calc._carry
+
+    def corrupt(c, raw, indices):
+        nf = real(c, raw, indices)
+        return bad if tuple(indices) == (m, 2) and nf == good else nf
+
+    monkeypatch.setattr(ell_calc, "_carry", corrupt)
+
+
+# One corrupted normal form per case; the counts and messages are those the
+# scripts gave while they recomputed every form on every tuple.
+CORRUPTED_FORMS = [
+    ("kad", 7, (-1, 6, 0), (-1, 5, 0),
+     "35 of 210 failed, first (7, 3, 2) at omega-e-vanishing: om*E2: computed "
+     "(-1 + 5*P[7] + 0*R[2]), expected (-1 + 6*P[7] + 0*R[2])"),
+    ("kad", 5, (0, 2, 0), (0, 1, 0),
+     "35 of 210 failed, first (5, 3, 2) at degree-table: A2*B2: computed "
+     "(0 + 1*P[5] + 0*R[2]), expected (0 + 2*P[5] + 0*R[2])"),
+    ("k3a", 3, (-2, 2, 1), (-2, 2, 0),
+     "35 of 35 failed, first (3, 3, 2) at h1-a2b2-omega: A2*B2*om: computed "
+     "(-2 + 2*P[3] + 0*R[2]), expected (-2 + 2*P[3] + 1*R[2])"),
+]
+
+
+class TestPerMFormsAndLazyTraces:
+    @pytest.mark.parametrize("subcase, m, good, bad, message", CORRUPTED_FORMS)
+    def test_corrupt_m_only_form_fails_every_tuple_of_its_m(
+            self, monkeypatch, subcase, m, good, bad, message):
+        _corrupt_carry(monkeypatch, m, good, bad)
+        summary = kad_sweep(subcase, 15)
+        assert summary.failures == sum(1 for t in kad_admissible(subcase, 15) if t[0] == m)
+        assert summary.failure == message
+        assert summary.survivors == summary.total - summary.failures
+
+    def test_sweep_never_reads_forms_computed_before_it(self, monkeypatch):
+        subcase, m, good, bad, message = CORRUPTED_FORMS[1]
+        kad_disproof(m, 3, 2, subcase)  # clean forms for m = 5
+        _corrupt_carry(monkeypatch, m, good, bad)
+        assert kad_sweep(subcase, 15).failure == message
+        monkeypatch.undo()  # the corrupted forms must not outlive that sweep
+        assert kad_sweep(subcase, 15).failures == 0
+
+    def test_lazy_trace_equals_eager_trace(self):
+        runs = (ic_disproof, partial(kad_disproof, subcase="k3a"),
+                partial(kad_disproof, subcase="kad"))
+        for m in range(1, 12):
+            for mp in range(0, 12):
+                for ap in range(-1, mp + 2):
+                    for run in runs:
+                        eager = run(m, mp, ap)
+                        steps = eager.steps
+                        lazy = run(m, mp, ap)
+                        assert "steps" not in vars(lazy)
+                        assert lazy.end == (steps[-1].name if steps else "")
+                        for field in ("script", "inputs", "status", "rejection",
+                                      "rejection_value"):
+                            assert getattr(lazy, field) == getattr(eager, field)
+                        assert lazy.render() == eager.render()
+                        assert lazy.steps == steps
+                        for a, b in zip(lazy.steps, steps):
+                            assert type(a.value) is type(b.value)
+                            assert b.value is None or type(b.value) is F
+                            assert type(a.note) is type(b.note) is str
+                        assert lazy == eager and hash(lazy) == hash(eager)
+                        assert repr(lazy) == repr(eager)

@@ -8,6 +8,7 @@ from germcalc.dual_graph import (
     ClusterShape,
     ConfigGraph,
     GraphError,
+    IntersectionMatrix,
     Vertex,
     VertexKind,
     exceptional_clusters,
@@ -170,6 +171,25 @@ class TestIntersectionMatrix:
         g = parse_graph("vertex a kind=exc self=-4")
         with pytest.raises(GraphError, match="listed twice"):
             intersection_matrix(g, ["a", "a"])
+
+    def test_rows_are_built_from_the_form_on_first_read(self):
+        g = graph_of("iidual_cb5.graph")
+        ids = ("e3", "e0", "e2", "e1")
+        m = intersection_matrix(g, ids)
+        assert "rows" not in vars(m)
+        dense = IntersectionMatrix(ids, m.rows)
+        assert m.rows == dense.form.rows() == (
+            (-2, 1, 0, 0),
+            (1, -2, 1, 1),
+            (0, 1, -4, 0),
+            (0, 1, 0, -4),
+        )
+        assert dense == m and hash(dense) == hash(m) and repr(dense) == repr(m)
+        assert m.as_lists() == [list(r) for r in m.rows]
+        assert m != IntersectionMatrix(ids[::-1], m.rows)
+        assert m != IntersectionMatrix(ids, ((-3, 1, 0, 0),) + m.rows[1:])
+        with pytest.raises(AttributeError):
+            m.rows = ()
 
 
 class TestNegativeDefinite:
