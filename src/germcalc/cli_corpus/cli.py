@@ -14,9 +14,8 @@ import sys
 from fractions import Fraction
 
 from .. import cyclic_quot, ell_calc, germ_rules
-from ..dual_graph import GraphError, parse_graph
+from ..dual_graph import parse_graph
 from ..exactlinalg import fmt
-from ..germ_rules import DescriptorError
 from . import corpus
 
 
@@ -29,16 +28,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-        g = parse_graph(text)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except GraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    with open(args.file, encoding="utf-8") as fh:
+        g = parse_graph(fh.read())
     report = corpus.analyze_graph(
         g, point_index=args.point_index, assume_generator=args.assume_generator
     )
@@ -46,19 +37,16 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_max_error(sweep_max: int, scripts: tuple[str, ...]) -> bool:
-    """Report a cap at which some script admits no tuple, an input error."""
+def _check_sweep_max(sweep_max: int, scripts: tuple[str, ...]) -> None:
+    """Reject a cap at which some script admits no tuple, an input error."""
     smallest = max(ell_calc.smallest_sweep_max(s) for s in scripts)
     if sweep_max < smallest:
-        print(f"error: --sweep-max {sweep_max} is below {smallest}, the smallest cap at "
-              "which every sweep admits a tuple", file=sys.stderr)
-        return True
-    return False
+        raise ValueError(f"--sweep-max {sweep_max} is below {smallest}, the smallest cap "
+                         "at which every sweep admits a tuple")
 
 
 def _cmd_verify(args) -> int:
-    if _sweep_max_error(args.sweep_max, ("ic", "k3a", "kad")):
-        return 2
+    _check_sweep_max(args.sweep_max, ("ic", "k3a", "kad"))
     report = corpus.verify_paper(sweep_max=args.sweep_max)
     payload = {
         "checks": [dataclasses.asdict(c) for c in report.checks],
@@ -70,12 +58,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_quot(args) -> int:
-    try:
-        entries = tuple(int(x) for x in args.chain.split(","))
-        c = cyclic_quot.HJChain(entries)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    entries = tuple(int(x) for x in args.chain.split(","))
+    c = cyclic_quot.HJChain(entries)
     quot = cyclic_quot.chain_to_quot(c)
     cert = cyclic_quot.classify_T(quot)
     dv = cyclic_quot.du_val_A(c)
@@ -98,11 +82,7 @@ def _cmd_quot(args) -> int:
 
 
 def _cmd_tchain(args) -> int:
-    try:
-        quot = cyclic_quot.CycQuot(args.n, args.q)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    quot = cyclic_quot.CycQuot(args.n, args.q)
     c = cyclic_quot.quot_to_chain(quot)
     cert = cyclic_quot.classify_T(quot)
     payload = {
@@ -127,15 +107,8 @@ def _cmd_tchain(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            descriptor = germ_rules.parse_descriptor(fh.read())
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except DescriptorError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    with open(args.file, encoding="utf-8") as fh:
+        descriptor = germ_rules.parse_descriptor(fh.read())
     verdict = germ_rules.validate_against_table(descriptor)
     payload = dataclasses.asdict(verdict)
     if verdict.accepted:
@@ -148,13 +121,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_flip(args) -> int:
+    plus = tuple(int(x) for x in args.plus_indices.split(",")) if args.plus_indices else ()
+    data = germ_rules.FlipGermData(args.index, plus)
     try:
-        plus = tuple(int(x) for x in args.plus_indices.split(",")) if args.plus_indices else ()
-        data = germ_rules.FlipGermData(args.index, plus)
-        value = germ_rules.flip_transfer(data, Fraction(args.kc))
-    except (ValueError, ZeroDivisionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        kc = Fraction(args.kc)
+    except ZeroDivisionError as err:  # a zero denominator, as in "1/0"
+        raise ValueError(err) from None
+    value = germ_rules.flip_transfer(data, kc)
     payload = {
         "index": args.index,
         "kc": args.kc,
@@ -172,8 +145,7 @@ def _cmd_flip(args) -> int:
 def _run_disproof(args, runner, needs_subcase: bool) -> int:
     extra = (args.subcase,) if needs_subcase else ()
     if args.sweep_max is not None:
-        if _sweep_max_error(args.sweep_max, extra or ("ic",)):
-            return 2
+        _check_sweep_max(args.sweep_max, extra or ("ic",))
         if needs_subcase:
             summary = ell_calc.kad_sweep(args.subcase, args.sweep_max)
         else:
@@ -186,8 +158,7 @@ def _run_disproof(args, runner, needs_subcase: bool) -> int:
         _emit(args, payload, [line])
         return 0 if summary.all_contradicted else 1
     if None in (args.m, args.mprime, args.aprime):
-        print("error: provide --m/--mprime/--aprime or --sweep-max", file=sys.stderr)
-        return 2
+        raise ValueError("provide --m/--mprime/--aprime or --sweep-max")
     trace = runner(args.m, args.mprime, args.aprime, *extra)
     payload = {
         "script": trace.script,
@@ -275,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, DescriptorError, ValueError) as err:
+    except (OSError, ValueError) as err:  # GraphError and DescriptorError included
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -123,50 +123,28 @@ class ConfigGraph:
             adj[b].append(a)
         # neighbour lists in input order, for reproducible reports
         self.adjacency = {k: tuple(sorted(vs, key=order.__getitem__)) for k, vs in adj.items()}
-
-    @staticmethod
-    def _validate(vertices: list[Vertex], edges: list[tuple[str, str]]) -> None:
-        if not vertices:
-            raise GraphError("graph has no vertices")
-        seen: set[str] = set()
-        for v in vertices:
-            if v.id in seen:
-                raise GraphError(f"duplicate vertex id {v.id!r}")
-            seen.add(v.id)
-            if v.kind is VertexKind.EXCEPTIONAL and v.self_int > -2:
-                raise GraphError(
-                    f"exceptional vertex {v.id!r} needs self-intersection <= -2, got {v.self_int}"
-                )
-            if v.kind is VertexKind.COMPONENT and v.self_int != -1:
-                raise GraphError(
-                    f"component vertex {v.id!r} needs self-intersection -1, got {v.self_int}"
-                )
-        norm: set[tuple[str, str]] = set()
-        for a, b in edges:
-            for x in (a, b):
-                if x not in seen:
-                    raise GraphError(f"edge references unknown vertex {x!r}")
-            if a == b:
-                raise GraphError(f"loop at vertex {a!r}")
-            key = (min(a, b), max(a, b))
-            if key in norm:
-                raise GraphError(f"multi-edge between {key[0]!r} and {key[1]!r}")
-            norm.add(key)
-        # connectivity
-        adj: dict[str, set[str]] = {v.id: set() for v in vertices}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
         stack = [vertices[0].id]
         reached = {vertices[0].id}
         while stack:
-            for nb in adj[stack.pop()]:
+            for nb in self.adjacency[stack.pop()]:
                 if nb not in reached:
                     reached.add(nb)
                     stack.append(nb)
         if len(reached) != len(vertices):
-            missing = sorted(seen - reached)
+            missing = sorted(set(self.by_id) - reached)
             raise GraphError(f"graph is disconnected (unreached: {', '.join(missing)})")
+
+    @staticmethod
+    def _validate(vertices: list[Vertex], edges: list[tuple[str, str]]) -> None:
+        """Run on each vertex and edge the checks parse_graph runs per line."""
+        if not vertices:
+            raise GraphError("graph has no vertices")
+        seen: set[str] = set()
+        for v in vertices:
+            _add_vertex(v, seen)
+        pairs: set[tuple[str, str]] = set()
+        for a, b in edges:
+            _add_edge(a, b, seen, pairs)
 
     def exceptional_ids(self) -> list[str]:
         return [v.id for v in self.vertices if v.kind is VertexKind.EXCEPTIONAL]
@@ -175,11 +153,45 @@ class ConfigGraph:
         return [v.id for v in self.vertices if v.kind is VertexKind.COMPONENT]
 
 
+def _add_vertex(v: Vertex, seen: set[str]) -> None:
+    """Check ``v`` against the ids in ``seen`` and its kind, then record its id."""
+    if v.id in seen:
+        raise GraphError(f"duplicate vertex id {v.id!r}")
+    if v.kind is VertexKind.EXCEPTIONAL and v.self_int > -2:
+        raise GraphError(
+            f"exceptional vertex {v.id!r} needs self-intersection <= -2, got {v.self_int}"
+        )
+    if v.kind is VertexKind.COMPONENT and v.self_int != -1:
+        raise GraphError(
+            f"component vertex {v.id!r} needs self-intersection -1, got {v.self_int}"
+        )
+    seen.add(v.id)
+
+
+def _add_edge(a: str, b: str, seen: set[str], pairs: set[tuple[str, str]]) -> None:
+    """Check the edge a-b against the vertex ids in ``seen`` and the edges in
+    ``pairs``, then record it there."""
+    for x in (a, b):
+        if x not in seen:
+            raise GraphError(f"edge references unknown vertex {x!r}")
+    if a == b:
+        raise GraphError(f"loop at vertex {a!r}")
+    key = (a, b) if a < b else (b, a)
+    if key in pairs:
+        raise GraphError(f"multi-edge between {key[0]!r} and {key[1]!r}")
+    pairs.add(key)
+
+
 def parse_graph(text: str) -> ConfigGraph:
-    """Parse the line format above into a validated ConfigGraph."""
+    """Parse the line format above into a validated ConfigGraph.
+
+    Each line is checked as it is read, by the checks ConfigGraph runs, so an
+    error names its line; an edge may only name vertices declared above it.
+    """
     vertices: list[Vertex] = []
     edges: list[tuple[str, str]] = []
     declared: set[str] = set()
+    pairs: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,30 +199,24 @@ def parse_graph(text: str) -> ConfigGraph:
         tokens = line.split()
         try:
             if tokens[0] == "vertex":
-                vertices.append(_parse_vertex(tokens, declared))
-                declared.add(vertices[-1].id)
+                vertices.append(_parse_vertex(tokens))
+                _add_vertex(vertices[-1], declared)
             elif tokens[0] == "edge":
-                edges.append(_parse_edge(tokens, declared))
+                edges.append(_parse_edge(tokens))
+                _add_edge(*edges[-1], declared, pairs)
             else:
                 raise GraphError(f"unknown keyword {tokens[0]!r}")
         except GraphError as err:
-            if err.line is None:
-                raise GraphError(str(err), lineno) from None
-            raise
-    try:
-        return ConfigGraph(vertices, edges)
-    except GraphError as err:
-        raise GraphError(str(err)) from None
+            raise GraphError(str(err), lineno) from None
+    return ConfigGraph(vertices, edges)
 
 
-def _parse_vertex(tokens: list[str], declared: set[str]) -> Vertex:
+def _parse_vertex(tokens: list[str]) -> Vertex:
     if len(tokens) != 4:
         raise GraphError("vertex line needs: vertex <id> kind=exc|comp self=<int>")
     vid = tokens[1]
     if not _ID_RE.match(vid):
         raise GraphError(f"bad vertex id {vid!r}")
-    if vid in declared:
-        raise GraphError(f"duplicate vertex id {vid!r}")
     fields = dict(t.split("=", 1) for t in tokens[2:] if "=" in t)
     if set(fields) != {"kind", "self"}:
         raise GraphError("vertex line needs kind= and self= fields")
@@ -222,25 +228,13 @@ def _parse_vertex(tokens: list[str], declared: set[str]) -> Vertex:
         self_int = int(fields["self"])
     except ValueError:
         raise GraphError(f"bad self-intersection {fields['self']!r}") from None
-    if self_int > -1:
-        raise GraphError(f"self-intersection must be <= -1, got {self_int}")
-    if kind is VertexKind.EXCEPTIONAL and self_int > -2:
-        raise GraphError(f"exceptional vertex {vid!r} needs self-intersection <= -2")
-    if kind is VertexKind.COMPONENT and self_int != -1:
-        raise GraphError(f"component vertex {vid!r} needs self-intersection -1")
     return Vertex(vid, kind, self_int)
 
 
-def _parse_edge(tokens: list[str], declared: set[str]) -> tuple[str, str]:
+def _parse_edge(tokens: list[str]) -> tuple[str, str]:
     if len(tokens) != 3:
         raise GraphError("edge line needs: edge <id> <id>")
-    a, b = tokens[1], tokens[2]
-    for x in (a, b):
-        if x not in declared:
-            raise GraphError(f"edge references unknown vertex {x!r}")
-    if a == b:
-        raise GraphError(f"loop at vertex {a!r}")
-    return (a, b)
+    return (tokens[1], tokens[2])
 
 
 def is_tree(g: ConfigGraph) -> bool:

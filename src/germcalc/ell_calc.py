@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
@@ -35,65 +35,6 @@ class MarkedPoint:
     def __post_init__(self):
         if self.index < 2:
             raise ValueError("marked point index must be >= 2")
-
-
-class EllDivisor:
-    """Normal form c + sum w_P P on one component; immutable."""
-
-    __slots__ = ("c", "_weights")
-
-    def __init__(self, c: int, weights: dict[MarkedPoint, int] | None = None):
-        weights = dict(weights or {})
-        labels = [p.label for p in weights]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate point labels on one component")
-        for p, w in weights.items():
-            if not isinstance(w, int):
-                raise ValueError(f"weight at {p.label} must be an integer, got {w!r}")
-            if not 0 <= w < p.index:
-                raise ValueError(f"weight {w} at {p.label} outside [0, {p.index})")
-        object.__setattr__(self, "c", int(c))
-        object.__setattr__(
-            self, "_weights", tuple(sorted(weights.items(), key=lambda kv: kv[0].label))
-        )
-
-    def __setattr__(self, *_):
-        raise AttributeError("EllDivisor is immutable")
-
-    @property
-    def points(self) -> tuple[MarkedPoint, ...]:
-        return tuple(p for p, _ in self._weights)
-
-    def weight(self, label: str) -> int:
-        for p, w in self._weights:
-            if p.label == label:
-                return w
-        return 0
-
-    def index_of(self, label: str) -> int | None:
-        for p, _ in self._weights:
-            if p.label == label:
-                return p.index
-        return None
-
-    def items(self) -> tuple[tuple[MarkedPoint, int], ...]:
-        return self._weights
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EllDivisor):
-            return NotImplemented
-        mine = {p: w for p, w in self._weights if w != 0}
-        theirs = {p: w for p, w in other._weights if w != 0}
-        return self.c == other.c and mine == theirs
-
-    def __hash__(self):
-        live = sorted(((p.label, p.index, w) for p, w in self._weights if w))
-        return hash((self.c, tuple(live)))
-
-    def __repr__(self):
-        parts = [str(self.c)]
-        parts += [f"{w}*{p.label}[{p.index}]" for p, w in self._weights]
-        return f"({' + '.join(parts)})"
 
 
 def _carry(c: int, raw, indices) -> tuple[int, ...]:
@@ -108,42 +49,131 @@ def _carry(c: int, raw, indices) -> tuple[int, ...]:
     return (c, *weights)
 
 
+class _Component:
+    """The marked points of one component, in label order.
+
+    A divisor on it is the int tuple (c, w_1, ..., w_k) of its normal form,
+    with the weights in the order of the points.  The scripts resolve their
+    components once per run and compute on these tuples; an EllDivisor is a
+    view of one tuple on its component.
+    """
+
+    __slots__ = ("labels", "indices")
+
+    def __init__(self, **points: int):
+        self.labels = tuple(points)
+        self.indices = tuple(points.values())
+
+    def tensor(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return _carry(a[0] + b[0], [x + y for x, y in zip(a[1:], b[1:])], self.indices)
+
+    def dual(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        return _carry(-a[0], [-w for w in a[1:]], self.indices)
+
+    def degree(self, a: tuple[int, ...], den: int) -> int:
+        """den * ell_deg(a), for a den divisible by every index."""
+        return a[0] * den + sum(w * (den // n) for w, n in zip(a[1:], self.indices))
+
+    def union(self, other: _Component) -> _Component:
+        """The component carrying the points of both, in label order."""
+        points = dict(zip(self.labels, self.indices))
+        for label, n in zip(other.labels, other.indices):
+            if points.setdefault(label, n) != n:
+                raise ValueError(f"index mismatch at point {label!r}: {points[label]} vs {n}")
+        return _Component(**dict(sorted(points.items())))
+
+    def divisor(self, a: tuple[int, ...]) -> EllDivisor:
+        """The EllDivisor view of ``a``."""
+        div = object.__new__(EllDivisor)
+        object.__setattr__(div, "component", self)
+        object.__setattr__(div, "nf", a)
+        return div
+
+
+def _on_component(weights: dict[MarkedPoint, int]) -> tuple[_Component, list]:
+    """The component of the points of ``weights`` and their weights, in
+    label order."""
+    points = sorted(weights, key=lambda p: p.label)
+    comp = _Component(**{p.label: p.index for p in points})
+    if len(comp.labels) != len(points):
+        raise ValueError("duplicate point labels on one component")
+    return comp, [weights[p] for p in points]
+
+
+class EllDivisor:
+    """Normal form c + sum w_P P on one component; immutable.
+
+    A view of the int tuple ``nf`` = (c, w_1, ..., w_k) that the scripts
+    compute on, over ``component``, whose points are in label order.
+    """
+
+    __slots__ = ("component", "nf")
+
+    def __init__(self, c: int, weights: dict[MarkedPoint, int] | None = None):
+        weights = dict(weights or {})
+        comp, ws = _on_component(weights)
+        for p, w in weights.items():
+            if not isinstance(w, int):
+                raise ValueError(f"weight at {p.label} must be an integer, got {w!r}")
+            if not 0 <= w < p.index:
+                raise ValueError(f"weight {w} at {p.label} outside [0, {p.index})")
+        object.__setattr__(self, "component", comp)
+        object.__setattr__(self, "nf", (int(c), *ws))
+
+    def __setattr__(self, *_):
+        raise AttributeError("EllDivisor is immutable")
+
+    @property
+    def c(self) -> int:
+        return self.nf[0]
+
+    def weight(self, label: str) -> int:
+        labels = self.component.labels
+        return self.nf[1 + labels.index(label)] if label in labels else 0
+
+    def _terms(self):
+        return zip(self.component.labels, self.component.indices, self.nf[1:])
+
+    def _live(self) -> tuple[tuple[str, int, int], ...]:
+        return tuple([t for t in self._terms() if t[2]])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EllDivisor):
+            return NotImplemented
+        return self.c == other.c and self._live() == other._live()
+
+    def __hash__(self):
+        return hash((self.c, self._live()))
+
+    def __repr__(self):
+        parts = [str(self.c)] + [f"{w}*{label}[{n}]" for label, n, w in self._terms()]
+        return f"({' + '.join(parts)})"
+
+
 def normalize(c: int, raw: dict[MarkedPoint, int]) -> EllDivisor:
     """Reduce raw integer weights mod the point indices, carrying into c."""
     for p, w in raw.items():
         if not isinstance(w, int):
             raise ValueError(f"weight at {p.label} must be an integer, got {w!r}")
-    nf = _carry(c, raw.values(), [p.index for p in raw])
-    return EllDivisor(nf[0], dict(zip(raw, nf[1:])))
-
-
-def _merged_points(*divisors: EllDivisor) -> dict[str, MarkedPoint]:
-    universe: dict[str, MarkedPoint] = {}
-    for div in divisors:
-        for p, _ in div.items():
-            if p.label in universe and universe[p.label].index != p.index:
-                raise ValueError(
-                    f"index mismatch at point {p.label!r}: "
-                    f"{universe[p.label].index} vs {p.index}"
-                )
-            universe.setdefault(p.label, p)
-    return universe
+    comp, weights = _on_component(raw)
+    return comp.divisor(_carry(int(c), weights, comp.indices))
 
 
 def tensor(a: EllDivisor, b: EllDivisor) -> EllDivisor:
-    universe = _merged_points(a, b)
-    raw = {p: a.weight(lbl) + b.weight(lbl) for lbl, p in universe.items()}
-    return normalize(a.c + b.c, raw)
+    comp = a.component.union(b.component)
+    a_nf, b_nf = ((d.c, *[d.weight(label) for label in comp.labels]) for d in (a, b))
+    return comp.divisor(comp.tensor(a_nf, b_nf))
 
 
 def dual(a: EllDivisor) -> EllDivisor:
-    return normalize(-a.c, {p: -w for p, w in a.items()})
+    return a.component.divisor(a.component.dual(a.nf))
 
 
 def ell_deg(div: "EllDivisor | GlobalEllDivisor") -> Fraction:
     if isinstance(div, GlobalEllDivisor):
         return sum((ell_deg(part) for _, part in div.parts), Fraction(0))
-    return div.c + sum(Fraction(w, p.index) for p, w in div.items())
+    den = lcm(*div.component.indices)
+    return Fraction(div.component.degree(div.nf, den), den)
 
 
 def h0(div: EllDivisor) -> int:
@@ -198,7 +228,7 @@ class GlobalEllDivisor:
         if len(set(names)) != len(names) or not parts:
             raise ValueError("component names must be nonempty and distinct")
         for name, div in parts:
-            idx = div.index_of(node.label)
+            idx = dict(zip(div.component.labels, div.component.indices)).get(node.label)
             if idx is not None and idx != node.index:
                 raise ValueError(
                     f"component {name!r} carries the node {node.label!r} with "
@@ -210,12 +240,6 @@ class GlobalEllDivisor:
     def __setattr__(self, *_):
         raise AttributeError("GlobalEllDivisor is immutable")
 
-    def part(self, name: str) -> EllDivisor:
-        return next(div for n, div in self.parts if n == name)
-
-    def map_parts(self, fn) -> "GlobalEllDivisor":
-        return GlobalEllDivisor([(n, fn(div)) for n, div in self.parts], self.node)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GlobalEllDivisor):
             return NotImplemented
@@ -224,18 +248,6 @@ class GlobalEllDivisor:
     def __repr__(self):
         inner = ", ".join(f"{n}: {div!r}" for n, div in self.parts)
         return f"Global({inner}; node {self.node.label}@{self.node.index}, len {self.node.lam})"
-
-
-def global_tensor(a: GlobalEllDivisor, b: GlobalEllDivisor) -> GlobalEllDivisor:
-    if a.node != b.node or [n for n, _ in a.parts] != [n for n, _ in b.parts]:
-        raise ValueError("global divisors live on different component universes")
-    return GlobalEllDivisor(
-        [(n, tensor(div, b.part(n))) for n, div in a.parts], a.node
-    )
-
-
-def global_dual(a: GlobalEllDivisor) -> GlobalEllDivisor:
-    return a.map_parts(dual)
 
 
 def glued_h0(div: GlobalEllDivisor) -> int:
@@ -419,35 +431,6 @@ class ScriptCheckError(AssertionError):
 def _check(ok: bool, step: str, message: str) -> None:
     if not ok:
         raise ScriptCheckError(step, message)
-
-
-class _Component:
-    """The marked points of one component, resolved once per script run.
-
-    A divisor on it is the int tuple (c, w_1, ..., w_k) of its normal form,
-    with the weights in the order the points were given.
-    """
-
-    __slots__ = ("labels", "indices")
-
-    def __init__(self, **points: int):
-        self.labels = tuple(points)
-        self.indices = tuple(points.values())
-
-    def tensor(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return _carry(a[0] + b[0], [x + y for x, y in zip(a[1:], b[1:])], self.indices)
-
-    def dual(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return _carry(-a[0], [-w for w in a[1:]], self.indices)
-
-    def degree(self, a: tuple[int, ...], den: int) -> int:
-        """den * ell_deg(a), for a den divisible by every index."""
-        return a[0] * den + sum(w * (den // n) for w, n in zip(a[1:], self.indices))
-
-    def divisor(self, a: tuple[int, ...]) -> EllDivisor:
-        return EllDivisor(a[0], {
-            MarkedPoint(label, n): w for label, n, w in zip(self.labels, self.indices, a[1:])
-        })
 
 
 def _expect(step: str, label: str, comp: _Component, got: tuple, want: tuple) -> None:

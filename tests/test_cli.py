@@ -147,6 +147,28 @@ class TestFlipCommand:
         assert main(["flip", "--index", "4", "--kc=1/4"]) == 2
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "/nonexistent.descr"],
+         "[Errno 2] No such file or directory: '/nonexistent.descr'"),
+        (["classify", "{descr}"], "line 2: unknown kind 'q'"),
+        (["flip", "--index", "4", "--kc=1/0"], "Fraction(1, 0)"),
+        (["flip", "--index", "4", "--kc=abc"], "Invalid literal for Fraction: 'abc'"),
+        (["quot", "a,b"], "invalid literal for int() with base 10: 'a'"),
+        (["tchain", "0", "1"], "order n must be >= 2"),
+        (["analyze", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+        (["analyze", "{graph}", "--point-index", "0"], "index must be >= 2"),
+    ])
+    def test_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
+        paths = {"dir": str(tmp_path), "graph": data_path("iidual_cb5.graph", tmp_path)}
+        paths["descr"] = str(tmp_path / "q.descr")
+        (tmp_path / "q.descr").write_text("component IIA\nkind q\n", encoding="utf-8")
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(**paths)}\n"
+
+
 class TestDisproveCommands:
     def test_ic_trace(self, capsys):
         rc = main(["ic-disprove", "--m", "5", "--mprime", "3", "--aprime", "2"])

@@ -52,7 +52,7 @@ class TestParse:
             "vertex a kind=exc self=-2\nvertex b kind=exc self=-2\n"
             "edge a b\nedge b a"
         )
-        with pytest.raises(GraphError, match="multi-edge"):
+        with pytest.raises(GraphError, match="line 4.*multi-edge"):
             parse_graph(text)
 
     def test_component_self_int_fixed(self):
@@ -79,6 +79,29 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(GraphError, match="no vertices"):
             parse_graph("# only a comment\n")
+
+    @pytest.mark.parametrize("items", [
+        [("a", "exc", -2), ("a", "comp", -1)],
+        [("a", "exc", -1)],
+        [("a", "exc", 0)],
+        [("a", "comp", -2)],
+        [("a", "comp", 0)],
+        [("a", "exc", -2), ("a", "b")],
+        [("a", "exc", -2), ("a", "a")],
+        [("a", "exc", -2), ("b", "exc", -2), ("a", "b"), ("b", "a")],
+    ])
+    def test_parser_and_constructor_give_one_message(self, items):
+        # the bad item comes last, so both report it first
+        lines = [f"vertex {it[0]} kind={it[1]} self={it[2]}" if len(it) == 3
+                 else f"edge {it[0]} {it[1]}" for it in items]
+        with pytest.raises(GraphError) as parsed:
+            parse_graph("\n".join(lines))
+        vertices = [Vertex(it[0], VertexKind(it[1]), it[2]) for it in items if len(it) == 3]
+        edges = [it for it in items if len(it) == 2]
+        with pytest.raises(GraphError) as built:
+            ConfigGraph(vertices, edges)
+        assert parsed.value.line == len(items)
+        assert str(parsed.value) == f"line {len(items)}: {built.value}"
 
     def test_comments_and_order_preserved(self):
         g = graph_of("cd3_a.graph")

@@ -21,6 +21,7 @@ from germcalc.ell_calc import (
     tensor,
     thm812_check,
 )
+from germcalc.ell_calc import _Component
 
 P5 = MarkedPoint("P", 5)
 P7 = MarkedPoint("P", 7)
@@ -74,6 +75,24 @@ class TestTensorDual:
         b1 = EllDivisor(-1, {p: (m + 1) // 2, r: mp - ap})
         got = tensor(dual(a1), tensor(b1, b1))
         assert got == EllDivisor(-1, {p: 2, r: mp - 2})
+
+    def test_points_are_merged_in_label_order(self):
+        got = tensor(EllDivisor(1, {R2: 1, P5: 4}), EllDivisor(0, {P5: 3}))
+        assert got == EllDivisor(2, {P5: 2, R2: 1})
+        assert repr(tensor(EllDivisor(0, {R2: 1}), EllDivisor(0, {P5: 3}))) == (
+            "(0 + 3*P[5] + 1*R[2])")
+
+    def test_view_over_script_normal_form(self):
+        comp = _Component(P=5, R=3)
+        nf = (-1, 3, 1)
+        d = comp.divisor(nf)
+        assert d.nf is nf and d.component is comp
+        assert d == EllDivisor(-1, {R3: 1, P5: 3})
+        assert hash(d) == hash(EllDivisor(-1, {P5: 3, R3: 1}))
+        assert repr(d) == "(-1 + 3*P[5] + 1*R[3])"
+        assert tensor(d, d).nf == comp.tensor(nf, nf)
+        assert dual(d).nf == comp.dual(nf)
+        assert ell_deg(d) * 15 == comp.degree(nf, 15)
 
     def test_index_mismatch_rejected(self):
         with pytest.raises(ValueError, match="index mismatch"):
