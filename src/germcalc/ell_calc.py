@@ -354,15 +354,15 @@ class TraceStep:
     note: str = ""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class DisproofTrace:
     """The outcome of a scripted run.
 
     The scripts record each step as a plain tuple (name, num, den, verdict,
     note): the value is num/den, or None when num is None, and the note is a
-    string or a function that returns one.  ``steps`` builds the TraceSteps
-    from them on first read, so a sweep that reads only ``status`` and ``end``
-    never builds them.
+    string or a tuple (format, *args) that ``steps`` formats.  ``steps`` builds
+    the TraceSteps from them on first read, so a sweep that reads only
+    ``status`` and ``end``, or compares or hashes traces, never builds them.
     """
 
     script: str
@@ -376,7 +376,7 @@ class DisproofTrace:
     def steps(self) -> tuple[TraceStep, ...]:
         return tuple([
             TraceStep(name, None if num is None else Fraction(num, den), verdict,
-                      note() if callable(note) else note)
+                      note if isinstance(note, str) else note[0].format(*note[1:]))
             for name, num, den, verdict, note in self.records
         ])
 
@@ -384,23 +384,6 @@ class DisproofTrace:
     def end(self) -> str:
         """The name of the final step, "" when there is none."""
         return self.records[-1][0] if self.records else ""
-
-    def _key(self) -> tuple:
-        return (self.script, self.inputs, self.status, self.steps, self.rejection,
-                self.rejection_value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DisproofTrace):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"DisproofTrace(script={self.script!r}, inputs={self.inputs!r}, "
-                f"status={self.status!r}, steps={self.steps!r}, "
-                f"rejection={self.rejection!r}, rejection_value={self.rejection_value!r})")
 
     def step(self, name: str) -> TraceStep:
         return next(s for s in self.steps if s.name == name)
@@ -678,7 +661,7 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     split1 = c1.tensor(b1b1, c1.dual(a1))
     obstruction1 = _h1(split1[0])
     steps.append(("split-check-c1", obstruction1, 1, "holds",
-                  lambda: f"splitting obstruction {c1.divisor(split1)!r}"))
+                  ("splitting obstruction {!r}", c1.divisor(split1))))
     step = "split-check-thickening"
     d1, e1 = b1b1, a1
     mm1 = c1.tensor(c1.tensor(e1, b1), c1.dual(d1))

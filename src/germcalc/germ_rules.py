@@ -1,21 +1,25 @@
 """Rule engine for the classification table of reducible extremal germs.
 
-The table is encoded row by row: a component-multiset pattern, the allowed
-contraction kinds with their component-count bounds, and the constraints on
-the non-Gorenstein points that are expressible from type tags and index
-arithmetic.  Excluded combinations carry their source citations, as do the
-clauses of the component-count lemma and the flip table.
+The table is data, one entry per row: a component-multiset pattern, the
+allowed contraction kinds with their component-count bounds, and the
+constraints on the non-Gorenstein points that are expressible from type tags
+and index arithmetic.  A descriptor belongs to the first row it matches.
+Excluded combinations carry their source citations, as do the clauses of the
+component-count lemma and the flip table.
 
 Descriptors are read from a small text format::
 
     component <type>
     kind f|d|cb
     point index=<m> tag=<string> [ell=<r>]
+
+A line holds the fields shown and no others; only ell= may be left out.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -71,11 +75,12 @@ class Validation:
     notes: tuple[str, ...] = ()
 
 
+# in the order of their sorted type names, which is the order of reporting
 _FORBIDDEN: dict[frozenset[ComponentType], str] = {
     frozenset({ComponentType.IC, ComponentType.k2A}): "Theorem 3.2",
-    frozenset({ComponentType.k2A, ComponentType.kAD}): "Theorem 4.3",
+    frozenset({ComponentType.IIB, ComponentType.IIdual}): "Lemma 5.4",
     frozenset({ComponentType.k2A, ComponentType.k3A}): "Theorem 4.3",
-    frozenset({ComponentType.IIdual, ComponentType.IIB}): "Lemma 5.4",
+    frozenset({ComponentType.k2A, ComponentType.kAD}): "Theorem 4.3",
 }
 
 
@@ -97,208 +102,152 @@ def parse_quotient_tag(tag: str) -> tuple[int, tuple[int, ...]] | None:
     return n, weights
 
 
-def _is_rigid_odd_quotient(pt: NonGorPoint) -> str | None:
-    """Check the tag against 1/m(2, m-2, 1) with m odd >= 5."""
-    parsed = parse_quotient_tag(pt.type_tag)
-    if not parsed:
-        return f"tag {pt.type_tag!r} is not a quotient tag"
-    n, w = parsed
-    if n != pt.index:
-        return f"tag order {n} disagrees with index {pt.index}"
-    if n < 5 or n % 2 == 0:
-        return "order must be odd and >= 5"
-    if len(w) != 3 or tuple(x % n for x in w) != (2, (n - 2) % n, 1):
-        return f"weights {w} do not match (2, m-2, 1)"
-    return None
+PointCheck = Callable[[NonGorPoint], str | None]
 
 
-def _is_half_shifted_quotient(pt: NonGorPoint) -> str | None:
-    """Check the tag against 1/(2k-1)(1, -1, k)."""
-    parsed = parse_quotient_tag(pt.type_tag)
-    if not parsed:
-        return f"tag {pt.type_tag!r} is not a quotient tag"
-    n, w = parsed
-    if n != pt.index:
-        return f"tag order {n} disagrees with index {pt.index}"
-    if n < 3 or n % 2 == 0:
-        return "order must be odd and >= 3"
-    k = (n + 1) // 2
-    if len(w) != 3 or tuple(x % n for x in w) != (1, n - 1, k % n):
-        return f"weights {w} do not match (1, -1, k) with k = {k}"
-    return None
-
-
-def _is_index2_triple(pt: NonGorPoint) -> str | None:
-    parsed = parse_quotient_tag(pt.type_tag)
-    if parsed:
-        n, w = parsed
-        if n == 2 and pt.index == 2 and tuple(x % 2 for x in w) == (1, 1, 1):
-            return None
-        return f"tag {pt.type_tag!r} is not the half-point 1/2(1,1,1)"
-    return f"tag {pt.type_tag!r} is not a quotient tag"
-
-
-def _is_series_tag(pt: NonGorPoint, allowed: tuple[str, ...]) -> str | None:
-    if pt.type_tag in allowed:
-        want = int(pt.type_tag.rsplit("/", 1)[1])
-        if want != pt.index:
+def _index_tag(pattern: str, unmatched: str) -> PointCheck:
+    """Check that a tag matches ``pattern`` and ends in ``/<the point's index>``;
+    ``unmatched`` completes the message for a tag that does not match."""
+    def check(pt: NonGorPoint) -> str | None:
+        if not re.fullmatch(pattern, pt.type_tag):
+            return f"tag {pt.type_tag!r} {unmatched}"
+        if int(pt.type_tag.rsplit("/", 1)[1]) != pt.index:
             return f"tag {pt.type_tag!r} disagrees with index {pt.index}"
         return None
-    return f"tag {pt.type_tag!r} not among {allowed}"
+    return check
 
 
-def _is_ca_tag(pt: NonGorPoint) -> str | None:
-    m = re.match(r"cA/(\d+)\Z", pt.type_tag)
-    if not m:
-        return f"tag {pt.type_tag!r} is not of the cA/m form"
-    if int(m.group(1)) != pt.index:
-        return f"tag {pt.type_tag!r} disagrees with index {pt.index}"
-    return None
+def _among(*tags: str) -> PointCheck:
+    """Check that a tag is one of ``tags`` and ends in the point's index."""
+    return _index_tag("|".join(map(re.escape, tags)), f"not among {tags}")
+
+
+def _quotient(least: int, shape: str, weights: Callable[[int], tuple[int, ...]]) -> PointCheck:
+    """Check that a tag is 1/m(w) with m the point's index and w = weights(m)
+    mod m, where m is ``least`` or, for an odd ``least``, any odd order above
+    it; ``shape`` names the weights in messages."""
+    def check(pt: NonGorPoint) -> str | None:
+        parsed = parse_quotient_tag(pt.type_tag)
+        if not parsed:
+            return f"tag {pt.type_tag!r} is not a quotient tag"
+        m, w = parsed
+        if m != pt.index:
+            return f"tag order {m} disagrees with index {pt.index}"
+        if m != least and not (m > least and m % 2 == least % 2 == 1):
+            return f"order must be odd and >= {least}" if least % 2 else f"order must be {least}"
+        if len(w) != 3 or tuple(x % m for x in w) != tuple(x % m for x in weights(m)):
+            return f"weights {w} do not match {shape}"
+        return None
+    return check
+
+
+_HOW_MANY = {1: "one non-Gorenstein point", 2: "two non-Gorenstein points"}
 
 
 @dataclass(frozen=True)
 class TableRow:
+    """One row of the classification table.
+
+    A component multiset matches when its types all lie in ``types`` and
+    ``lead``, if any, occurs exactly once.  ``kinds`` maps each allowed kind
+    to (bound, exact), a bound of None meaning that none is recorded.
+    ``points`` holds one check per non-Gorenstein point, or is None when the
+    row constrains no point; two checks may meet the two points in either
+    order, and ``mismatch`` is the reason when neither order passes.
+    """
+
     number: int
     label: str
-    # kind -> (bound, exact); bound None means no bound recorded
+    lead: ComponentType | None
+    types: set[ComponentType]
     kinds: dict[GermKind, tuple[int | None, bool]]
+    points: tuple[PointCheck, ...] | None
+    mismatch: str = ""
     notes: tuple[str, ...] = ()
+
+    def matches(self, g: GermDescriptor, present: set[ComponentType]) -> bool:
+        """Whether ``g``, whose component types are ``present``, fits the pattern."""
+        return present <= self.types and (self.lead is None or g.components.count(self.lead) == 1)
+
+    def rejection(self, g: GermDescriptor) -> str | None:
+        """Why ``g``, whose components match, is not in this row, or None."""
+        if g.kind not in self.kinds:
+            return f"kind {g.kind.value!r} not allowed in row {self.number}"
+        bound, exact = self.kinds[g.kind]
+        if bound is not None and exact and g.n != bound:
+            return (f"row {self.number} with kind {g.kind.value!r} needs exactly "
+                    f"{bound} components, got {g.n}")
+        if bound is not None and not exact and g.n > bound:
+            return f"row {self.number} {g.kind.value} bound {bound} exceeded (N = {g.n})"
+        if self.points is None:
+            return None
+        pts = g.points
+        if len(pts) != len(self.points):
+            return f"expected exactly {_HOW_MANY[len(self.points)]}"
+        if len(pts) == 1:
+            return self.points[0](pts[0])
+        for order in (pts, pts[::-1]):
+            if all(check(pt) is None for check, pt in zip(self.points, order)):
+                return None
+        return self.mismatch
 
 
 _T = ComponentType
-_ROWS: list[TableRow] = [
-    TableRow(1, "Gorenstein total space", {GermKind.CB: (2, True)}),
-    TableRow(2, "2 x (cAx2 | cD2 | cE2)", {GermKind.CB: (2, True)}),
-    TableRow(3, "N x cD3",
-             {GermKind.FLIPPING: (2, True), GermKind.DIVISORIAL: (4, False),
-              GermKind.CB: (5, False)}),
-    TableRow(4, "N x IIA",
-             {GermKind.FLIPPING: (4, False), GermKind.DIVISORIAL: (7, False),
-              GermKind.CB: (7, False)}),
-    TableRow(5, "2 x IIdual", {GermKind.CB: (2, True)}),
-    TableRow(6, "IIdual + (N-1) x IIA",
-             {GermKind.FLIPPING: (2, True), GermKind.DIVISORIAL: (4, False),
-              GermKind.CB: (5, False)}),
-    TableRow(7, "IIB + (N-1) x IIA",
-             {GermKind.DIVISORIAL: (2, True), GermKind.CB: (3, False)}),
-    TableRow(8, "IC + (N-1) x k1A",
-             {GermKind.FLIPPING: (2, True), GermKind.DIVISORIAL: (4, False),
-              GermKind.CB: (5, False)}),
-    TableRow(9, "N x k1A",
-             {GermKind.FLIPPING: (None, False), GermKind.DIVISORIAL: (None, False),
-              GermKind.CB: (None, False)}),
-    TableRow(10, "k3A + (N-1) x k1A",
-             {GermKind.DIVISORIAL: (2, True), GermKind.CB: (3, False)},
+_F, _D, _CB = GermKind.FLIPPING, GermKind.DIVISORIAL, GermKind.CB
+_CB_PAIR = {_CB: (2, True)}
+_BOUNDED = {_F: (2, True), _D: (4, False), _CB: (5, False)}
+_NON_FLIPPING = {_D: (2, True), _CB: (3, False)}
+_UNBOUNDED = {_F: (None, False), _D: (None, False), _CB: (None, False)}
+_CAX4 = _among("cAx/4")
+_HALF_SHIFTED = _quotient(3, "(1, -1, (m+1)/2)", lambda m: (1, -1, (m + 1) // 2))
+
+# The first row that matches a descriptor's components is its row, so row 12,
+# which also matches a multiset of k1A alone, comes after row 9.  Row 1, the
+# germs without non-Gorenstein points, is decided before the table is read.
+_ROWS: tuple[TableRow, ...] = (
+    TableRow(2, "2 x cAx2", None, {_T.cAx2}, _CB_PAIR, (_among("cAx/2"),)),
+    TableRow(2, "2 x cD2", None, {_T.cD2}, _CB_PAIR, (_among("cD/2"),)),
+    TableRow(2, "2 x cE2", None, {_T.cE2}, _CB_PAIR, (_among("cE/2"),)),
+    TableRow(3, "N x cD3", None, {_T.cD3}, _BOUNDED, (_among("cD/3"),)),
+    TableRow(4, "N x IIA", None, {_T.IIA},
+             {_F: (4, False), _D: (7, False), _CB: (7, False)}, (_CAX4,)),
+    TableRow(5, "2 x IIdual", None, {_T.IIdual}, _CB_PAIR, (_CAX4,)),
+    TableRow(6, "IIdual + (N-1) x IIA", _T.IIdual, {_T.IIdual, _T.IIA}, _BOUNDED,
+             (_CAX4,)),
+    TableRow(7, "IIB + (N-1) x IIA", _T.IIB, {_T.IIB, _T.IIA}, _NON_FLIPPING, (_CAX4,)),
+    TableRow(8, "IC + (N-1) x k1A", _T.IC, {_T.IC, _T.k1A}, _BOUNDED,
+             (_quotient(5, "(2, m-2, 1)", lambda m: (2, m - 2, 1)),)),
+    TableRow(9, "N x k1A", None, {_T.k1A}, _UNBOUNDED,
+             (_index_tag(r"cA/\d+", "is not of the cA/m form"),)),
+    TableRow(10, "k3A + (N-1) x k1A", _T.k3A, {_T.k3A, _T.k1A}, _NON_FLIPPING,
+             (_HALF_SHIFTED, _quotient(2, "(1, 1, 1)", lambda m: (1, 1, 1))),
+             "points must be 1/(2k-1)(1,-1,k) and 1/2(1,1,1)",
              notes=("consistent with the table; existence open",)),
-    TableRow(11, "kAD + (N-1) x (k1A | cD2 | cAx2)",
-             {GermKind.FLIPPING: (2, True), GermKind.DIVISORIAL: (4, False),
-              GermKind.CB: (5, False)}),
-    TableRow(12, "n x k2A + k x k1A",
-             {GermKind.FLIPPING: (None, False), GermKind.DIVISORIAL: (None, False),
-              GermKind.CB: (None, False)},
+    TableRow(11, "kAD + (N-1) x (k1A | cD2 | cAx2)", _T.kAD,
+             {_T.kAD, _T.k1A, _T.cD2, _T.cAx2}, _BOUNDED,
+             (_HALF_SHIFTED, _among("cA/2", "cAx/2", "cD/2")),
+             "points must be 1/(2k-1)(1,-1,k) and one of cA/2, cAx/2, cD/2"),
+    TableRow(12, "n x k2A + k x k1A", None, {_T.k2A, _T.k1A}, _UNBOUNDED, None,
              notes=("component count not bounded by the table",)),
-]
-_ROW_BY_NUMBER = {row.number: row for row in _ROWS}
-
-
-def _match_row(components: tuple[ComponentType, ...]) -> int | None:
-    """Table row selected by the component multiset, ignoring kind and points."""
-    count: dict[ComponentType, int] = {}
-    for c in components:
-        count[c] = count.get(c, 0) + 1
-
-    def only(*types: ComponentType) -> bool:
-        return set(count) <= set(types)
-
-    if only(_T.cAx2) or only(_T.cD2) or only(_T.cE2):
-        return 2
-    if only(_T.cD3):
-        return 3
-    if only(_T.IIA):
-        return 4
-    if only(_T.IIdual):
-        return 5
-    if count.get(_T.IIdual, 0) == 1 and only(_T.IIdual, _T.IIA):
-        return 6
-    if count.get(_T.IIB, 0) == 1 and only(_T.IIB, _T.IIA):
-        return 7
-    if count.get(_T.IC, 0) == 1 and only(_T.IC, _T.k1A):
-        return 8
-    if only(_T.k1A):
-        return 9
-    if count.get(_T.k3A, 0) == 1 and only(_T.k3A, _T.k1A):
-        return 10
-    if count.get(_T.kAD, 0) == 1 and only(_T.kAD, _T.k1A, _T.cD2, _T.cAx2):
-        return 11
-    if count.get(_T.k2A, 0) >= 1 and only(_T.k2A, _T.k1A):
-        return 12
-    return None
-
-
-def _check_points(row: int, g: GermDescriptor) -> str | None:
-    pts = g.points
-    if row == 2:
-        tag = {_T.cAx2: "cAx/2", _T.cD2: "cD/2", _T.cE2: "cE/2"}[g.components[0]]
-        if len(pts) != 1:
-            return "expected exactly one non-Gorenstein point"
-        return _is_series_tag(pts[0], (tag,))
-    if row == 3:
-        if len(pts) != 1:
-            return "expected exactly one non-Gorenstein point"
-        return _is_series_tag(pts[0], ("cD/3",))
-    if row in (4, 5, 6, 7):
-        if len(pts) != 1:
-            return "expected exactly one non-Gorenstein point"
-        return _is_series_tag(pts[0], ("cAx/4",))
-    if row == 8:
-        if len(pts) != 1:
-            return "expected exactly one non-Gorenstein point"
-        return _is_rigid_odd_quotient(pts[0])
-    if row == 9:
-        if len(pts) != 1:
-            return "expected exactly one non-Gorenstein point"
-        return _is_ca_tag(pts[0])
-    if row == 10:
-        if len(pts) != 2:
-            return "expected exactly two non-Gorenstein points"
-        for first, second in (pts, pts[::-1]):
-            if _is_half_shifted_quotient(first) is None and _is_index2_triple(second) is None:
-                return None
-        return "points must be 1/(2k-1)(1,-1,k) and 1/2(1,1,1)"
-    if row == 11:
-        if len(pts) != 2:
-            return "expected exactly two non-Gorenstein points"
-        for first, second in (pts, pts[::-1]):
-            if _is_half_shifted_quotient(first) is None and _is_series_tag(
-                second, ("cA/2", "cAx/2", "cD/2")
-            ) is None:
-                return None
-        return "points must be 1/(2k-1)(1,-1,k) and one of cA/2, cAx/2, cD/2"
-    return None  # rows 1 and 12 carry no point constraints
+)
 
 
 def validate_against_table(g: GermDescriptor) -> Validation:
     """Match a descriptor against the classification table.
 
-    Excluded pairs are reported first, with their citations; then the
-    component multiset selects a row, whose kind bound and point constraints
-    are enforced.
+    Excluded pairs are reported first, with their citations; then the first
+    table row that the component multiset matches enforces its kind bound and
+    point constraints.
     """
     if g.n < 2:
         return Validation(False, None,
                           "the table covers reducible central curves (N >= 2)",
                           "Theorem 1")
-    seen = sorted(set(g.components), key=lambda t: t.value)
-    for i, a in enumerate(seen):
-        for b in seen[i:]:
-            if a is b and g.components.count(a) < 2:
-                continue
-            cite = forbidden_pair(a, b)
-            if cite:
-                return Validation(
-                    False, None,
-                    f"components {a.value} and {b.value} cannot meet", cite
-                )
+    types = set(g.components)
+    for pair, cite in _FORBIDDEN.items():
+        if pair <= types:
+            a, b = sorted(t.value for t in pair)
+            return Validation(False, None, f"components {a} and {b} cannot meet", cite)
     if not g.points:
         if g.kind is GermKind.CB and g.n == 2:
             return Validation(
@@ -311,38 +260,15 @@ def validate_against_table(g: GermDescriptor) -> Validation:
             "a germ with no non-Gorenstein points must be a conic bundle with "
             "two components", "Theorem 1, row 1",
         )
-    row_number = _match_row(g.components)
-    if row_number is None:
+    row = next((r for r in _ROWS if r.matches(g, types)), None)
+    if row is None:
         return Validation(False, None,
                           "component multiset matches no table row", "Theorem 1")
-    row = _ROW_BY_NUMBER[row_number]
-    if g.kind not in row.kinds:
-        return Validation(
-            False, row_number,
-            f"kind {g.kind.value!r} not allowed in row {row_number}",
-            f"Theorem 1, row {row_number}",
-        )
-    bound, exact = row.kinds[g.kind]
-    if bound is not None:
-        if exact and g.n != bound:
-            return Validation(
-                False, row_number,
-                f"row {row_number} with kind {g.kind.value!r} needs exactly "
-                f"{bound} components, got {g.n}",
-                f"Theorem 1, row {row_number}",
-            )
-        if not exact and g.n > bound:
-            return Validation(
-                False, row_number,
-                f"row {row_number} {g.kind.value} bound {bound} exceeded (N = {g.n})",
-                f"Theorem 1, row {row_number}",
-            )
-    point_err = _check_points(row_number, g)
-    if point_err:
-        return Validation(False, row_number, point_err,
-                          f"Theorem 1, row {row_number}")
-    return Validation(True, row_number, citation=f"Theorem 1, row {row_number}",
-                      notes=row.notes)
+    citation = f"Theorem 1, row {row.number}"
+    reason = row.rejection(g)
+    if reason:
+        return Validation(False, row.number, reason, citation)
+    return Validation(True, row.number, citation=citation, notes=row.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -584,30 +510,34 @@ def parse_descriptor(text: str) -> GermDescriptor:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        if tokens[0] == "component" and len(tokens) == 2:
+        keyword, *args = line.split()
+        if keyword == "component":
+            if len(args) != 1:
+                raise DescriptorError("component line needs: component <type>", lineno)
             try:
-                components.append(ComponentType(tokens[1]))
+                components.append(ComponentType(args[0]))
             except ValueError:
-                raise DescriptorError(f"unknown component type {tokens[1]!r}", lineno) from None
-        elif tokens[0] == "kind" and len(tokens) == 2:
+                raise DescriptorError(f"unknown component type {args[0]!r}", lineno) from None
+        elif keyword == "kind":
+            if len(args) != 1:
+                raise DescriptorError("kind line needs: kind f|d|cb", lineno)
             try:
-                kind = GermKind(tokens[1])
+                kind = GermKind(args[0])
             except ValueError:
-                raise DescriptorError(f"unknown kind {tokens[1]!r}", lineno) from None
-        elif tokens[0] == "point":
-            fields = dict(t.split("=", 1) for t in tokens[1:] if "=" in t)
-            if "index" not in fields or "tag" not in fields:
-                raise DescriptorError("point line needs index= and tag=", lineno)
+                raise DescriptorError(f"unknown kind {args[0]!r}", lineno) from None
+        elif keyword == "point":
+            fields = dict(t.split("=", 1) for t in args if "=" in t)
+            if len(fields) != len(args) or not (
+                    {"index", "tag"} <= fields.keys() <= {"index", "tag", "ell"}):
+                raise DescriptorError(
+                    "point line needs: point index=<m> tag=<string> [ell=<r>]", lineno)
             try:
                 ell = int(fields["ell"]) if "ell" in fields else None
                 points.append(NonGorPoint(int(fields["index"]), fields["tag"], ell))
             except ValueError as err:
                 raise DescriptorError(str(err), lineno) from None
         else:
-            raise DescriptorError(f"unknown keyword {tokens[0]!r}", lineno)
+            raise DescriptorError(f"unknown keyword {keyword!r}", lineno)
     if kind is None:
         raise DescriptorError("descriptor needs a kind line")
-    if not components:
-        raise DescriptorError("descriptor needs at least one component")
     return GermDescriptor(tuple(components), kind, tuple(points))

@@ -148,6 +148,14 @@ class TestFlipCommand:
 
 
 class TestInputErrors:
+    DESCRIPTORS = {
+        "descr": "component IIA\nkind q\n",
+        "two_types": "component IIA IIB\nkind cb\n",
+        "two_kinds": "component IIA\nkind cb d\n",
+        "stray": "component IIA\ncomponent IIA\nkind cb\npoint index=4 tag=cAx/4 foo=1 bar\n",
+        "no_component": "kind cb\n",
+    }
+
     @pytest.mark.parametrize("argv, message", [
         (["classify", "/nonexistent.descr"],
          "[Errno 2] No such file or directory: '/nonexistent.descr'"),
@@ -158,11 +166,17 @@ class TestInputErrors:
         (["tchain", "0", "1"], "order n must be >= 2"),
         (["analyze", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
         (["analyze", "{graph}", "--point-index", "0"], "index must be >= 2"),
+        (["classify", "{two_types}"], "line 1: component line needs: component <type>"),
+        (["classify", "{two_kinds}"], "line 2: kind line needs: kind f|d|cb"),
+        (["classify", "{stray}"],
+         "line 4: point line needs: point index=<m> tag=<string> [ell=<r>]"),
+        (["classify", "{no_component}"], "descriptor needs at least one component"),
     ])
     def test_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"dir": str(tmp_path), "graph": data_path("iidual_cb5.graph", tmp_path)}
-        paths["descr"] = str(tmp_path / "q.descr")
-        (tmp_path / "q.descr").write_text("component IIA\nkind q\n", encoding="utf-8")
+        for name, text in self.DESCRIPTORS.items():
+            paths[name] = str(tmp_path / f"{name}.descr")
+            (tmp_path / f"{name}.descr").write_text(text, encoding="utf-8")
         assert main([a.format(**paths) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

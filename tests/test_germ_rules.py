@@ -145,6 +145,157 @@ class TestTable:
         assert not got.accepted and got.row == 7
 
 
+def P(index, tag):
+    return NonGorPoint(index, tag)
+
+
+HALF = P(2, "1/2(1,1,1)")
+SHIFTED = P(5, "1/5(1,-1,3)")
+NO_POINTS = "a germ with no non-Gorenstein points must be a conic bundle with two components"
+ONE_POINT = "expected exactly one non-Gorenstein point"
+TWO_POINTS = "expected exactly two non-Gorenstein points"
+ROW10_POINTS = "points must be 1/(2k-1)(1,-1,k) and 1/2(1,1,1)"
+ROW11_POINTS = "points must be 1/(2k-1)(1,-1,k) and one of cA/2, cAx/2, cD/2"
+FLIP, DIV, CB = GermKind.FLIPPING, GermKind.DIVISORIAL, GermKind.CB
+
+# (components, kind, points) -> (accepted, row, reason, citation): for each row,
+# one accepted descriptor and every rejection the row can give
+REASONS = [
+    ([T.k1A], FLIP, [P(3, "cA/3")],
+     (False, None, "the table covers reducible central curves (N >= 2)", "Theorem 1")),
+    ([T.IIB, T.IIdual, T.IIA], DIV, [CAX4],
+     (False, None, "components IIB and IIdual cannot meet", "Lemma 5.4")),
+    ([T.IC, T.IIA], CB, [CAX4], (False, None, "component multiset matches no table row",
+                                 "Theorem 1")),
+    ([T.IIdual, T.IIdual, T.IIA], CB, [CAX4],
+     (False, None, "component multiset matches no table row", "Theorem 1")),
+    # row 1: no non-Gorenstein points
+    ([T.IC, T.cD3], CB, [], (True, 1, "", "Theorem 1, row 1")),
+    ([T.k1A, T.k1A], FLIP, [], (False, 1, NO_POINTS, "Theorem 1, row 1")),
+    ([T.k1A] * 3, CB, [], (False, 1, NO_POINTS, "Theorem 1, row 1")),
+    # row 2: one entry per homogeneous type
+    ([T.cAx2] * 2, CB, [P(2, "cAx/2")], (True, 2, "", "Theorem 1, row 2")),
+    ([T.cD2] * 2, CB, [P(2, "cD/2")], (True, 2, "", "Theorem 1, row 2")),
+    ([T.cE2] * 2, CB, [P(2, "cE/2")], (True, 2, "", "Theorem 1, row 2")),
+    ([T.cAx2] * 2, FLIP, [P(2, "cAx/2")],
+     (False, 2, "kind 'f' not allowed in row 2", "Theorem 1, row 2")),
+    ([T.cD2] * 3, CB, [P(2, "cD/2")],
+     (False, 2, "row 2 with kind 'cb' needs exactly 2 components, got 3", "Theorem 1, row 2")),
+    ([T.cE2] * 2, CB, [P(2, "cE/2"), P(2, "cE/2")], (False, 2, ONE_POINT, "Theorem 1, row 2")),
+    ([T.cD2] * 2, CB, [P(2, "cAx/2")],
+     (False, 2, "tag 'cAx/2' not among ('cD/2',)", "Theorem 1, row 2")),
+    ([T.cE2] * 2, CB, [P(3, "cE/2")],
+     (False, 2, "tag 'cE/2' disagrees with index 3", "Theorem 1, row 2")),
+    # row 3
+    ([T.cD3] * 2, FLIP, [P(3, "cD/3")], (True, 3, "", "Theorem 1, row 3")),
+    ([T.cD3] * 3, FLIP, [P(3, "cD/3")],
+     (False, 3, "row 3 with kind 'f' needs exactly 2 components, got 3", "Theorem 1, row 3")),
+    ([T.cD3] * 5, DIV, [P(3, "cD/3")], (False, 3, "row 3 d bound 4 exceeded (N = 5)",
+                                      "Theorem 1, row 3")),
+    ([T.cD3] * 5, CB, [P(3, "cD/3")], (True, 3, "", "Theorem 1, row 3")),
+    ([T.cD3] * 2, FLIP, [P(3, "cD/3"), P(3, "cD/3")], (False, 3, ONE_POINT, "Theorem 1, row 3")),
+    ([T.cD3] * 2, FLIP, [P(3, "cA/3")],
+     (False, 3, "tag 'cA/3' not among ('cD/3',)", "Theorem 1, row 3")),
+    # row 4
+    ([T.IIA] * 7, DIV, [CAX4], (True, 4, "", "Theorem 1, row 4")),
+    ([T.IIA] * 5, FLIP, [CAX4], (False, 4, "row 4 f bound 4 exceeded (N = 5)", "Theorem 1, row 4")),
+    ([T.IIA] * 8, CB, [CAX4], (False, 4, "row 4 cb bound 7 exceeded (N = 8)",
+                               "Theorem 1, row 4")),
+    ([T.IIA] * 2, CB, [CAX4, CAX4], (False, 4, ONE_POINT, "Theorem 1, row 4")),
+    ([T.IIA] * 2, CB, [P(2, "cAx/4")],
+     (False, 4, "tag 'cAx/4' disagrees with index 2", "Theorem 1, row 4")),
+    # row 5
+    ([T.IIdual] * 2, CB, [CAX4], (True, 5, "", "Theorem 1, row 5")),
+    ([T.IIdual] * 2, DIV, [CAX4], (False, 5, "kind 'd' not allowed in row 5", "Theorem 1, row 5")),
+    ([T.IIdual] * 3, CB, [CAX4],
+     (False, 5, "row 5 with kind 'cb' needs exactly 2 components, got 3", "Theorem 1, row 5")),
+    ([T.IIdual] * 2, CB, [CAX4, CAX4], (False, 5, ONE_POINT, "Theorem 1, row 5")),
+    ([T.IIdual] * 2, CB, [P(4, "cD/4")],
+     (False, 5, "tag 'cD/4' not among ('cAx/4',)", "Theorem 1, row 5")),
+    # row 6
+    ([T.IIA, T.IIdual], FLIP, [CAX4], (True, 6, "", "Theorem 1, row 6")),
+    ([T.IIdual, T.IIA, T.IIA], FLIP, [CAX4],
+     (False, 6, "row 6 with kind 'f' needs exactly 2 components, got 3", "Theorem 1, row 6")),
+    ([T.IIdual] + [T.IIA] * 5, CB, [CAX4],
+     (False, 6, "row 6 cb bound 5 exceeded (N = 6)", "Theorem 1, row 6")),
+    ([T.IIdual, T.IIA], FLIP, [CAX4, CAX4], (False, 6, ONE_POINT, "Theorem 1, row 6")),
+    ([T.IIdual, T.IIA], FLIP, [P(4, "junk")],
+     (False, 6, "tag 'junk' not among ('cAx/4',)", "Theorem 1, row 6")),
+    # row 7
+    ([T.IIB, T.IIA], DIV, [CAX4], (True, 7, "", "Theorem 1, row 7")),
+    ([T.IIB, T.IIA], FLIP, [CAX4], (False, 7, "kind 'f' not allowed in row 7", "Theorem 1, row 7")),
+    ([T.IIB, T.IIA, T.IIA], DIV, [CAX4],
+     (False, 7, "row 7 with kind 'd' needs exactly 2 components, got 3", "Theorem 1, row 7")),
+    ([T.IIB] + [T.IIA] * 3, CB, [CAX4],
+     (False, 7, "row 7 cb bound 3 exceeded (N = 4)", "Theorem 1, row 7")),
+    ([T.IIB, T.IIA], DIV, [CAX4, CAX4], (False, 7, ONE_POINT, "Theorem 1, row 7")),
+    ([T.IIB, T.IIA], DIV, [P(3, "cAx/4")],
+     (False, 7, "tag 'cAx/4' disagrees with index 3", "Theorem 1, row 7")),
+    # row 8
+    ([T.k1A, T.IC], FLIP, [P(7, "1/7(2, 5, 1)")], (True, 8, "", "Theorem 1, row 8")),
+    ([T.IC, T.k1A, T.k1A], FLIP, [P(5, "1/5(2,3,1)")],
+     (False, 8, "row 8 with kind 'f' needs exactly 2 components, got 3", "Theorem 1, row 8")),
+    ([T.IC] + [T.k1A] * 4, DIV, [P(5, "1/5(2,3,1)")],
+     (False, 8, "row 8 d bound 4 exceeded (N = 5)", "Theorem 1, row 8")),
+    ([T.IC, T.k1A], FLIP, [P(5, "1/5(2,3,1)")] * 2, (False, 8, ONE_POINT, "Theorem 1, row 8")),
+    ([T.IC, T.k1A], FLIP, [P(5, "cA/5")],
+     (False, 8, "tag 'cA/5' is not a quotient tag", "Theorem 1, row 8")),
+    ([T.IC, T.k1A], FLIP, [P(7, "1/5(2,3,1)")],
+     (False, 8, "tag order 5 disagrees with index 7", "Theorem 1, row 8")),
+    ([T.IC, T.k1A], FLIP, [P(4, "1/4(2,2,1)")],
+     (False, 8, "order must be odd and >= 5", "Theorem 1, row 8")),
+    ([T.IC, T.k1A], FLIP, [P(3, "1/3(2,1,1)")],
+     (False, 8, "order must be odd and >= 5", "Theorem 1, row 8")),
+    ([T.IC, T.k1A], FLIP, [P(7, "1/7(2,5,2)")],
+     (False, 8, "weights (2, 5, 2) do not match (2, m-2, 1)", "Theorem 1, row 8")),
+    ([T.IC, T.k1A], FLIP, [P(5, "1/5(2,3)")],
+     (False, 8, "weights (2, 3) do not match (2, m-2, 1)", "Theorem 1, row 8")),
+    # row 9: no kind is bounded
+    ([T.k1A] * 9, FLIP, [P(3, "cA/3")], (True, 9, "", "Theorem 1, row 9")),
+    ([T.k1A] * 2, CB, [P(3, "cA/3")] * 2, (False, 9, ONE_POINT, "Theorem 1, row 9")),
+    ([T.k1A] * 2, DIV, [CAX4], (False, 9, "tag 'cAx/4' is not of the cA/m form",
+                              "Theorem 1, row 9")),
+    ([T.k1A] * 2, DIV, [P(3, "cA/5")], (False, 9, "tag 'cA/5' disagrees with index 3",
+                                      "Theorem 1, row 9")),
+    # row 10: the two points in either order
+    ([T.k1A, T.k3A], DIV, [HALF, SHIFTED], (True, 10, "", "Theorem 1, row 10")),
+    ([T.k3A, T.k1A], DIV, [SHIFTED, P(2, "1/2(3, 1, -1)")], (True, 10, "", "Theorem 1, row 10")),
+    ([T.k3A, T.k1A], FLIP, [SHIFTED, HALF],
+     (False, 10, "kind 'f' not allowed in row 10", "Theorem 1, row 10")),
+    ([T.k3A, T.k1A, T.k1A], DIV, [SHIFTED, HALF],
+     (False, 10, "row 10 with kind 'd' needs exactly 2 components, got 3", "Theorem 1, row 10")),
+    ([T.k3A] + [T.k1A] * 3, CB, [SHIFTED, HALF],
+     (False, 10, "row 10 cb bound 3 exceeded (N = 4)", "Theorem 1, row 10")),
+    ([T.k3A, T.k1A], DIV, [SHIFTED], (False, 10, TWO_POINTS, "Theorem 1, row 10")),
+    ([T.k3A, T.k1A], DIV, [SHIFTED, HALF, HALF], (False, 10, TWO_POINTS, "Theorem 1, row 10")),
+    ([T.k3A, T.k1A], DIV, [SHIFTED, SHIFTED], (False, 10, ROW10_POINTS, "Theorem 1, row 10")),
+    ([T.k3A, T.k1A], DIV, [HALF, HALF], (False, 10, ROW10_POINTS, "Theorem 1, row 10")),
+    ([T.k3A, T.k1A], DIV, [SHIFTED, P(4, "1/4(1,1,1)")], (False, 10, ROW10_POINTS,
+                                                       "Theorem 1, row 10")),
+    ([T.k3A, T.k1A], DIV, [P(5, "1/5(1,4,2)"), HALF], (False, 10, ROW10_POINTS,
+                                                    "Theorem 1, row 10")),
+    # row 11
+    ([T.cAx2, T.kAD, T.k1A, T.cD2], CB, [P(2, "cAx/2"), P(7, "1/7(1,6,4)")],
+     (True, 11, "", "Theorem 1, row 11")),
+    ([T.kAD, T.k1A, T.k1A], FLIP, [SHIFTED, P(2, "cA/2")],
+     (False, 11, "row 11 with kind 'f' needs exactly 2 components, got 3", "Theorem 1, row 11")),
+    ([T.kAD] + [T.cD2] * 4, DIV, [SHIFTED, P(2, "cA/2")],
+     (False, 11, "row 11 d bound 4 exceeded (N = 5)", "Theorem 1, row 11")),
+    ([T.kAD, T.k1A], FLIP, [P(2, "cA/2")], (False, 11, TWO_POINTS, "Theorem 1, row 11")),
+    ([T.kAD, T.k1A], FLIP, [SHIFTED, HALF], (False, 11, ROW11_POINTS, "Theorem 1, row 11")),
+    ([T.kAD, T.k1A], FLIP, [SHIFTED, P(2, "cE/2")], (False, 11, ROW11_POINTS, "Theorem 1, row 11")),
+    # row 12: no kind is bounded and any points pass
+    ([T.k2A, T.k1A, T.k2A], DIV, [P(7, "junk")], (True, 12, "", "Theorem 1, row 12")),
+    ([T.k2A] * 2, FLIP, [HALF, SHIFTED, CAX4], (True, 12, "", "Theorem 1, row 12")),
+]
+
+
+@pytest.mark.parametrize("components, kind, points, want", REASONS)
+def test_reason_table(components, kind, points, want):
+    got = validate_against_table(descr(components, kind, points))
+    assert (got.accepted, got.row, got.reason, got.citation) == want
+
+
 class TestQuotientTags:
     def test_parse(self):
         assert parse_quotient_tag("1/5(2,3,1)") == (5, (2, 3, 1))

@@ -3,7 +3,8 @@
 ``tests/golden/manifest.json`` lists each pinned command with its exit code
 and stderr; its stdout sits next to it in ``<name>.out``.  ``traces.sha256``
 pins every ``ic_disproof``/``kad_disproof`` trace over a parameter box that
-holds admissible and rejected tuples alike.
+holds admissible and rejected tuples alike, and ``classify.sha256`` every
+verdict of the classification table over a box of descriptors.
 
 Only a change that alters output on purpose may regenerate these files, with
 ``PYTHONPATH=src python tests/test_golden.py --write``, and it says so in
@@ -17,13 +18,16 @@ import hashlib
 import io
 import json
 import sys
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
 from germcalc import ell_calc
+from germcalc.class_group import NonGorPoint
 from germcalc.cli_corpus import corpus
 from germcalc.cli_corpus.cli import main
+from germcalc.germ_rules import ComponentType, GermDescriptor, GermKind, validate_against_table
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(corpus.__file__).parent / "data"
@@ -84,6 +88,35 @@ def trace_digest(cap: int = DIGEST_CAP) -> str:
     return h.hexdigest()
 
 
+# every tag family of the table, with near misses: a wrong index, an even or
+# too small order, wrong weights and a junk tag
+CLASSIFY_POINTS = tuple(NonGorPoint(index, tag) for index, tag in (
+    (2, "cAx/2"), (2, "cD/2"), (2, "cE/2"), (3, "cD/3"), (4, "cAx/4"), (2, "cAx/4"),
+    (3, "cA/3"), (3, "cA/5"), (5, "1/5(2,3,1)"), (7, "1/5(2,3,1)"), (4, "1/4(2,2,1)"),
+    (3, "1/3(2,1,1)"), (7, "1/7(2,5,2)"), (4, "junk"),
+))
+CLASSIFY_PAIRS = tuple(NonGorPoint(index, tag) for index, tag in (
+    (5, "1/5(1,-1,3)"), (2, "1/2(1,1,1)"), (2, "cA/2"),
+))
+
+
+def classify_digest() -> str:
+    """SHA-256 over (accepted, row, reason, citation, notes) of
+    validate_against_table on every multiset of 2 to 4 component types, with
+    each kind, and with no point, each point of CLASSIFY_POINTS or each
+    ordered pair from CLASSIFY_PAIRS."""
+    h = hashlib.sha256()
+    configs = [(), *((p,) for p in CLASSIFY_POINTS), *product(CLASSIFY_PAIRS, repeat=2)]
+    for size in (2, 3, 4):
+        for components in combinations_with_replacement(ComponentType, size):
+            for kind in GermKind:
+                for points in configs:
+                    v = validate_against_table(GermDescriptor(components, kind, points))
+                    h.update(repr((v.accepted, v.row, v.reason, v.citation, v.notes)).encode()
+                             + b"\n")
+    return h.hexdigest()
+
+
 def _manifest() -> dict:
     return json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
@@ -106,6 +139,11 @@ def test_trace_digest_matches_golden():
     assert trace_digest() == want
 
 
+def test_classify_digest_matches_golden():
+    want = (GOLDEN / "classify.sha256").read_text(encoding="utf-8").split()[0]
+    assert classify_digest() == want
+
+
 def write_goldens() -> None:
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}
@@ -117,6 +155,8 @@ def write_goldens() -> None:
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     (GOLDEN / "traces.sha256").write_text(
         f"{trace_digest()}  ic/k3a/kad traces, m and m' <= {DIGEST_CAP}\n", encoding="utf-8")
+    (GOLDEN / "classify.sha256").write_text(
+        f"{classify_digest()}  table verdicts, 2 to 4 components\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
