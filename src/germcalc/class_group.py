@@ -37,21 +37,15 @@ class PrimitivityReport:
     note: str = "assumes the pairing divisor generates the local class group"
 
 
-def local_primitivity(d_dot_c: Fraction | int, m: int, generator: bool = True) -> PrimitivityReport:
+def local_primitivity(d_dot_c: Fraction | int, m: int) -> PrimitivityReport:
     """Image order and splitting degree of the residue map at an index-m point.
 
     Only the reduced denominator of ``d_dot_c`` matters (negating the value
     changes nothing).  The computation is only valid when the divisor is known
-    to generate the local class group; pass ``generator=False`` to refuse the
-    inference explicitly.
+    to generate the local class group; callers state that assumption.
     """
     if m < 2:
         raise ValueError("index must be >= 2")
-    if not generator:
-        raise ValueError(
-            "splitting degree cannot be inferred unless the divisor generates "
-            "the local class group"
-        )
     value = Fraction(d_dot_c)
     if m % value.denominator:
         raise ValueError(

@@ -64,9 +64,9 @@ def analyze_graph(
         "notes": [],
     }
     clusters = exceptional_clusters(g)
-    codisc_by_ci: dict[int, resolution.Codiscrepancy] = {}
-    cluster_index: dict[int, int | None] = {}
-    for ci, cluster in enumerate(clusters):
+    # (number, cluster, codiscrepancy, index) for each contractible cluster
+    contractible: list[tuple] = []
+    for number, cluster in enumerate(clusters, 1):
         entry: dict = {"ids": list(cluster.ids), "shape": cluster.shape.value,
                        "negative_definite": True}
         try:
@@ -76,7 +76,6 @@ def analyze_graph(
             entry["error"] = "cluster is not contractible"
             report["clusters"].append(entry)
             continue
-        codisc_by_ci[ci] = d
         entry["codiscrepancy"] = {v: fmt(d.coeffs[v]) for v in cluster.ids}
         entry["class"] = resolution.singularity_class(d).value
         index: int | None = None
@@ -95,11 +94,11 @@ def analyze_graph(
         if index is None and point_index is not None:
             index = point_index
             entry["assumed_index"] = point_index
-        cluster_index[ci] = index
+        contractible.append((number, cluster, d, index))
         report["clusters"].append(entry)
 
-    if len(codisc_by_ci) == len(clusters):
-        kreport = resolution.k_dot_components(g, list(codisc_by_ci.values()))
+    if len(contractible) == len(clusters):
+        kreport = resolution.k_dot_components(g, [d for _, _, d, _ in contractible])
         for e in kreport.entries:
             line = {"id": e.component, "k": fmt(e.value), "k_negative": e.k_negative}
             if e.value == 0:
@@ -122,16 +121,14 @@ def analyze_graph(
         report["primitivity_note"] = (
             "assumes the canonical divisor generates each local class group"
         )
-        if any(v is None for v in cluster_index.values()):
+        if any(index is None for *_, index in contractible):
             report["notes"].append(
                 "some cluster has no recognised index; pass --point-index to "
                 "enable its primitivity lines"
             )
-        for ci, cluster in enumerate(clusters):
-            m = cluster_index.get(ci)
-            if m is None or ci not in codisc_by_ci:
+        for number, cluster, d, m in contractible:
+            if m is None:
                 continue
-            d = codisc_by_ci[ci]
             members = set(cluster.ids)
             for comp in g.component_ids():
                 local = sum(
@@ -143,7 +140,7 @@ def analyze_graph(
                 rep = class_group.local_primitivity(local, m)
                 report["primitivity"].append({
                     "component": comp,
-                    "cluster": ci + 1,
+                    "cluster": number,
                     "index": m,
                     "local_value": fmt(local),
                     "image_order": rep.image_order,

@@ -65,86 +65,93 @@ class Cluster:
     shape: ClusterShape
 
 
+@dataclass(frozen=True)
 class IntersectionMatrix:
-    """The intersection form over ``ids``; immutable.
+    """The intersection form over ``ids``.
 
-    ``form`` holds it in the sparse layout elimination reads.  Built from the
-    dense ``rows`` alone, the form is derived from them; built from a form,
-    the rows are derived from it on first read, since the analysis never
+    ``form`` holds it in the sparse layout elimination reads; the dense
+    ``rows`` are derived from it on first read, since the analysis never
     reads them.
     """
 
-    def __init__(self, ids: tuple[str, ...], rows: tuple[tuple[int, ...], ...] | None = None,
-                 form: SymmetricForm | None = None):
-        if form is None:
-            form = SymmetricForm.from_rows(rows)
-        if rows is not None:
-            self.__dict__["rows"] = rows
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "form", form)
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntersectionMatrix is immutable")
+    ids: tuple[str, ...]
+    form: SymmetricForm
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self.form.rows()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntersectionMatrix):
-            return NotImplemented
-        return (self.ids, self.rows) == (other.ids, other.rows)
-
-    def __hash__(self):
-        return hash((self.ids, self.rows))
-
-    def __repr__(self):
-        return f"IntersectionMatrix(ids={self.ids!r}, rows={self.rows!r})"
 
     def as_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
 
 class ConfigGraph:
-    """Validated, immutable configuration graph."""
+    """Validated, immutable configuration graph.
+
+    The constructor and ``parse_graph`` build it by the same steps:
+    ``_add_vertex`` and ``_add_edge`` check one item and record it, and
+    ``_finish`` runs the checks that need the whole graph.
+    """
+
+    vertices: tuple[Vertex, ...]
+    edges: tuple[tuple[str, str], ...]
+    by_id: dict[str, Vertex]
+    adjacency: dict[str, tuple[str, ...]]
 
     def __init__(self, vertices: list[Vertex], edges: list[tuple[str, str]]):
-        self._validate(vertices, edges)
-        self.vertices: tuple[Vertex, ...] = tuple(vertices)
-        # a list, not a generator: tuple(<genexpr>) leaks RSS per call on CPython 3.11
-        self.edges: tuple[tuple[str, str], ...] = tuple(
-            [tuple(sorted(e)) for e in edges]  # type: ignore[misc]
-        )
-        self.by_id = {v.id: v for v in self.vertices}
-        adj: dict[str, list[str]] = {v.id: [] for v in self.vertices}
-        order = {v.id: i for i, v in enumerate(self.vertices)}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
+        self._begin()
+        for v in vertices:
+            self._add_vertex(v)
+        for a, b in edges:
+            self._add_edge(a, b)
+        self._finish()
+
+    def _begin(self) -> None:
+        # lists and sets while building; _finish freezes them
+        self.vertices, self.edges, self.by_id, self.adjacency = [], [], {}, {}
+
+    def _add_vertex(self, v: Vertex) -> None:
+        if v.id in self.by_id:
+            raise GraphError(f"duplicate vertex id {v.id!r}")
+        if v.kind is VertexKind.EXCEPTIONAL and v.self_int > -2:
+            raise GraphError(
+                f"exceptional vertex {v.id!r} needs self-intersection <= -2, got {v.self_int}"
+            )
+        if v.kind is VertexKind.COMPONENT and v.self_int != -1:
+            raise GraphError(
+                f"component vertex {v.id!r} needs self-intersection -1, got {v.self_int}"
+            )
+        self.vertices.append(v)
+        self.by_id[v.id] = v
+        self.adjacency[v.id] = set()
+
+    def _add_edge(self, a: str, b: str) -> None:
+        """Edges may only name vertices added before them."""
+        for x in (a, b):
+            if x not in self.by_id:
+                raise GraphError(f"edge references unknown vertex {x!r}")
+        if a == b:
+            raise GraphError(f"loop at vertex {a!r}")
+        key = (a, b) if a < b else (b, a)
+        if b in self.adjacency[a]:
+            raise GraphError(f"multi-edge between {key[0]!r} and {key[1]!r}")
+        self.edges.append(key)
+        self.adjacency[a].add(b)
+        self.adjacency[b].add(a)
+
+    def _finish(self) -> None:
+        if not self.vertices:
+            raise GraphError("graph has no vertices")
+        self.vertices = tuple(self.vertices)
+        self.edges = tuple(self.edges)
+        order = {vid: i for i, vid in enumerate(self.by_id)}
         # neighbour lists in input order, for reproducible reports
-        self.adjacency = {k: tuple(sorted(vs, key=order.__getitem__)) for k, vs in adj.items()}
-        stack = [vertices[0].id]
-        reached = {vertices[0].id}
-        while stack:
-            for nb in self.adjacency[stack.pop()]:
-                if nb not in reached:
-                    reached.add(nb)
-                    stack.append(nb)
-        if len(reached) != len(vertices):
+        self.adjacency = {k: tuple(sorted(vs, key=order.__getitem__))
+                          for k, vs in self.adjacency.items()}
+        reached = _reach(self.adjacency, self.vertices[0].id, self.by_id)
+        if len(reached) != len(self.vertices):
             missing = sorted(set(self.by_id) - reached)
             raise GraphError(f"graph is disconnected (unreached: {', '.join(missing)})")
-
-    @staticmethod
-    def _validate(vertices: list[Vertex], edges: list[tuple[str, str]]) -> None:
-        """Run on each vertex and edge the checks parse_graph runs per line."""
-        if not vertices:
-            raise GraphError("graph has no vertices")
-        seen: set[str] = set()
-        for v in vertices:
-            _add_vertex(v, seen)
-        pairs: set[tuple[str, str]] = set()
-        for a, b in edges:
-            _add_edge(a, b, seen, pairs)
 
     def exceptional_ids(self) -> list[str]:
         return [v.id for v in self.vertices if v.kind is VertexKind.EXCEPTIONAL]
@@ -153,45 +160,27 @@ class ConfigGraph:
         return [v.id for v in self.vertices if v.kind is VertexKind.COMPONENT]
 
 
-def _add_vertex(v: Vertex, seen: set[str]) -> None:
-    """Check ``v`` against the ids in ``seen`` and its kind, then record its id."""
-    if v.id in seen:
-        raise GraphError(f"duplicate vertex id {v.id!r}")
-    if v.kind is VertexKind.EXCEPTIONAL and v.self_int > -2:
-        raise GraphError(
-            f"exceptional vertex {v.id!r} needs self-intersection <= -2, got {v.self_int}"
-        )
-    if v.kind is VertexKind.COMPONENT and v.self_int != -1:
-        raise GraphError(
-            f"component vertex {v.id!r} needs self-intersection -1, got {v.self_int}"
-        )
-    seen.add(v.id)
-
-
-def _add_edge(a: str, b: str, seen: set[str], pairs: set[tuple[str, str]]) -> None:
-    """Check the edge a-b against the vertex ids in ``seen`` and the edges in
-    ``pairs``, then record it there."""
-    for x in (a, b):
-        if x not in seen:
-            raise GraphError(f"edge references unknown vertex {x!r}")
-    if a == b:
-        raise GraphError(f"loop at vertex {a!r}")
-    key = (a, b) if a < b else (b, a)
-    if key in pairs:
-        raise GraphError(f"multi-edge between {key[0]!r} and {key[1]!r}")
-    pairs.add(key)
+def _reach(adjacency: dict[str, tuple[str, ...]], start: str, allowed) -> set[str]:
+    """The vertices reachable from ``start`` through vertices in ``allowed``."""
+    reached = {start}
+    stack = [start]
+    while stack:
+        for nb in adjacency[stack.pop()]:
+            if nb in allowed and nb not in reached:
+                reached.add(nb)
+                stack.append(nb)
+    return reached
 
 
 def parse_graph(text: str) -> ConfigGraph:
     """Parse the line format above into a validated ConfigGraph.
 
-    Each line is checked as it is read, by the checks ConfigGraph runs, so an
-    error names its line; an edge may only name vertices declared above it.
+    Each line is checked as it is read, by the steps the ConfigGraph
+    constructor runs, so an error names its line; an edge may only name
+    vertices declared above it.
     """
-    vertices: list[Vertex] = []
-    edges: list[tuple[str, str]] = []
-    declared: set[str] = set()
-    pairs: set[tuple[str, str]] = set()
+    g = ConfigGraph.__new__(ConfigGraph)
+    g._begin()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -199,16 +188,17 @@ def parse_graph(text: str) -> ConfigGraph:
         tokens = line.split()
         try:
             if tokens[0] == "vertex":
-                vertices.append(_parse_vertex(tokens))
-                _add_vertex(vertices[-1], declared)
+                g._add_vertex(_parse_vertex(tokens))
             elif tokens[0] == "edge":
-                edges.append(_parse_edge(tokens))
-                _add_edge(*edges[-1], declared, pairs)
+                if len(tokens) != 3:
+                    raise GraphError("edge line needs: edge <id> <id>")
+                g._add_edge(tokens[1], tokens[2])
             else:
                 raise GraphError(f"unknown keyword {tokens[0]!r}")
         except GraphError as err:
             raise GraphError(str(err), lineno) from None
-    return ConfigGraph(vertices, edges)
+    g._finish()
+    return g
 
 
 def _parse_vertex(tokens: list[str]) -> Vertex:
@@ -231,12 +221,6 @@ def _parse_vertex(tokens: list[str]) -> Vertex:
     return Vertex(vid, kind, self_int)
 
 
-def _parse_edge(tokens: list[str]) -> tuple[str, str]:
-    if len(tokens) != 3:
-        raise GraphError("edge line needs: edge <id> <id>")
-    return (tokens[1], tokens[2])
-
-
 def is_tree(g: ConfigGraph) -> bool:
     """True iff the (connected) graph is acyclic."""
     return len(g.edges) == len(g.vertices) - 1
@@ -251,43 +235,30 @@ def exceptional_clusters(g: ConfigGraph) -> list[Cluster]:
     for vid in g.exceptional_ids():
         if vid in seen:
             continue
-        comp = {vid}
-        stack = [vid]
-        while stack:
-            for nb in g.adjacency[stack.pop()]:
-                if nb in exc and nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
+        comp = _reach(g.adjacency, vid, exc)
         seen |= comp
-        clusters.append(_shape_cluster(g, comp, order))
+        clusters.append(_shape_cluster(g, sorted(comp, key=order.__getitem__)))
     return clusters
 
 
-def _shape_cluster(g: ConfigGraph, comp: set[str], order: dict[str, int]) -> Cluster:
-    deg = {v: sum(1 for nb in g.adjacency[v] if nb in comp) for v in comp}
-    n_edges = sum(deg.values()) // 2
-    acyclic = n_edges == len(comp) - 1
-    degrees = sorted(deg.values(), reverse=True)
-    if acyclic and (not degrees or degrees[0] <= 2):
-        ids = _path_order(g, comp, deg, order)
-        return Cluster(tuple(ids), ClusterShape.CHAIN)
-    if acyclic and degrees[0] == 3 and (len(degrees) == 1 or degrees[1] <= 2):
-        ids = sorted(comp, key=order.__getitem__)
+def _shape_cluster(g: ConfigGraph, ids: list[str]) -> Cluster:
+    """Shape of the cluster on ``ids``, given in input order."""
+    members = set(ids)
+    deg = {v: sum(1 for nb in g.adjacency[v] if nb in members) for v in ids}
+    acyclic = sum(deg.values()) // 2 == len(ids) - 1
+    degrees = sorted(deg.values(), reverse=True) + [0]
+    if acyclic and degrees[0] <= 2:
+        return Cluster(tuple(_path_order(g, ids, deg)), ClusterShape.CHAIN)
+    if acyclic and degrees[0] == 3 and degrees[1] <= 2:
         return Cluster(tuple(ids), ClusterShape.FORK)
-    ids = sorted(comp, key=order.__getitem__)
     return Cluster(tuple(ids), ClusterShape.OTHER)
 
 
-def _path_order(
-    g: ConfigGraph, comp: set[str], deg: dict[str, int], order: dict[str, int]
-) -> list[str]:
-    if len(comp) == 1:
-        return list(comp)
-    ends = sorted((v for v in comp if deg[v] == 1), key=order.__getitem__)
-    path = [ends[0]]
+def _path_order(g: ConfigGraph, ids: list[str], deg: dict[str, int]) -> list[str]:
+    path = [next(v for v in ids if deg[v] <= 1)]
     prev = None
-    while len(path) < len(comp):
-        nxt = next(nb for nb in g.adjacency[path[-1]] if nb in comp and nb != prev)
+    while len(path) < len(ids):
+        nxt = next(nb for nb in g.adjacency[path[-1]] if nb in deg and nb != prev)
         prev = path[-1]
         path.append(nxt)
     return path
@@ -302,12 +273,13 @@ def intersection_matrix(g: ConfigGraph, subset: list[str] | tuple[str, ...]) -> 
         if vid in pos:
             raise GraphError(f"vertex id {vid!r} listed twice")
         pos[vid] = i
+    # links in ascending column order, as SymmetricForm.from_rows gives them
     form = SymmetricForm(
         tuple([g.by_id[vid].self_int for vid in subset]),
-        tuple([tuple([(pos[nb], 1) for nb in g.adjacency[vid] if nb in pos])
+        tuple([tuple(sorted([(pos[nb], 1) for nb in g.adjacency[vid] if nb in pos]))
                for vid in subset]),
     )
-    return IntersectionMatrix(tuple(subset), form=form)
+    return IntersectionMatrix(tuple(subset), form)
 
 
 def is_negative_definite(m: IntersectionMatrix) -> bool:

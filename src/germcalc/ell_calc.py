@@ -454,8 +454,6 @@ def ic_rejection(m: int, m_prime: int, a_prime: int):
     # the k-negativity value (m+1)/(2m) - a'/m' must be negative
     if (m + 1) * m_prime >= 2 * m * a_prime:
         return "K-negativity fails", ((m + 1) * m_prime - 2 * m * a_prime, 2 * m * m_prime)
-    if 2 * (m_prime - a_prime) >= m_prime:
-        return "need 2(m' - a') < m'", None
     return None
 
 

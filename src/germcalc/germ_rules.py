@@ -316,16 +316,12 @@ def component_bound(
 class FlipGermData:
     index_x: int
     plus_indices: tuple[int, ...] = ()
-    w_values: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         if self.index_x < 1:
             raise ValueError("index must be >= 1")
         if any(i < 1 for i in self.plus_indices):
             raise ValueError("indices must be >= 1")
-        for w in self.w_values or ():
-            if not 0 <= w < 1:
-                raise ValueError("contribution values must lie in [0, 1)")
 
     @property
     def index_plus(self) -> int:
@@ -467,24 +463,31 @@ def push_inequalities(
     out: list[PushStep] = []
     strict = False
     for step in steps:
-        if step[0] == "div":
-            n = step[1]  # type: ignore[misc]
-            if n < 1:
-                raise ValueError("local index must be >= 1")
-            bound -= Fraction(1, n)
-            out.append(PushStep("div", n, bound, strict))
-        elif step[0] == "flip":
+        n = _local_index(step)
+        if n is None:
             strict = True
-            out.append(PushStep("flip", None, bound, True))
         else:
-            raise ValueError(f"unknown step {step!r}")
+            bound -= Fraction(1, n)
+        out.append(PushStep(step[0], n, bound, strict))
     return BoundTrace(Fraction(start), tuple(out), floor)
+
+
+def _local_index(step: tuple[str, int] | tuple[str]) -> int | None:
+    """The local index n of a ``("div", n)`` step, None for ``("flip",)``."""
+    if step == ("flip",):
+        return None
+    if len(step) != 2 or step[0] != "div":
+        raise ValueError(f"unknown step {step!r}")
+    if step[1] < 1:
+        raise ValueError(f"local index must be >= 1, got {step[1]}")
+    return step[1]
 
 
 def divisorial_budget(
     start: Fraction | int, floor: Fraction | int = Fraction(-1), local_index: int = 1
 ) -> int:
     """Largest number of index-n divisorial steps keeping the bound above the floor."""
+    _local_index(("div", local_index))
     start, floor = Fraction(start), Fraction(floor)
     if start < floor:
         return 0

@@ -14,6 +14,7 @@ from conftest import neg_def_by_char_poly, random_symmetric
 from germcalc import cyclic_quot, ell_calc, germ_rules
 from germcalc.cli_corpus import corpus
 from germcalc.dual_graph import IntersectionMatrix, is_negative_definite, parse_graph
+from germcalc.exactlinalg import SymmetricForm
 from germcalc.germ_rules import ComponentType as T
 from germcalc.germ_rules import GermKind
 from germcalc.class_group import NonGorPoint
@@ -219,8 +220,7 @@ def test_criterion_9_property_suites():
     for _ in range(10_000):
         n = rng.randint(1, 5)
         rows = random_symmetric(rng, n)
-        m = IntersectionMatrix(tuple(map(str, range(n))),
-                               tuple(tuple(r) for r in rows))
+        m = IntersectionMatrix(tuple(map(str, range(n))), SymmetricForm.from_rows(rows))
         ok &= is_negative_definite(m) == neg_def_by_char_poly(rows)
     report(9, ok, "property suites: divisor algebra x1000, chain round trips to "
                   "200, double class-T witnesses to 400, definiteness oracle "

@@ -33,10 +33,6 @@ class TestLocalPrimitivity:
         with pytest.raises(ValueError, match="does not divide"):
             local_primitivity(F(1, 3), 4)
 
-    def test_generator_assumption_required(self):
-        with pytest.raises(ValueError, match="generates"):
-            local_primitivity(F(1, 2), 4, generator=False)
-
     def test_identity_order_times_degree(self, rng):
         for _ in range(300):
             m = rng.randint(2, 40)

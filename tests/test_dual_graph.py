@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import neg_def_by_char_poly, random_symmetric, random_tree_graph
 from germcalc.cli_corpus.corpus import load_corpus, read_data
@@ -17,7 +19,7 @@ from germcalc.dual_graph import (
     is_tree,
     parse_graph,
 )
-from germcalc.exactlinalg import leading_principal_minors
+from germcalc.exactlinalg import SymmetricForm, leading_principal_minors
 
 
 def graph_of(name):
@@ -106,6 +108,36 @@ class TestParse:
     def test_comments_and_order_preserved(self):
         g = graph_of("cd3_a.graph")
         assert [v.id for v in g.vertices][:3] == ["v1", "v2", "v3"]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_fuzzed_text_parses_or_raises_graph_error(self, data):
+        # a tree on v0..v(n-1), then up to two lines drawn from a small alphabet
+        good = ["kind=exc self=-2", "kind=exc self=-3", "kind=comp self=-1", "self=-1 kind=comp"]
+        n = data.draw(st.integers(1, 4))
+        lines = [f"vertex v{i} {data.draw(st.sampled_from(good))}" for i in range(n)]
+        lines += [f"edge v{data.draw(st.integers(0, i - 1))} v{i}" for i in range(1, n)]
+        tokens = st.sampled_from(["vertex", "v0", "v1", "v4", "a-b", "kind=exc", "kind=x",
+                                  "self=-2", "self=x", "self=", "=", "#"])
+        soup = st.builds(lambda k, ts: " ".join([k, *ts]),
+                         st.sampled_from(["vertex", "edge", "vertx", "#", ""]),
+                         st.lists(tokens, max_size=4))
+        extra = st.one_of(soup,
+                          st.builds("vertex v{} {}".format, st.integers(0, 4), st.sampled_from(
+                              good + ["kind=exc self=-1", "kind=comp self=0"])),
+                          st.builds("edge v{} v{}".format, st.integers(0, 4), st.integers(0, 4)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(extra))
+        text = "\n".join(lines)
+        try:
+            g = parse_graph(text)
+        except GraphError:
+            return
+        h = ConfigGraph(list(g.vertices), list(g.edges))
+        assert (h.vertices, h.edges, h.adjacency) == (g.vertices, g.edges, g.adjacency)
+        # a finished graph keeps no builder state
+        assert set(vars(g)) == {"vertices", "edges", "by_id", "adjacency"}
+        assert all(type(x) is tuple for x in (g.vertices, g.edges, *g.adjacency.values()))
 
 
 def cycle_graph():
@@ -200,7 +232,7 @@ class TestIntersectionMatrix:
         ids = ("e3", "e0", "e2", "e1")
         m = intersection_matrix(g, ids)
         assert "rows" not in vars(m)
-        dense = IntersectionMatrix(ids, m.rows)
+        dense = IntersectionMatrix(ids, SymmetricForm.from_rows(m.rows))
         assert m.rows == dense.form.rows() == (
             (-2, 1, 0, 0),
             (1, -2, 1, 1),
@@ -209,8 +241,9 @@ class TestIntersectionMatrix:
         )
         assert dense == m and hash(dense) == hash(m) and repr(dense) == repr(m)
         assert m.as_lists() == [list(r) for r in m.rows]
-        assert m != IntersectionMatrix(ids[::-1], m.rows)
-        assert m != IntersectionMatrix(ids, ((-3, 1, 0, 0),) + m.rows[1:])
+        assert m != IntersectionMatrix(ids[::-1], SymmetricForm.from_rows(m.rows))
+        assert m != IntersectionMatrix(
+            ids, SymmetricForm.from_rows(((-3, 1, 0, 0),) + m.rows[1:]))
         with pytest.raises(AttributeError):
             m.rows = ()
 
@@ -249,6 +282,6 @@ class TestNegativeDefinite:
             n = rng.randint(1, 5)
             rows = random_symmetric(rng, n)
             m = IntersectionMatrix(
-                tuple(str(i) for i in range(n)), tuple(tuple(r) for r in rows)
+                tuple(str(i) for i in range(n)), SymmetricForm.from_rows(rows)
             )
             assert is_negative_definite(m) == neg_def_by_char_poly(rows)

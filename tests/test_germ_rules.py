@@ -2,6 +2,8 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germcalc.class_group import NonGorPoint
 from germcalc.germ_rules import (
@@ -86,12 +88,6 @@ class TestTable:
             assert not got.accepted
             assert got.citation == citation
 
-    def test_gorenstein_row(self):
-        got = validate_against_table(descr([T.k1A, T.k1A], GermKind.CB, []))
-        assert got.accepted and got.row == 1
-        bad = validate_against_table(descr([T.k1A, T.k1A], GermKind.FLIPPING, []))
-        assert not bad.accepted
-
     def test_open_row_notes_existence(self):
         got = validate_against_table(
             descr(
@@ -120,29 +116,6 @@ class TestTable:
         )
         assert got.accepted and got.row == 12
         assert any("not bounded" in n for n in got.notes)
-
-    def test_single_component_refused(self):
-        got = validate_against_table(descr([T.k1A], GermKind.FLIPPING,
-                                           [NonGorPoint(3, "cA/3")]))
-        assert not got.accepted and "N >= 2" in got.reason
-
-    def test_no_row_matches(self):
-        got = validate_against_table(
-            descr([T.IC, T.IIA], GermKind.CB, [CAX4])
-        )
-        assert not got.accepted and "no table row" in got.reason
-
-    def test_point_tag_mismatch(self):
-        got = validate_against_table(
-            descr([T.cD3, T.cD3], GermKind.FLIPPING, [NonGorPoint(3, "cA/3")])
-        )
-        assert not got.accepted and got.row == 3
-
-    def test_kind_not_allowed_in_row(self):
-        got = validate_against_table(
-            descr([T.IIB, T.IIA], GermKind.FLIPPING, [CAX4])
-        )
-        assert not got.accepted and got.row == 7
 
 
 def P(index, tag):
@@ -287,6 +260,8 @@ REASONS = [
     # row 12: no kind is bounded and any points pass
     ([T.k2A, T.k1A, T.k2A], DIV, [P(7, "junk")], (True, 12, "", "Theorem 1, row 12")),
     ([T.k2A] * 2, FLIP, [HALF, SHIFTED, CAX4], (True, 12, "", "Theorem 1, row 12")),
+    # row 1 again: the two components may have the same type
+    ([T.k1A, T.k1A], CB, [], (True, 1, "", "Theorem 1, row 1")),
 ]
 
 
@@ -425,6 +400,16 @@ class TestPushInequalities:
         assert trace.final_bound == F(-1)
         assert trace.feasible
 
+    @pytest.mark.parametrize("func, args, message", [
+        (divisorial_budget, (1, -1, -3), "local index must be >= 1, got -3"),
+        (divisorial_budget, (1, -1, 0), "local index must be >= 1, got 0"),
+        (push_inequalities, (0, [("div",)]), r"unknown step \('div',\)"),
+        (push_inequalities, (0, [()]), r"unknown step \(\)"),
+    ], ids=["budget-negative-index", "budget-zero-index", "div-without-index", "empty-step"])
+    def test_bad_step_or_index_is_a_value_error(self, func, args, message):
+        with pytest.raises(ValueError, match=message):
+            func(*args)
+
 
 class TestDescriptorFormat:
     def test_round_trip(self):
@@ -444,3 +429,24 @@ class TestDescriptorFormat:
     def test_missing_kind(self):
         with pytest.raises(DescriptorError, match="kind"):
             parse_descriptor("component IIA\n")
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_fuzzed_text_parses_or_raises_value_error(self, data):
+        # a well-formed descriptor, then up to two lines drawn from a small alphabet
+        types = st.sampled_from(["IIA", "k1A", "IC", "cD3"])
+        lines = [f"component {t}" for t in data.draw(st.lists(types, max_size=3))]
+        lines.append(f"kind {data.draw(st.sampled_from(['f', 'd', 'cb']))}")
+        lines += [f"point index={m} tag=cA/{m}" for m in data.draw(st.lists(st.integers(2, 5),
+                                                                           max_size=2))]
+        keyword = st.sampled_from(["component", "kind", "point", "comp", "#", ""])
+        tokens = st.sampled_from(["IIA", "IIX", "f", "x", "index=3", "index=1", "index=x",
+                                  "tag=cA/3", "tag=", "ell=0", "ell=-1", "ell=x", "foo=1", "#"])
+        for _ in range(data.draw(st.integers(0, 2))):
+            lines.insert(data.draw(st.integers(0, len(lines))), " ".join(
+                [data.draw(keyword), *data.draw(st.lists(tokens, max_size=4))]))
+        try:
+            got = parse_descriptor("\n".join(lines))
+        except ValueError:  # DescriptorError included
+            return
+        assert isinstance(got, GermDescriptor)
