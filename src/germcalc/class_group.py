@@ -34,7 +34,6 @@ class PrimitivityReport:
     image_order: int
     splitting_degree: int
     primitive: bool
-    note: str = "assumes the pairing divisor generates the local class group"
 
 
 def local_primitivity(d_dot_c: Fraction | int, m: int) -> PrimitivityReport:

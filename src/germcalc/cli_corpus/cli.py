@@ -1,8 +1,9 @@
 """Command-line surface tying the analysis modules together.
 
-Every subcommand prints plain text; ``--json`` emits the same content as a
-machine-readable object.  Exit codes: 0 success, 1 verification mismatch or
-contradiction-free failure of an expected check, 2 input error.
+Each subcommand handler returns ``(payload, lines, exit_code)``.  ``main``
+prints it, the lines as text or the payload as JSON under ``--json``, and maps
+input errors to one ``error:`` line.  Exit codes: 0 success, 1 verification
+mismatch or contradiction-free failure of an expected check, 2 input error.
 """
 
 from __future__ import annotations
@@ -19,22 +20,13 @@ from ..exactlinalg import fmt
 from . import corpus
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[dict, list[str], int]:
     with open(args.file, encoding="utf-8") as fh:
         g = parse_graph(fh.read())
     report = corpus.analyze_graph(
         g, point_index=args.point_index, assume_generator=args.assume_generator
     )
-    _emit(args, report, corpus.render_analysis(report))
-    return 0
+    return report, corpus.render_analysis(report), 0
 
 
 def _check_sweep_max(sweep_max: int, scripts: tuple[str, ...]) -> None:
@@ -45,7 +37,7 @@ def _check_sweep_max(sweep_max: int, scripts: tuple[str, ...]) -> None:
                          "at which every sweep admits a tuple")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, list[str], int]:
     _check_sweep_max(args.sweep_max, ("ic", "k3a", "kad"))
     report = corpus.verify_paper(sweep_max=args.sweep_max)
     payload = {
@@ -53,113 +45,97 @@ def _cmd_verify(args) -> int:
         "sweeps": report.sweep_lines,
         "ok": report.ok,
     }
-    _emit(args, payload, report.render())
-    return 0 if report.ok else 1
+    return payload, report.render(), 0 if report.ok else 1
 
 
-def _cmd_quot(args) -> int:
+def _class_t_result(cert, payload: dict, lines: list[str], extra: dict, *detail: str):
+    """Append the class-T verdict, with ``extra`` keys and ``detail`` lines if positive."""
+    payload["class_t"] = cert.verdict
+    if not cert.verdict:
+        return payload, [*lines, "class T: no"], 0
+    payload.update(t_index=cert.m, **extra)
+    verdict = f"class T: yes, index {cert.m} (d={cert.d}, m={cert.m}, a={cert.a})"
+    return payload, [*lines, verdict, *detail], 0
+
+
+def _cmd_quot(args) -> tuple[dict, list[str], int]:
     entries = tuple(int(x) for x in args.chain.split(","))
     c = cyclic_quot.HJChain(entries)
     quot = cyclic_quot.chain_to_quot(c)
     cert = cyclic_quot.classify_T(quot)
     dv = cyclic_quot.du_val_A(c)
-    payload = {
-        "chain": list(entries),
-        "quot": str(quot),
-        "du_val": dv,
-        "class_t": cert.verdict,
-    }
-    lines = [f"chain [{args.chain}] -> {quot}"]
-    lines.append(f"Du Val: {'A' + str(dv) if dv is not None else 'no'}")
-    if cert.verdict:
-        payload["t_index"] = cert.m
-        payload["t_data"] = {"d": cert.d, "m": cert.m, "a": cert.a}
-        lines.append(f"class T: yes, index {cert.m} (d={cert.d}, m={cert.m}, a={cert.a})")
-    else:
-        lines.append("class T: no")
-    _emit(args, payload, lines)
-    return 0
+    return _class_t_result(
+        cert,
+        {"chain": list(entries), "quot": str(quot), "du_val": dv},
+        [f"chain [{args.chain}] -> {quot}",
+         f"Du Val: {'A' + str(dv) if dv is not None else 'no'}"],
+        {"t_data": {"d": cert.d, "m": cert.m, "a": cert.a}},
+    )
 
 
-def _cmd_tchain(args) -> int:
+def _cmd_tchain(args) -> tuple[dict, list[str], int]:
     quot = cyclic_quot.CycQuot(args.n, args.q)
     c = cyclic_quot.quot_to_chain(quot)
     cert = cyclic_quot.classify_T(quot)
-    payload = {
-        "quot": str(quot),
-        "chain": list(c.entries),
-        "class_t": cert.verdict,
-    }
-    lines = [f"{quot} -> chain [{','.join(str(a) for a in c.entries)}]"]
-    if cert.verdict:
-        payload["t_index"] = cert.m
-        payload["base"] = list(cert.base or ())
-        payload["steps"] = list(cert.steps or ())
-        lines.append(
-            f"class T: yes, index {cert.m} (d={cert.d}, m={cert.m}, a={cert.a})"
-        )
-        steps = ", ".join(cert.steps) if cert.steps else "none"
-        lines.append(f"  derivation: base {list(cert.base)} steps [{steps}]")
-    else:
-        lines.append("class T: no")
-    _emit(args, payload, lines)
-    return 0
+    base, steps = list(cert.base or ()), list(cert.steps or ())
+    return _class_t_result(
+        cert,
+        {"quot": str(quot), "chain": list(c.entries)},
+        [f"{quot} -> chain [{','.join(str(a) for a in c.entries)}]"],
+        {"base": base, "steps": steps},
+        f"  derivation: base {base} steps [{', '.join(steps) or 'none'}]",
+    )
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, list[str], int]:
     with open(args.file, encoding="utf-8") as fh:
         descriptor = germ_rules.parse_descriptor(fh.read())
     verdict = germ_rules.validate_against_table(descriptor)
-    payload = dataclasses.asdict(verdict)
     if verdict.accepted:
         lines = [f"accepted: row {verdict.row} [{verdict.citation}]"]
         lines += [f"note: {n}" for n in verdict.notes]
     else:
         lines = [f"rejected: {verdict.reason} [{verdict.citation}]"]
-    _emit(args, payload, lines)
-    return 0 if verdict.accepted else 1
+    return dataclasses.asdict(verdict), lines, 0 if verdict.accepted else 1
 
 
-def _cmd_flip(args) -> int:
+def _cmd_flip(args) -> tuple[dict, list[str], int]:
     plus = tuple(int(x) for x in args.plus_indices.split(",")) if args.plus_indices else ()
     data = germ_rules.FlipGermData(args.index, plus)
     try:
         kc = Fraction(args.kc)
     except ZeroDivisionError as err:  # a zero denominator, as in "1/0"
         raise ValueError(err) from None
-    value = germ_rules.flip_transfer(data, kc)
+    value = fmt(germ_rules.flip_transfer(data, kc))
     payload = {
         "index": args.index,
         "kc": args.kc,
         "plus_indices": list(plus),
         "index_plus": data.index_plus,
-        "kc_plus": fmt(value),
+        "kc_plus": value,
     }
-    _emit(args, payload, [
+    return payload, [
         f"index {args.index}, degree {args.kc}, flipped index {data.index_plus}"
-        f" -> flipped degree {fmt(value)}"
-    ])
-    return 0
+        f" -> flipped degree {value}"
+    ], 0
 
 
-def _run_disproof(args, runner, needs_subcase: bool) -> int:
-    extra = (args.subcase,) if needs_subcase else ()
+def _cmd_disprove(args) -> tuple[dict, list[str], int]:
+    """Run one exclusion script: kad's ``--subcase`` names it; without one it is ic."""
     if args.sweep_max is not None:
-        _check_sweep_max(args.sweep_max, extra or ("ic",))
-        if needs_subcase:
-            summary = ell_calc.kad_sweep(args.subcase, args.sweep_max)
-        else:
-            summary = ell_calc.ic_sweep(args.sweep_max)
-        payload = dataclasses.asdict(summary)
+        _check_sweep_max(args.sweep_max, (args.subcase or "ic",))
+        summary = (ell_calc.kad_sweep(args.subcase, args.sweep_max) if args.subcase
+                   else ell_calc.ic_sweep(args.sweep_max))
         line = (
             f"sweep {summary.script} (max {args.sweep_max}): {summary.total} tuples, "
             f"{summary.verdict()}"
         )
-        _emit(args, payload, [line])
-        return 0 if summary.all_contradicted else 1
-    if None in (args.m, args.mprime, args.aprime):
+        return dataclasses.asdict(summary), [line], 0 if summary.all_contradicted else 1
+    inputs = (args.m, args.mprime, args.aprime)
+    if None in inputs:
         raise ValueError("provide --m/--mprime/--aprime or --sweep-max")
-    trace = runner(args.m, args.mprime, args.aprime, *extra)
+    trace = (ell_calc.kad_disproof(*inputs, args.subcase) if args.subcase
+             else ell_calc.ic_disproof(*inputs))
     payload = {
         "script": trace.script,
         "inputs": list(trace.inputs),
@@ -174,10 +150,7 @@ def _run_disproof(args, runner, needs_subcase: bool) -> int:
          "verdict": s.verdict, "note": s.note}
         for s in trace.steps
     ]
-    _emit(args, payload, trace.render())
-    if trace.status == "contradiction":
-        return 0
-    return 2 if trace.status == "rejected" else 1
+    return payload, trace.render(), {"contradiction": 0, "rejected": 2}.get(trace.status, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,20 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated indices on the flipped side")
     p.set_defaults(func=_cmd_flip)
 
-    p = sub.add_parser("ic-disprove", help="run the rigid-chain exclusion script")
-    p.add_argument("--m", type=int)
-    p.add_argument("--mprime", type=int)
-    p.add_argument("--aprime", type=int)
-    p.add_argument("--sweep-max", type=int, default=None)
-    p.set_defaults(func=lambda a: _run_disproof(a, ell_calc.ic_disproof, False))
-
-    p = sub.add_parser("kad-disprove", help="run the chain-pair exclusion script")
-    p.add_argument("--m", type=int)
-    p.add_argument("--mprime", type=int)
-    p.add_argument("--aprime", type=int)
-    p.add_argument("--subcase", choices=["k3a", "kad"], required=True)
-    p.add_argument("--sweep-max", type=int, default=None)
-    p.set_defaults(func=lambda a: _run_disproof(a, ell_calc.kad_disproof, True))
+    for name, help_text, subcases in (
+        ("ic-disprove", "run the rigid-chain exclusion script", None),
+        ("kad-disprove", "run the chain-pair exclusion script", ["k3a", "kad"]),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--m", type=int)
+        p.add_argument("--mprime", type=int)
+        p.add_argument("--aprime", type=int)
+        if subcases:
+            p.add_argument("--subcase", choices=subcases, required=True)
+        p.add_argument("--sweep-max", type=int, default=None)
+        p.set_defaults(func=_cmd_disprove, subcase=None)
 
     parser.add_argument("--json", action="store_true",
                         help="emit the same content as JSON")
@@ -245,10 +216,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        sys.stdout.flush()  # a closed pipe fails here, inside the boundary
     except (OSError, ValueError) as err:  # GraphError and DescriptorError included
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -25,12 +25,8 @@ from ..dual_graph import (
 from ..exactlinalg import fmt
 
 
-def _data_root():
-    return resources.files("germcalc.cli_corpus").joinpath("data")
-
-
 def read_data(name: str) -> str:
-    return _data_root().joinpath(name).read_text(encoding="utf-8")
+    return (resources.files("germcalc.cli_corpus") / "data" / name).read_text(encoding="utf-8")
 
 
 def load_corpus() -> dict:
@@ -64,21 +60,20 @@ def analyze_graph(
         "notes": [],
     }
     clusters = exceptional_clusters(g)
-    # (number, cluster, codiscrepancy, index) for each contractible cluster
+    # (number, codiscrepancy, index) for each contractible cluster
     contractible: list[tuple] = []
     for number, cluster in enumerate(clusters, 1):
         entry: dict = {"ids": list(cluster.ids), "shape": cluster.shape.value,
                        "negative_definite": True}
+        report["clusters"].append(entry)
         try:
             d = resolution.codiscrepancy(g, cluster)
         except resolution.ContractibilityError:
             entry["negative_definite"] = False
             entry["error"] = "cluster is not contractible"
-            report["clusters"].append(entry)
             continue
         entry["codiscrepancy"] = {v: fmt(d.coeffs[v]) for v in cluster.ids}
         entry["class"] = resolution.singularity_class(d).value
-        index: int | None = None
         if cluster.shape is ClusterShape.CHAIN:
             # a list, not a generator: tuple(<genexpr>) leaks RSS per call on CPython 3.11
             chain = cyclic_quot.HJChain(tuple([-g.by_id[v].self_int for v in cluster.ids]))
@@ -89,16 +84,13 @@ def analyze_graph(
             entry["du_val"] = cyclic_quot.du_val_A(chain)
             entry["t"] = cert.verdict
             entry["t_index"] = cyclic_quot.t_index(cert) if cert.verdict else None
-            if cert.verdict:
-                index = cert.m
+        index = entry.get("t_index")
         if index is None and point_index is not None:
-            index = point_index
-            entry["assumed_index"] = point_index
-        contractible.append((number, cluster, d, index))
-        report["clusters"].append(entry)
+            index = entry["assumed_index"] = point_index
+        contractible.append((number, d, index))
 
     if len(contractible) == len(clusters):
-        kreport = resolution.k_dot_components(g, [d for _, _, d, _ in contractible])
+        kreport = resolution.k_dot_components(g, [d for _, d, _ in contractible])
         for e in kreport.entries:
             line = {"id": e.component, "k": fmt(e.value), "k_negative": e.k_negative}
             if e.value == 0:
@@ -108,11 +100,9 @@ def analyze_graph(
     else:
         report["notes"].append("skipping degree report: some cluster is not contractible")
 
-    dv_extra = [
-        c for c in report["clusters"]
-        if c.get("du_val") is not None and len(report["clusters"]) > 1
-    ]
-    if dv_extra:
+    if len(report["clusters"]) > 1 and any(
+        c.get("du_val") is not None for c in report["clusters"]
+    ):
         report["notes"].append(
             "graph carries detached Du Val cluster(s) besides the main one"
         )
@@ -126,13 +116,12 @@ def analyze_graph(
                 "some cluster has no recognised index; pass --point-index to "
                 "enable its primitivity lines"
             )
-        for number, cluster, d, m in contractible:
+        for number, d, m in contractible:
             if m is None:
                 continue
-            members = set(cluster.ids)
             for comp in g.component_ids():
                 local = sum(
-                    (d.coeffs[nb] for nb in g.adjacency[comp] if nb in members),
+                    (d.coeffs[nb] for nb in g.adjacency[comp] if nb in d.coeffs),
                     Fraction(0),
                 )
                 if local == 0:
@@ -244,6 +233,13 @@ class VerifyReport:
         return lines
 
 
+# (label, key) of the per-cluster checks around the coefficients and class, in
+# report order; the chain ones run on chain clusters, the index on class-T ones
+_SHAPE_CHECKS = (("shape", "shape"), ("contractible", "negative_definite"))
+_CHAIN_CHECKS = (("chain", "chain"), ("quotient", "quot"), ("class T", "t"),
+                 ("index", "t_index"), ("Du Val", "du_val"))
+
+
 def _check_case(case: dict, report: VerifyReport) -> None:
     name = case["name"]
     if "graph" in case:
@@ -254,25 +250,17 @@ def _check_case(case: dict, report: VerifyReport) -> None:
         report.add(name, "cluster count", len(expected_clusters), len(analysis["clusters"]))
         for want, got in zip(expected_clusters, analysis["clusters"]):
             cid = want["ids"][0]
+            # bare ids: _value reads any [str, str] as a (value, source) pair
             report.add(name, f"cluster {cid} members", want["ids"], got["ids"])
-            report.add(name, f"cluster {cid} shape", _value(want["shape"]), got["shape"])
-            report.add(name, f"cluster {cid} contractible",
-                       _value(want["negative_definite"]), got["negative_definite"])
+            for label, key in _SHAPE_CHECKS:
+                report.add(name, f"cluster {cid} {label}", _value(want[key]), got[key])
             for v, leaf in want["codiscrepancy"].items():
                 report.add(name, f"coefficient {v}", _value(leaf),
                            got.get("codiscrepancy", {}).get(v))
             report.add(name, f"cluster {cid} class", _value(want["class"]), got.get("class"))
-            if "chain" in want:
-                report.add(name, f"cluster {cid} chain", _value(want["chain"]),
-                           got.get("chain"))
-                report.add(name, f"cluster {cid} quotient", _value(want["quot"]),
-                           got.get("quot"))
-                report.add(name, f"cluster {cid} class T", _value(want["t"]), got.get("t"))
-                if _value(want["t"]):
-                    report.add(name, f"cluster {cid} index", _value(want["t_index"]),
-                               got.get("t_index"))
-                report.add(name, f"cluster {cid} Du Val", _value(want["du_val"]),
-                           got.get("du_val"))
+            for label, key in _CHAIN_CHECKS if "chain" in want else ():
+                if key != "t_index" or _value(want["t"]):
+                    report.add(name, f"cluster {cid} {label}", _value(want[key]), got.get(key))
         got_k = {e["id"]: e["k"] for e in analysis["k"]}
         for comp, leaf in case.get("k_values", {}).items():
             report.add(name, f"degree {comp}", _value(leaf), got_k.get(comp))

@@ -478,9 +478,12 @@ def _local_index(step: tuple[str, int] | tuple[str]) -> int | None:
         return None
     if len(step) != 2 or step[0] != "div":
         raise ValueError(f"unknown step {step!r}")
-    if step[1] < 1:
-        raise ValueError(f"local index must be >= 1, got {step[1]}")
-    return step[1]
+    n = step[1]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"local index must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError(f"local index must be >= 1, got {n}")
+    return n
 
 
 def divisorial_budget(

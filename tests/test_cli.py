@@ -18,6 +18,26 @@ def data_path(name, tmp_path):
     return str(target)
 
 
+def graph_path(tmp_path, name, self_ints, edges):
+    """Write a graph of exceptional curves e0, e1, ... and one component c on e0."""
+    lines = [f"vertex e{i} kind=exc self={s}" for i, s in enumerate(self_ints)]
+    lines += ["vertex c kind=comp self=-1", "edge e0 c"]
+    lines += [f"edge e{a} e{b}" for a, b in edges]
+    target = tmp_path / name
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(target)
+
+
+def star_path(tmp_path):
+    # a -2 centre with arms -4, -4, -2: K.C of the component is 0
+    return graph_path(tmp_path, "star.graph", (-2, -4, -4, -2), ((0, 1), (0, 2), (0, 3)))
+
+
+def triangle_path(tmp_path):
+    # a cycle of three -2 curves is not negative definite
+    return graph_path(tmp_path, "triangle.graph", (-2, -2, -2), ((0, 1), (1, 2), (2, 0)))
+
+
 class TestAnalyze:
     def test_star_report(self, tmp_path, capsys):
         rc = main(["analyze", data_path("iidual_cb5.graph", tmp_path),
@@ -45,6 +65,31 @@ class TestAnalyze:
         assert rc == 0
         assert "Du Val: A1" in out
         assert "detached Du Val cluster" in out
+
+    def test_degree_zero_is_infeasible(self, tmp_path, capsys):
+        rc = main(["analyze", star_path(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "K.C(c) = 0  [NOT K-negative] (degree 0: infeasible)\ngerm feasible: no\n" in out
+
+    def test_no_recognised_index_note(self, tmp_path, capsys):
+        rc = main(["analyze", data_path("iidual_cb5.graph", tmp_path), "--assume-generator"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "primitivity (" not in out
+        assert out.endswith("note: some cluster has no recognised index; pass --point-index "
+                            "to enable its primitivity lines\n")
+
+    def test_noncontractible_cluster_text(self, tmp_path, capsys):
+        rc = main(["analyze", triangle_path(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "graph: 4 vertices (3 exceptional, 1 components)\n"
+            "tree: no\n"
+            "cluster 1: e0 e1 e2 (other), negative definite: no\n"
+            "  cluster is not contractible\n"
+            "note: skipping degree report: some cluster is not contractible\n"
+        )
 
     def test_json_mirror(self, tmp_path, capsys):
         path = data_path("k1a_c_k2.graph", tmp_path)
@@ -94,6 +139,10 @@ class TestQuotCommands:
         assert rc == 0
         assert "chain [2,5]" in out
         assert "base [4]" in out
+
+    def test_tchain_not_class_t(self, capsys):
+        assert main(["tchain", "7", "2"]) == 0
+        assert capsys.readouterr().out == "1/7(1,2) -> chain [4,2]\nclass T: no\n"
 
     def test_tchain_rejects_non_coprime(self, capsys):
         assert main(["tchain", "9", "3"]) == 2
@@ -145,6 +194,54 @@ class TestFlipCommand:
 
     def test_bad_input(self, capsys):
         assert main(["flip", "--index", "4", "--kc=1/4"]) == 2
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "{data}/k1a_a_m3.graph"], 0),
+        (["analyze", "{triangle}"], 0),
+        (["verify-paper", "--sweep-max", "9"], 0),
+        (["quot", "3,2,5,4,2"], 0),
+        (["quot", "2,2,2"], 0),
+        (["tchain", "9", "5"], 0),
+        (["tchain", "7", "2"], 0),
+        (["classify", "{data}/iidual_cb5.descr"], 0),
+        (["classify", "{five}"], 1),
+        (["flip", "--index", "4", "--kc=-1/4", "--plus-indices", "2,3"], 0),
+        (["ic-disprove", "--m", "5", "--mprime", "3", "--aprime", "2"], 0),
+        (["ic-disprove", "--m", "5", "--mprime", "3", "--aprime", "1"], 2),
+        (["ic-disprove", "--sweep-max", "9"], 0),
+        (["kad-disprove", "--m", "3", "--mprime", "5", "--aprime", "3", "--subcase", "k3a"], 0),
+        (["kad-disprove", "--m", "3", "--mprime", "3", "--aprime", "1", "--subcase", "k3a"], 2),
+        (["kad-disprove", "--subcase", "kad", "--sweep-max", "9"], 0),
+    ], ids=["analyze-chain", "analyze-noncontractible", "verify-paper", "quot-class-t",
+            "quot-not-t", "tchain-class-t", "tchain-not-t", "classify-accepted",
+            "classify-rejected", "flip", "ic-trace", "ic-rejected", "ic-sweep", "k3a-trace",
+            "k3a-rejected", "kad-sweep"])
+    def test_every_subcommand_prints_one_json_object(self, tmp_path, capsys, argv, code):
+        five = tmp_path / "five.descr"
+        five.write_text("component IIA\n" * 5 + "kind f\npoint index=4 tag=cAx/4\n",
+                        encoding="utf-8")
+        paths = {"data": str(Path(corpus.__file__).parent / "data"),
+                 "triangle": triangle_path(tmp_path), "five": str(five)}
+        assert main(["--json", *(a.format(**paths) for a in argv)]) == code
+        captured = capsys.readouterr()
+        assert isinstance(json.loads(captured.out), dict)
+        assert captured.err == ""
+
+
+class TestOutputErrors:
+    def test_broken_pipe_is_one_error_line(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["quot", "3,2,5,4,2"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestInputErrors:

@@ -15,7 +15,12 @@ from math import prod
 
 import pytest
 
-from conftest import neg_def_by_char_poly, random_symmetric, random_tree_graph
+from conftest import (
+    char_poly_coeffs,
+    neg_def_by_char_poly,
+    random_symmetric,
+    random_tree_graph,
+)
 from germcalc.dual_graph import (
     ConfigGraph,
     Vertex,
@@ -29,6 +34,7 @@ from germcalc.exactlinalg import (
     SymmetricForm,
     det_bareiss,
     eliminate,
+    leading_principal_minors,
     solve_exact,
 )
 from germcalc.resolution import codiscrepancy
@@ -105,6 +111,24 @@ def test_dense_forms_with_fill(rng):
         n = rng.randint(1, 6)
         rows = random_symmetric(rng, n)
         check_against_oracles(rows, [rng.randint(-5, 5) for _ in range(n)])
+
+
+def test_bareiss_reference_against_the_characteristic_polynomial(rng):
+    # det M = (-1)^n c_n; entries in [-2, 2] make zero leading minors common,
+    # and each one sends det_bareiss through its row swap
+    def det(rows):
+        return (-1) ** len(rows) * char_poly_coeffs(rows)[-1]
+
+    swapped = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = random_symmetric(rng, n, -2, 2)
+        assert det_bareiss(rows) == det(rows)
+        minors = leading_principal_minors(rows)
+        assert minors == [det([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+        swapped += 0 in minors[:-1]
+    assert swapped > 0
+    assert det_bareiss([[0, 1], [1, 0]]) == -1
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 12])

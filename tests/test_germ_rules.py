@@ -405,7 +405,13 @@ class TestPushInequalities:
         (divisorial_budget, (1, -1, 0), "local index must be >= 1, got 0"),
         (push_inequalities, (0, [("div",)]), r"unknown step \('div',\)"),
         (push_inequalities, (0, [()]), r"unknown step \(\)"),
-    ], ids=["budget-negative-index", "budget-zero-index", "div-without-index", "empty-step"])
+        (divisorial_budget, (1, -1, 2.5), "local index must be an int, got 2.5"),
+        (push_inequalities, (0, [("div", 2.5)]), "local index must be an int, got 2.5"),
+        (divisorial_budget, (1, -1, "3"), "local index must be an int, got '3'"),
+        (push_inequalities, (0, [("div", True)]), "local index must be an int, got True"),
+    ], ids=["budget-negative-index", "budget-zero-index", "div-without-index", "empty-step",
+            "budget-fractional-index", "div-fractional-index", "budget-string-index",
+            "div-bool-index"])
     def test_bad_step_or_index_is_a_value_error(self, func, args, message):
         with pytest.raises(ValueError, match=message):
             func(*args)
