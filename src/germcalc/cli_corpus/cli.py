@@ -67,7 +67,7 @@ def _cmd_quot(args) -> tuple[dict, list[str], int]:
     return _class_t_result(
         cert,
         {"chain": list(entries), "quot": str(quot), "du_val": dv},
-        [f"chain [{args.chain}] -> {quot}",
+        [f"chain [{','.join(map(str, entries))}] -> {quot}",
          f"Du Val: {'A' + str(dv) if dv is not None else 'no'}"],
         {"t_data": {"d": cert.d, "m": cert.m, "a": cert.a}},
     )
@@ -106,23 +106,26 @@ def _cmd_flip(args) -> tuple[dict, list[str], int]:
         kc = Fraction(args.kc)
     except ZeroDivisionError as err:  # a zero denominator, as in "1/0"
         raise ValueError(err) from None
-    value = fmt(germ_rules.flip_transfer(data, kc))
+    degree, value = fmt(kc), fmt(germ_rules.flip_transfer(data, kc))
     payload = {
         "index": args.index,
-        "kc": args.kc,
+        "kc": degree,
         "plus_indices": list(plus),
         "index_plus": data.index_plus,
         "kc_plus": value,
     }
     return payload, [
-        f"index {args.index}, degree {args.kc}, flipped index {data.index_plus}"
+        f"index {args.index}, degree {degree}, flipped index {data.index_plus}"
         f" -> flipped degree {value}"
     ], 0
 
 
 def _cmd_disprove(args) -> tuple[dict, list[str], int]:
     """Run one exclusion script: kad's ``--subcase`` names it; without one it is ic."""
+    inputs = (args.m, args.mprime, args.aprime)
     if args.sweep_max is not None:
+        if inputs != (None, None, None):
+            raise ValueError("provide --m/--mprime/--aprime or --sweep-max, not both")
         _check_sweep_max(args.sweep_max, (args.subcase or "ic",))
         summary = (ell_calc.kad_sweep(args.subcase, args.sweep_max) if args.subcase
                    else ell_calc.ic_sweep(args.sweep_max))
@@ -131,7 +134,6 @@ def _cmd_disprove(args) -> tuple[dict, list[str], int]:
             f"{summary.verdict()}"
         )
         return dataclasses.asdict(summary), [line], 0 if summary.all_contradicted else 1
-    inputs = (args.m, args.mprime, args.aprime)
     if None in inputs:
         raise ValueError("provide --m/--mprime/--aprime or --sweep-max")
     trace = (ell_calc.kad_disproof(*inputs, args.subcase) if args.subcase

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import count
 from math import gcd, lcm
+from operator import add
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class _Component:
         self.indices = tuple(points.values())
 
     def tensor(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return _carry(a[0] + b[0], [x + y for x, y in zip(a[1:], b[1:])], self.indices)
+        return _carry(a[0] + b[0], map(add, a[1:], b[1:]), self.indices)
 
     def dual(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return _carry(-a[0], [-w for w in a[1:]], self.indices)
@@ -185,11 +186,11 @@ def h1(div: EllDivisor) -> int:
 
 
 def _h0(c: int) -> int:
-    return max(0, c + 1)
+    return c + 1 if c >= 0 else 0
 
 
 def _h1(c: int) -> int:
-    return max(0, -c - 1)
+    return -c - 1 if c < -1 else 0
 
 
 def node_invariant_dim(g: int, t: int, lam: int, m: int) -> int:
@@ -457,6 +458,29 @@ def ic_rejection(m: int, m_prime: int, a_prime: int):
     return None
 
 
+@lru_cache(maxsize=1)
+def _ic_c2_forms(m: int) -> tuple:
+    """(C2, A2, B2, dual(A2)*B2^2) of ic_disproof, which depend on m alone; the
+    last is the splitting obstruction on C2."""
+    c2 = _Component(P=m)
+    a2, b2 = (0, 2), (-1, m - 1)
+    return c2, a2, b2, c2.tensor(c2.dual(a2), c2.tensor(b2, b2))
+
+
+@lru_cache(maxsize=1)
+def _ic_forms(m: int, m_prime: int) -> tuple:
+    """The forms of ic_disproof that do not involve a', which depend on (m, m')
+    alone: (C1, C2, A1, den, deg(A), C2's share of deg(B), the C2 obstruction),
+    the degrees as numerators over den = mm'.  A sweep reads one entry per (m, m')."""
+    c2, a2, b2, obstruction2 = _ic_c2_forms(m)
+    # C1 carries the node P and R, C2 carries P; the gluing has length 2
+    c1 = _Component(P=m, R=m_prime)
+    a1 = (-1, m - 1, 1)
+    den = m * m_prime
+    return (c1, c2, a1, den, c1.degree(a1, den) + c2.degree(a2, den), c2.degree(b2, den),
+            obstruction2)
+
+
 def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
     """Degree-calculus run excluding a two-component germ with an index-m
     point of the rigid kind joined to a two-point chain component.
@@ -472,13 +496,9 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
     if rejection is not None:
         return _rejected(script, inputs, rejection)
 
-    # C1 carries the node P and R, C2 carries P; the gluing has length 2
-    c1, c2 = _Component(P=m, R=m_prime), _Component(P=m)
-    a1, a2 = (-1, m - 1, 1), (0, 2)
-    b1, b2 = (-1, (m + 1) // 2, m_prime - a_prime), (-1, m - 1)
-    den = m * m_prime  # degrees below are numerators over den
-    deg_a = c1.degree(a1, den) + c2.degree(a2, den)
-    deg_b = c1.degree(b1, den) + c2.degree(b2, den)
+    c1, c2, a1, den, deg_a, deg_b2, obstruction2 = _ic_forms(m, m_prime)
+    b1 = (-1, (m + 1) // 2, m_prime - a_prime)
+    deg_b = c1.degree(b1, den) + deg_b2  # degrees are numerators over den
     steps = [
         ("k-negativity", (m + 1) * m_prime - 2 * m * a_prime, 2 * den, "holds", ""),
         ("deg-A", deg_a, den, "holds", ""),
@@ -503,7 +523,6 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
 
     step = "split-obstruction-h1"
     obstruction1 = c1.tensor(c1.dual(a1), c1.tensor(b1, b1))
-    obstruction2 = c2.tensor(c2.dual(a2), c2.tensor(b2, b2))
     _expect(step, "obstruction on C1", c1, obstruction1, (-1, 2, m_prime - 2))
     _expect(step, "obstruction on C2", c2, obstruction2, (-1, m - 4))
     for name, obstruction in (("C1", obstruction1), ("C2", obstruction2)):
@@ -577,6 +596,24 @@ def _kad_c2_forms(m: int, subcase: str) -> tuple:
     return c2, a2, b2, om2, c2.tensor(a2, a2), a2b2, b2b2, twists
 
 
+@lru_cache(maxsize=1)
+def _kad_c1_forms(m: int, m_prime: int) -> tuple:
+    """The normal forms on C1 of kad_disproof that do not involve A1, which
+    depend on (m, m') alone: (C1, B1, B1^2, dual(B1^2)), where B1^2 = D1; they
+    are pinned on every tuple, as those of _kad_c2_forms are."""
+    # C1 carries the node P and Q; the gluing with C2 has length 1
+    c1 = _Component(P=m, Q=m_prime)
+    b1 = (0, 0, 1)
+    b1b1 = c1.tensor(b1, b1)
+    return c1, b1, b1b1, c1.dual(b1b1)
+
+
+def _sections(x: tuple, y: tuple, index: int) -> int:
+    """h0 of the divisor with parts x on C1 and y on C2, glued at a length-1
+    node of ``index`` that is the first point of both."""
+    return _glued_h0(x[0], y[0], _node_invariant(x[1], y[1], index))
+
+
 def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTrace:
     """Cohomology-count run excluding a two-component germ with a chain
     component joined to a component carrying an extra index-2 point.
@@ -592,21 +629,16 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     if rejection is not None:
         return _rejected(script, inputs, rejection)
 
-    # C1 carries the node P and Q, C2 carries P and R; the gluing has length 1
-    c1 = _Component(P=m, Q=m_prime)
+    c1, b1, b1b1, d1_inv = _kad_c1_forms(m, m_prime)
     c2, a2, b2, om2, a2a2, a2b2, b2b2, twists = _kad_c2_forms(m, subcase)
     gap = m_prime - a_prime
     up, down = (m + 1) // 2, (m - 1) // 2
-    # graded-sheaf normal forms; the canonical restriction om1 equals a1
-    a1 = om1 = (-1, up, gap)
-    b1 = (0, 0, 1)
+    # graded-sheaf normal form; the canonical restriction om1 and E1 equal a1
+    a1 = (-1, up, gap)
 
-    def sections(x: tuple, y: tuple) -> int:
-        return _glued_h0(x[0], y[0], _node_invariant(x[1], y[1], m))
-
-    # the tensor-square/product table, recomputed and pinned
+    # the tensor-square/product table, pinned
     step = "degree-table"
-    a1a1, b1b1, a1b1 = c1.tensor(a1, a1), c1.tensor(b1, b1), c1.tensor(a1, b1)
+    a1a1, a1b1 = c1.tensor(a1, a1), c1.tensor(a1, b1)
     _expect(step, "A1^2", c1, a1a1, (-1, 1, 2 * gap))
     _expect(step, "B1^2", c1, b1b1, (0, 0, 2))
     _expect(step, "A1*B1", c1, a1b1, (-1, up, gap + 1))
@@ -620,7 +652,7 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     steps = [(step, None, 1, "holds", "graded normal forms verified")]
 
     step = "canonical-restrictions"
-    for label, om in (("C1", om1), ("C2", om2)):
+    for label, om in (("C1", a1), ("C2", om2)):
         if _h0(om[0]) or _h1(om[0]):
             raise ScriptCheckError(step, f"canonical restriction to {label} has sections")
     steps.append((step, 0, 1, "holds", "h0 = h1 = 0 on both components"))
@@ -635,9 +667,9 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
                "expected h1 = 1 twice")
         steps.append(("forces-conic-bundle", None, 1, "forces_cb",
                       "h1 of the twisted square is >= 2"))
-        h_gr1 = sections(a1, a2) + sections(b1, b2)
+        h_gr1 = _sections(a1, a2, m) + _sections(b1, b2, m)
         steps.append(("h0-gr1", h_gr1, 1, "holds", ""))
-        h_sym = sections(a1a1, a2a2) + sections(a1b1, a2b2) + sections(b1b1, b2b2)
+        h_sym = _sections(a1a1, a2a2, m) + _sections(a1b1, a2b2, m) + _sections(b1b1, b2b2, m)
         steps.append(("h0-sym2", h_sym, 1, "holds", ""))
         _check(h_gr1 == 0 and h_sym == 0, "section-count-conflict",
                "expected no sections in weights 1 and 2")
@@ -648,11 +680,11 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
 
     # kad, m >= 5
     twist2, mm2, oe2, key = twists
+    # om*B1 = E1*B1 = A1*B1 and om*E1 = A1^2: the pins below reread those products
     step = "gr1-omega-vanishing"
-    twist1 = c1.tensor(om1, b1)
-    _expect(step, "om*B1", c1, twist1, (-1, up, gap + 1))
+    _expect(step, "om*B1", c1, a1b1, (-1, up, gap + 1))
     _expect(step, "om*B2", c2, twist2, (-1, down, 0))
-    if any(_h0(x[0]) or _h1(x[0]) for x in (twist1, twist2)):
+    if _h0(a1b1[0]) or _h1(a1b1[0]) or _h0(twist2[0]) or _h1(twist2[0]):
         raise ScriptCheckError(step, "twisted weight-1 piece has sections")
     steps.append((step, 0, 1, "holds", ""))
 
@@ -661,8 +693,7 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     steps.append(("split-check-c1", obstruction1, 1, "holds",
                   ("splitting obstruction {!r}", c1.divisor(split1))))
     step = "split-check-thickening"
-    d1, e1 = b1b1, a1
-    mm1 = c1.tensor(c1.tensor(e1, b1), c1.dual(d1))
+    mm1 = c1.tensor(a1b1, d1_inv)
     _expect(step, "E1*B1/D1", c1, mm1, (-1, up, gap - 1))
     _expect(step, "E2*B2/D2", c2, mm2, (-1, down, 0))
     obstruction2 = _h1(mm1[0]) + _h1(mm2[0])
@@ -670,10 +701,9 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     _check(not (obstruction1 or obstruction2), step, "splitting obstruction does not vanish")
 
     step = "omega-e-vanishing"
-    oe1 = c1.tensor(om1, e1)
-    _expect(step, "om*E1", c1, oe1, (-1, 1, 2 * gap))
+    _expect(step, "om*E1", c1, a1a1, (-1, 1, 2 * gap))
     _expect(step, "om*E2", c2, oe2, (-1, m - 1, 0))
-    if any(_h0(x[0]) or _h1(x[0]) for x in (oe1, oe2)):
+    if _h0(a1a1[0]) or _h1(a1a1[0]) or _h0(oe2[0]) or _h1(oe2[0]):
         raise ScriptCheckError(step, "twisted splitting piece has sections")
     steps.append((step, 0, 1, "holds", ""))
 
@@ -683,10 +713,11 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     steps.append((step, hk, 1, "forces_cb", "nonvanishing h1 rules out the birational cases"))
     _check(hk == 1, step, "expected h1 = 1 on the key twist")
 
-    h_a, h_b = sections(a1, a2), sections(b1, b2)
+    h_a, h_b = _sections(a1, a2, m), _sections(b1, b2, m)
     steps.append(("h0-gr1", h_a + h_b, 1, "holds", "the unique weight-1 section lives on C2"))
     _check((h_a, h_b) == (1, 0), "h0-gr1", "weight-1 section count off")
-    sq_a, sq_ab, sq_b = sections(a1a1, a2a2), sections(a1b1, a2b2), sections(b1b1, b2b2)
+    sq_a, sq_ab, sq_b = (_sections(a1a1, a2a2, m), _sections(a1b1, a2b2, m),
+                         _sections(b1b1, b2b2, m))
     c1_side = _h0(a1a1[0]) + _h0(a1b1[0]) + sq_b
     steps.append(("h0-gr2", sq_a + sq_ab + sq_b, 1, "holds",
                   "all weight-2 sections restrict to zero on C1"))
@@ -741,11 +772,17 @@ class SweepSummary:
         return "all contradicted" if self.all_contradicted else f"FAILURE: {self.failure}"
 
 
+# the per-parameter forms of the scripts, emptied when a sweep starts so that it
+# never reads forms computed before it began
+_SWEEP_CACHES = (_ic_c2_forms, _ic_forms, _kad_c1_forms, _kad_c2_forms)
+
+
 def _sweep(script: str, tuples, run, final_step: str, reaches_final) -> SweepSummary:
     """Run every tuple, counting a failure for each trace that raises in an
     internal check, is not a contradiction, or reaches ``final_step`` other
     than as ``reaches_final`` predicts."""
-    _kad_c2_forms.cache_clear()
+    for cache in _SWEEP_CACHES:
+        cache.cache_clear()
     total = survivors = failures = 0
     first = ""
     for inputs in tuples:

@@ -133,6 +133,10 @@ class TestQuotCommands:
     def test_quot_rejects_bad_entries(self, capsys):
         assert main(["quot", "1,3"]) == 2
 
+    def test_quot_prints_the_parsed_entries(self, capsys):
+        assert main(["quot", " 3, 2,+5"]) == 0
+        assert capsys.readouterr().out == "chain [3,2,5] -> 1/22(1,9)\nDu Val: no\nclass T: no\n"
+
     def test_tchain(self, capsys):
         rc = main(["tchain", "9", "5"])
         out = capsys.readouterr().out
@@ -194,6 +198,15 @@ class TestFlipCommand:
 
     def test_bad_input(self, capsys):
         assert main(["flip", "--index", "4", "--kc=1/4"]) == 2
+
+    def test_prints_the_parsed_degree(self, capsys):
+        argv = ["flip", "--index", "4", "--kc= -1/4", "--plus-indices", "2,3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "index 4, degree -1/4, flipped index 6 -> flipped degree 1/6\n")
+        assert main(["--json", *argv]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "index": 4, "kc": "-1/4", "plus_indices": [2, 3], "index_plus": 6, "kc_plus": "1/6"}
 
 
 class TestJsonOutput:
@@ -268,6 +281,10 @@ class TestInputErrors:
         (["classify", "{stray}"],
          "line 4: point line needs: point index=<m> tag=<string> [ell=<r>]"),
         (["classify", "{no_component}"], "descriptor needs at least one component"),
+        (["ic-disprove", "--m", "5", "--mprime", "3", "--aprime", "2", "--sweep-max", "9"],
+         "provide --m/--mprime/--aprime or --sweep-max, not both"),
+        (["kad-disprove", "--subcase", "kad", "--aprime", "2", "--sweep-max", "9"],
+         "provide --m/--mprime/--aprime or --sweep-max, not both"),
     ])
     def test_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"dir": str(tmp_path), "graph": data_path("iidual_cb5.graph", tmp_path)}

@@ -242,13 +242,14 @@ class TestSweepVerdicts:
         assert summary.failure.endswith("first (3, 5, 3) ends rejected at rejection")
 
 
-def _corrupt_carry(monkeypatch, m, good, bad):
-    """Make every carry on the C2 of index m that yields ``good`` yield ``bad``."""
+def _corrupt_carry(monkeypatch, point_indices, good, bad):
+    """Make every carry on the component of ``point_indices`` that yields
+    ``good`` yield ``bad``."""
     real = ell_calc._carry
 
     def corrupt(c, raw, indices):
         nf = real(c, raw, indices)
-        return bad if tuple(indices) == (m, 2) and nf == good else nf
+        return bad if tuple(indices) == point_indices and nf == good else nf
 
     monkeypatch.setattr(ell_calc, "_carry", corrupt)
 
@@ -272,7 +273,7 @@ class TestPerMFormsAndLazyTraces:
     @pytest.mark.parametrize("subcase, m, good, bad, message", CORRUPTED_FORMS)
     def test_corrupt_m_only_form_fails_every_tuple_of_its_m(
             self, monkeypatch, subcase, m, good, bad, message):
-        _corrupt_carry(monkeypatch, m, good, bad)
+        _corrupt_carry(monkeypatch, (m, 2), good, bad)
         summary = kad_sweep(subcase, 15)
         assert summary.failures == sum(1 for t in kad_admissible(subcase, 15) if t[0] == m)
         assert summary.failure == message
@@ -281,7 +282,7 @@ class TestPerMFormsAndLazyTraces:
     def test_sweep_never_reads_forms_computed_before_it(self, monkeypatch):
         subcase, m, good, bad, message = CORRUPTED_FORMS[1]
         kad_disproof(m, 3, 2, subcase)  # clean forms for m = 5
-        _corrupt_carry(monkeypatch, m, good, bad)
+        _corrupt_carry(monkeypatch, (m, 2), good, bad)
         assert kad_sweep(subcase, 15).failure == message
         monkeypatch.undo()  # the corrupted forms must not outlive that sweep
         assert kad_sweep(subcase, 15).failures == 0
@@ -309,3 +310,73 @@ class TestPerMFormsAndLazyTraces:
                             assert type(a.note) is type(b.note) is str
                         assert lazy == eager and hash(lazy) == hash(eager)
                         assert repr(lazy) == repr(eager)
+
+
+def _run_sweep(script, cap):
+    return ic_sweep(cap) if script == "ic" else kad_sweep(script, cap)
+
+
+# One corrupted form per case on the component of the given point indices: B1^2
+# depends on (m, m'), ic's obstruction on C2 on m alone.  The counts and messages
+# are those the scripts gave while they recomputed every form on every tuple.
+CORRUPTED_PAIR_FORMS = [
+    ("kad", (7, 5), (0, 0, 2), (0, 0, 1),
+     "2 of 210 failed, first (7, 5, 3) at degree-table: B1^2: computed "
+     "(0 + 0*P[7] + 1*Q[5]), expected (0 + 0*P[7] + 2*Q[5])"),
+    ("k3a", (3, 7), (0, 0, 2), (0, 1, 2),
+     "3 of 35 failed, first (3, 7, 4) at degree-table: B1^2: computed "
+     "(0 + 1*P[3] + 2*Q[7]), expected (0 + 0*P[3] + 2*Q[7])"),
+    ("ic", (9,), (-1, 5), (-1, 4),
+     "3 of 188 failed, first (9, 3, 2) at split-obstruction-h1: obstruction on C2: "
+     "computed (-1 + 4*P[9]), expected (-1 + 5*P[9])"),
+]
+
+# Corrupted forms that the first tuple of a sweep reads: the first covers
+# _kad_c1_forms, the second _ic_forms and _ic_c2_forms.
+CORRUPTED_FIRST_FORMS = [
+    ("kad", (5, 3), (0, 0, 2), (0, 0, 1),
+     "1 of 210 failed, first (5, 3, 2) at degree-table: B1^2: computed "
+     "(0 + 0*P[5] + 1*Q[3]), expected (0 + 0*P[5] + 2*Q[3])"),
+    ("ic", (5,), (-1, 1), (-1, 2),
+     "1 of 188 failed, first (5, 3, 2) at split-obstruction-h1: obstruction on C2: "
+     "computed (-1 + 2*P[5]), expected (-1 + 1*P[5])"),
+]
+
+
+class TestPerPairForms:
+    @pytest.mark.parametrize("script, indices, good, bad, message", CORRUPTED_PAIR_FORMS,
+                             ids=[case[0] for case in CORRUPTED_PAIR_FORMS])
+    def test_corrupt_pair_form_fails_every_tuple_that_reads_it(
+            self, monkeypatch, script, indices, good, bad, message):
+        _corrupt_carry(monkeypatch, indices, good, bad)
+        assert _run_sweep(script, 15).failure == message
+
+    @pytest.mark.parametrize("script, indices, good, bad, message", CORRUPTED_FIRST_FORMS,
+                             ids=[case[0] for case in CORRUPTED_FIRST_FORMS])
+    def test_sweep_never_reads_pair_forms_computed_before_it(
+            self, monkeypatch, script, indices, good, bad, message):
+        if script == "ic":
+            ic_disproof(*next(ic_admissible(15)))  # clean forms for the first tuple
+        else:
+            kad_disproof(*next(kad_admissible(script, 15)), script)
+        _corrupt_carry(monkeypatch, indices, good, bad)
+        assert _run_sweep(script, 15).failure == message
+        monkeypatch.undo()  # the corrupted forms must not outlive that sweep
+        assert _run_sweep(script, 15).failures == 0
+
+    def test_carries_per_sweep(self, monkeypatch):
+        # These count work, not time: the carries, one per normal form computed,
+        # of each sweep at cap 15, 6.0 per kad tuple.
+        real, calls = ell_calc._carry, []
+
+        def counting(c, raw, indices):
+            calls.append(indices)
+            return real(c, raw, indices)
+
+        monkeypatch.setattr(ell_calc, "_carry", counting)
+        counts = {}
+        for script in ("kad", "k3a", "ic"):
+            calls.clear()
+            assert _run_sweep(script, 15).all_contradicted
+            counts[script] = len(calls)
+        assert counts == {"kad": 1260, "k3a": 101, "ic": 81}
