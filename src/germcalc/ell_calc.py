@@ -20,7 +20,8 @@ deg(B) + deg(A)/d >= 0, strictly for birational contractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import count
@@ -362,8 +363,9 @@ class DisproofTrace:
     The scripts record each step as a plain tuple (name, num, den, verdict,
     note): the value is num/den, or None when num is None, and the note is a
     string or a tuple (format, *args) that ``steps`` formats.  ``steps`` builds
-    the TraceSteps from them on first read, so a sweep that reads only
+    the TraceSteps from them on first read, so a caller that reads only
     ``status`` and ``end``, or compares or hashes traces, never builds them.
+    Sweeps build no trace: they run the scripts' bodies on bare records.
     """
 
     script: str
@@ -446,14 +448,19 @@ def _ic_index_rejection(m: int):
     return None
 
 
+def _ic_min_a_prime(m: int, m_prime: int) -> int:
+    """The least a' for which the k-negativity value (m+1)/(2m) - a'/m' is
+    negative."""
+    return (m + 1) * m_prime // (2 * m) + 1
+
+
 def ic_rejection(m: int, m_prime: int, a_prime: int):
     """Why ic_disproof rejects (m, m', a'), as (reason, value) with the value
     a (numerator, denominator) pair or None; None for an admissible tuple."""
     rejection = _ic_index_rejection(m) or _chain_point_rejection(m_prime, a_prime)
     if rejection is not None:
         return rejection
-    # the k-negativity value (m+1)/(2m) - a'/m' must be negative
-    if (m + 1) * m_prime >= 2 * m * a_prime:
+    if a_prime < _ic_min_a_prime(m, m_prime):
         return "K-negativity fails", ((m + 1) * m_prime - 2 * m * a_prime, 2 * m * m_prime)
     return None
 
@@ -495,7 +502,11 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
     rejection = ic_rejection(m, m_prime, a_prime)
     if rejection is not None:
         return _rejected(script, inputs, rejection)
+    return DisproofTrace(script, inputs, "contradiction", _ic_steps(m, m_prime, a_prime))
 
+
+def _ic_steps(m: int, m_prime: int, a_prime: int) -> tuple[tuple, ...]:
+    """The records of ic_disproof on an admissible tuple."""
     c1, c2, a1, den, deg_a, deg_b2, obstruction2 = _ic_forms(m, m_prime)
     b1 = (-1, (m + 1) // 2, m_prime - a_prime)
     deg_b = c1.degree(b1, den) + deg_b2  # degrees are numerators over den
@@ -513,7 +524,7 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
     if _width_verdict(width2, "unknown") == "contradiction":
         steps.append(("width-2-degree", width2, den, "contradiction",
                       "negative width-2 degree"))
-        return DisproofTrace(script, inputs, "contradiction", tuple(steps))
+        return tuple(steps)
     steps.append(("width-2-degree", width2, den, "forces_cb",
                   "zero degree rules out the birational cases"))
 
@@ -544,7 +555,7 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
     _check(2 * width3 == -(m + m_prime) and width3 == deg_b, "width-3-degree",
            "width-3 degree mismatch")
     steps.append(("width-3-degree", width3, den, "contradiction", "width-3 inequality fails"))
-    return DisproofTrace(script, inputs, "contradiction", tuple(steps))
+    return tuple(steps)
 
 
 def _kad_index_rejection(m: int, subcase: str):
@@ -557,13 +568,18 @@ def _kad_index_rejection(m: int, subcase: str):
     return None
 
 
+def _kad_min_a_prime(m: int, m_prime: int) -> int:
+    """The least a' with m' - a' < m'/2, whatever m."""
+    return m_prime // 2 + 1
+
+
 def kad_rejection(m: int, m_prime: int, a_prime: int, subcase: str):
     """Why kad_disproof rejects (m, m', a') in ``subcase`` ("k3a" or "kad"),
     in the form ic_rejection uses."""
     rejection = _kad_index_rejection(m, subcase) or _chain_point_rejection(m_prime, a_prime)
     if rejection is not None:
         return rejection
-    if 2 * (m_prime - a_prime) >= m_prime:
+    if a_prime < _kad_min_a_prime(m, m_prime):
         return f"m'-a' = {m_prime - a_prime} >= m'/2", (m_prime - a_prime, 1)
     return None
 
@@ -628,7 +644,13 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     rejection = kad_rejection(m, m_prime, a_prime, subcase)
     if rejection is not None:
         return _rejected(script, inputs, rejection)
+    return DisproofTrace(script, inputs, "contradiction",
+                         _kad_steps(m, m_prime, a_prime, subcase))
 
+
+def _kad_steps(m: int, m_prime: int, a_prime: int, subcase: str) -> tuple[tuple, ...]:
+    """The records of kad_disproof on a tuple admissible in ``subcase``, which
+    is lower case."""
     c1, b1, b1b1, d1_inv = _kad_c1_forms(m, m_prime)
     c2, a2, b2, om2, a2a2, a2b2, b2b2, twists = _kad_c2_forms(m, subcase)
     gap = m_prime - a_prime
@@ -676,7 +698,7 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
         steps.append(("section-count-conflict", None, 1, "contradiction",
                       "two independent width-2 sections cannot fit in "
                       "h0 <= h0(sym2) + 1 = 1"))
-        return DisproofTrace(script, inputs, "contradiction", tuple(steps))
+        return tuple(steps)
 
     # kad, m >= 5
     twist2, mm2, oe2, key = twists
@@ -726,30 +748,30 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     steps.append(("multiplicity-conflict", None, 1, "contradiction",
                   "a second base section must vanish to order 3 along "
                   "C1, against the length-4 budget"))
-    return DisproofTrace(script, inputs, "contradiction", tuple(steps))
+    return tuple(steps)
 
 
-def _admissible(rejection, index_rejection, sweep_max: int):
-    """The tuples with m, m' <= sweep_max that ``rejection`` admits, skipping
-    each m that ``index_rejection``, the part of the rule on m alone, rejects."""
+def _admissible(index_rejection, min_a_prime, sweep_max: int):
+    """The tuples with m, m' <= sweep_max that a script's rule admits, in the
+    order m, m', a'.  The rule is judged once per level: ``index_rejection``
+    once per m, and from ``min_a_prime(m, m')`` up only the chain-point rule."""
     for m in range(1, sweep_max + 1):
         if index_rejection(m) is not None:
             continue
         for m_prime in range(1, sweep_max + 1):
-            for a_prime in range(1, m_prime):
-                if rejection(m, m_prime, a_prime) is None:
+            for a_prime in range(min_a_prime(m, m_prime), m_prime):
+                if _chain_point_rejection(m_prime, a_prime) is None:
                     yield (m, m_prime, a_prime)
 
 
 def ic_admissible(sweep_max: int = 49):
     """Input triples accepted by ic_disproof, with m, m' capped."""
-    return _admissible(ic_rejection, _ic_index_rejection, sweep_max)
+    return _admissible(_ic_index_rejection, _ic_min_a_prime, sweep_max)
 
 
 def kad_admissible(subcase: str, sweep_max: int = 49):
-    subcase = subcase.lower()
-    return _admissible(partial(kad_rejection, subcase=subcase),
-                       partial(_kad_index_rejection, subcase=subcase), sweep_max)
+    return _admissible(partial(_kad_index_rejection, subcase=subcase.lower()),
+                       _kad_min_a_prime, sweep_max)
 
 
 def smallest_sweep_max(script: str) -> int:
@@ -767,6 +789,8 @@ class SweepSummary:
     all_contradicted: bool  # false as well when no tuple is admitted
     failures: int = 0
     failure: str = ""  # on failure: the count and the first failing tuple and step
+    # step name -> the number of tuples whose records end at that step
+    ends: dict[str, int] = field(default_factory=dict, hash=False)
 
     def verdict(self) -> str:
         return "all contradicted" if self.all_contradicted else f"FAILURE: {self.failure}"
@@ -777,41 +801,46 @@ class SweepSummary:
 _SWEEP_CACHES = (_ic_c2_forms, _ic_forms, _kad_c1_forms, _kad_c2_forms)
 
 
-def _sweep(script: str, tuples, run, final_step: str, reaches_final) -> SweepSummary:
-    """Run every tuple, counting a failure for each trace that raises in an
-    internal check, is not a contradiction, or reaches ``final_step`` other
-    than as ``reaches_final`` predicts."""
+def _sweep(script: str, tuples, body, final_step: str, reaches_final) -> SweepSummary:
+    """Run the script's body on every tuple, counting a failure for each that
+    raises in an internal check, returns no records, ends other than in a
+    contradiction, or reaches ``final_step`` other than as ``reaches_final``
+    predicts."""
     for cache in _SWEEP_CACHES:
         cache.cache_clear()
-    total = survivors = failures = 0
+    total = failures = 0
+    ends = Counter()
     first = ""
     for inputs in tuples:
         total += 1
         try:
-            trace = run(*inputs)
+            records = body(*inputs)
         except (AssertionError, ValueError) as err:
             step = getattr(err, "step", None)
             problem = f"at {step}: {err}" if step else f"raised {type(err).__name__}: {err}"
         else:
-            end = trace.end or "rejection"
-            reached = end == final_step
-            survivors += reached
-            if trace.status == "contradiction" and reached == reaches_final(*inputs):
-                continue
-            problem = f"ends {trace.status} at {end}"
+            if records:
+                end, verdict = records[-1][0], records[-1][3]
+                ends[end] += 1
+                if verdict == "contradiction" and (end == final_step) == reaches_final(*inputs):
+                    continue
+                problem = f"ends {verdict} at {end}"
+            else:
+                problem = "returned no records"
         failures += 1
         first = first or f"first {inputs} {problem}"
     if total == 0:
         failure = "no admissible tuples"
     else:
         failure = f"{failures} of {total} failed, {first}" if failures else ""
-    return SweepSummary(script, total, survivors, not failure, failures, failure)
+    return SweepSummary(script, total, ends[final_step], not failure, failures, failure,
+                        dict(sorted(ends.items())))
 
 
 def ic_sweep(sweep_max: int = 49) -> SweepSummary:
-    """ic_disproof on every admissible tuple up to the cap; exactly the tuples
+    """The ic script on every admissible tuple up to the cap; exactly the tuples
     with 2a' = m'+1 and m > m' must reach the width-3 step."""
-    return _sweep("ic", ic_admissible(sweep_max), ic_disproof, "width-3-degree",
+    return _sweep("ic", ic_admissible(sweep_max), _ic_steps, "width-3-degree",
                   lambda m, m_prime, a_prime: 2 * a_prime == m_prime + 1 and m > m_prime)
 
 
@@ -819,5 +848,4 @@ def kad_sweep(subcase: str, sweep_max: int = 49) -> SweepSummary:
     subcase = subcase.lower()
     final = "section-count-conflict" if subcase == "k3a" else "multiplicity-conflict"
     return _sweep(f"kad/{subcase}", kad_admissible(subcase, sweep_max),
-                  lambda m, m_prime, a_prime: kad_disproof(m, m_prime, a_prime, subcase),
-                  final, lambda *_: True)
+                  partial(_kad_steps, subcase=subcase), final, lambda *_: True)

@@ -361,14 +361,14 @@ class TestVerifyCommand:
         assert any(c["case"] == "iidual" for c in payload["checks"])
 
     def test_sweep_failure_exits_1_without_traceback(self, capsys, monkeypatch):
-        real = ell_calc.ic_disproof
+        real = ell_calc._ic_steps
 
         def failing(m, mp, ap):
             if (m, mp, ap) == (9, 5, 3):
                 raise AssertionError("injected")
             return real(m, mp, ap)
 
-        monkeypatch.setattr(ell_calc, "ic_disproof", failing)
+        monkeypatch.setattr(ell_calc, "_ic_steps", failing)
         assert main(["verify-paper", "--sweep-max", "9"]) == 1
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err

@@ -1,6 +1,8 @@
 import copy
 from fractions import Fraction as F
 
+import pytest
+
 from germcalc import ell_calc
 from germcalc.cli_corpus import corpus
 from germcalc.cli_corpus.corpus import analyze_graph, load_corpus, verify_paper
@@ -52,14 +54,14 @@ class TestVerify:
         assert a == b
 
     def test_sweep_failure_is_a_fail_line(self, monkeypatch):
-        real = ell_calc.kad_disproof
+        real = ell_calc._kad_steps
 
         def failing(m, mp, ap, subcase):
             if (m, mp, ap) == (7, 5, 4) and subcase == "kad":
                 raise AssertionError("injected")
             return real(m, mp, ap, subcase)
 
-        monkeypatch.setattr(ell_calc, "kad_disproof", failing)
+        monkeypatch.setattr(ell_calc, "_kad_steps", failing)
         report = verify_paper(sweep_max=9)
         assert not report.ok
         assert len(report.checks) == 237
@@ -68,6 +70,26 @@ class TestVerify:
                        "1 of 39 failed, first (7, 5, 4) raised AssertionError: injected)"]
         assert "sweep kad/kad (max 9): 39 tuples, FAILURE: 1 of 39 failed" in (
             "\n".join(report.render()))
+
+    @pytest.mark.parametrize("body, inputs, check, last, problem", [
+        ("_ic_steps", (9, 5, 3), "rigid-chain exclusion", 0, "returned no records"),
+        ("_ic_steps", (9, 5, 3), "rigid-chain exclusion", 4,
+         "ends forces_cb at width-2-degree"),
+        ("_kad_steps", (7, 5, 4), "kad exclusion", 0, "returned no records"),
+    ])
+    def test_body_without_a_contradiction_is_a_fail_line(
+            self, monkeypatch, body, inputs, check, last, problem):
+        real = getattr(ell_calc, body)
+
+        def cut(*args, **kwargs):
+            records = real(*args, **kwargs)
+            return records[:last] if args[:3] == inputs else records
+
+        monkeypatch.setattr(ell_calc, body, cut)
+        report = verify_paper(sweep_max=9)
+        bad = [c for c in report.checks if not c.ok]
+        assert [(c.case, c.check) for c in bad] == [("sweep", check)]
+        assert bad[0].line().endswith(f"first {inputs} {problem})")
 
     def test_mutated_expectation_fails_with_diff(self):
         data = copy.deepcopy(load_corpus())

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from functools import partial
 from math import gcd
@@ -228,18 +229,89 @@ class TestSweepVerdicts:
             "at node-invariants: node invariants unexpectedly nonzero")
 
     def test_trace_that_does_not_contradict_is_a_failure(self, monkeypatch):
-        real = ell_calc.kad_disproof
+        real = ell_calc._kad_steps
 
         def rejecting(m, mp, ap, subcase):
-            trace = real(m, mp, ap, subcase)
+            records = real(m, mp, ap, subcase)
             if (m, mp, ap) == (3, 5, 3):
-                return ell_calc.DisproofTrace(trace.script, trace.inputs, "rejected")
-            return trace
+                return records[:-1]
+            return records
 
-        monkeypatch.setattr(ell_calc, "kad_disproof", rejecting)
+        monkeypatch.setattr(ell_calc, "_kad_steps", rejecting)
         summary = kad_sweep("k3a", 9)
         assert summary.failures == 1
-        assert summary.failure.endswith("first (3, 5, 3) ends rejected at rejection")
+        assert summary.failure.endswith("first (3, 5, 3) ends holds at h0-sym2")
+
+
+def _conditions(script):
+    return _ic_conditions if script == "ic" else partial(_kad_conditions, script)
+
+
+def _admissible(script, cap):
+    return ic_admissible(cap) if script == "ic" else kad_admissible(script, cap)
+
+
+class TestOneRulePerLevel:
+    @pytest.mark.parametrize("script", ["ic", "k3a", "kad"])
+    def test_enumerator_matches_the_conditions_to_60(self, script):
+        cap, conditions = 60, _conditions(script)
+        expected = [(m, mp, ap) for m in range(1, cap + 1) for mp in range(1, cap + 1)
+                    for ap in range(1, mp) if conditions(m, mp, ap)]
+        assert list(_admissible(script, cap)) == expected
+
+    def test_rule_boundaries(self):
+        trace = ic_disproof(5, 5, 3)
+        assert (trace.rejection, trace.rejection_value) == ("K-negativity fails", 0)
+        assert ic_rejection(5, 5, 4) is None and (5, 5, 4) in set(ic_admissible(5))
+        trace = kad_disproof(5, 5, 2, "kad")
+        assert (trace.rejection, trace.rejection_value) == ("m'-a' = 3 >= m'/2", 3)
+        assert kad_rejection(5, 5, 3, "kad") is None
+        assert (5, 5, 3) in set(kad_admissible("kad", 5))
+
+    def test_work_per_sweep(self, monkeypatch):
+        # These count work, not time: at cap 15 a sweep judges the index rule once
+        # per m and the chain-point rule once per candidate from the a' bound up,
+        # and runs the script's body, not its public entry, once per tuple.
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(ell_calc, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(ell_calc, name, counted)
+
+        for name in ("_ic_index_rejection", "_kad_index_rejection", "ic_rejection",
+                     "kad_rejection", "_chain_point_rejection", "_ic_steps", "_kad_steps",
+                     "ic_disproof", "kad_disproof", "DisproofTrace"):
+            counting(name)
+        counts = {}
+        for script in ("ic", "k3a", "kad"):
+            calls.clear()
+            summary = _run_sweep(script, 15)
+            assert summary.all_contradicted
+            counts[script] = (summary.total, dict(calls))
+        assert counts == {
+            "ic": (188, {"_ic_index_rejection": 15, "_chain_point_rejection": 268,
+                         "_ic_steps": 188}),
+            "k3a": (35, {"_kad_index_rejection": 15, "_chain_point_rejection": 49,
+                         "_kad_steps": 35}),
+            "kad": (210, {"_kad_index_rejection": 15, "_chain_point_rejection": 294,
+                          "_kad_steps": 210}),
+        }
+
+    @pytest.mark.parametrize("script, final, ends", [
+        ("ic", "width-3-degree", {"width-2-degree": 7951, "width-3-degree": 276}),
+        ("k3a", "section-count-conflict", {"section-count-conflict": 376}),
+        ("kad", "multiplicity-conflict", {"multiplicity-conflict": 8648}),
+    ])
+    def test_ends_at_49(self, script, final, ends):
+        summary = _run_sweep(script, 49)
+        assert summary.all_contradicted
+        assert summary.ends == ends
+        assert summary.total == sum(ends.values())
+        assert summary.survivors == ends[final]
 
 
 def _corrupt_carry(monkeypatch, point_indices, good, bad):
