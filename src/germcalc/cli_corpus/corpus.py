@@ -25,8 +25,12 @@ from ..dual_graph import (
 from ..exactlinalg import fmt
 
 
+# the data directory, resolved once; each read_data still reads its file
+_DATA = resources.files("germcalc.cli_corpus") / "data"
+
+
 def read_data(name: str) -> str:
-    return (resources.files("germcalc.cli_corpus") / "data" / name).read_text(encoding="utf-8")
+    return (_DATA / name).read_text(encoding="utf-8")
 
 
 def load_corpus() -> dict:

@@ -29,20 +29,38 @@ from math import gcd, lcm
 from operator import add
 
 
+def _exact_int(value, what: str) -> int:
+    """``value`` if it is an int and not a bool, else a ValueError naming it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MarkedPoint:
     label: str
     index: int
 
     def __post_init__(self):
-        if self.index < 2:
+        if _exact_int(self.index, "marked point index") < 2:
             raise ValueError("marked point index must be >= 2")
 
 
 def _carry(c: int, raw, indices) -> tuple[int, ...]:
     """Normal form (c', w_1, ..., w_k) of c + sum raw_i P_i, where P_i has
     index indices[i]: each weight is reduced into [0, index) and the overflow
-    is carried into the integer part."""
+    is carried into the integer part.
+
+    Components of one or two points, which are all that the scripts build,
+    take a straight-line path; wider ones take the loop.
+    """
+    k = len(indices)
+    if k == 2:
+        (w1, w2), (n1, n2) = raw, indices
+        return (c + w1 // n1 + w2 // n2, w1 % n1, w2 % n2)
+    if k == 1:
+        (w,), (n,) = raw, indices
+        return (c + w // n, w % n)
     weights = []
     for w, n in zip(raw, indices):
         q, r = divmod(w, n)
@@ -66,14 +84,26 @@ class _Component:
         self.labels = tuple(points)
         self.indices = tuple(points.values())
 
+    # the scripts' components have one or two points: tensor and dual spell out
+    # two, which every tuple runs, and _carry and degree spell out both
+
     def tensor(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        if len(a) == 3:
+            return _carry(a[0] + b[0], (a[1] + b[1], a[2] + b[2]), self.indices)
         return _carry(a[0] + b[0], map(add, a[1:], b[1:]), self.indices)
 
     def dual(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        if len(a) == 3:
+            return _carry(-a[0], (-a[1], -a[2]), self.indices)
         return _carry(-a[0], [-w for w in a[1:]], self.indices)
 
     def degree(self, a: tuple[int, ...], den: int) -> int:
         """den * ell_deg(a), for a den divisible by every index."""
+        if len(a) == 3:
+            n1, n2 = self.indices
+            return a[0] * den + a[1] * (den // n1) + a[2] * (den // n2)
+        if len(a) == 2:
+            return a[0] * den + a[1] * (den // self.indices[0])
         return a[0] * den + sum(w * (den // n) for w, n in zip(a[1:], self.indices))
 
     def union(self, other: _Component) -> _Component:
@@ -114,13 +144,12 @@ class EllDivisor:
     def __init__(self, c: int, weights: dict[MarkedPoint, int] | None = None):
         weights = dict(weights or {})
         comp, ws = _on_component(weights)
+        c = _exact_int(c, "integer part c")
         for p, w in weights.items():
-            if not isinstance(w, int):
-                raise ValueError(f"weight at {p.label} must be an integer, got {w!r}")
-            if not 0 <= w < p.index:
+            if not 0 <= _exact_int(w, f"weight at {p.label}") < p.index:
                 raise ValueError(f"weight {w} at {p.label} outside [0, {p.index})")
         object.__setattr__(self, "component", comp)
-        object.__setattr__(self, "nf", (int(c), *ws))
+        object.__setattr__(self, "nf", (c, *ws))
 
     def __setattr__(self, *_):
         raise AttributeError("EllDivisor is immutable")
@@ -154,11 +183,11 @@ class EllDivisor:
 
 def normalize(c: int, raw: dict[MarkedPoint, int]) -> EllDivisor:
     """Reduce raw integer weights mod the point indices, carrying into c."""
+    c = _exact_int(c, "integer part c")
     for p, w in raw.items():
-        if not isinstance(w, int):
-            raise ValueError(f"weight at {p.label} must be an integer, got {w!r}")
+        _exact_int(w, f"weight at {p.label}")
     comp, weights = _on_component(raw)
-    return comp.divisor(_carry(int(c), weights, comp.indices))
+    return comp.divisor(_carry(c, weights, comp.indices))
 
 
 def tensor(a: EllDivisor, b: EllDivisor) -> EllDivisor:
@@ -214,9 +243,9 @@ class Node:
     lam: int
 
     def __post_init__(self):
-        if self.index < 2:
+        if _exact_int(self.index, "node index") < 2:
             raise ValueError("node index must be >= 2")
-        if self.lam not in (1, 2):
+        if _exact_int(self.lam, "gluing length") not in (1, 2):
             raise ValueError("gluing length must be 1 or 2")
 
 
@@ -253,37 +282,36 @@ class GlobalEllDivisor:
 
 
 def glued_h0(div: GlobalEllDivisor) -> int:
-    """Sections of a two-component divisor glued at a length-1 node.
+    """Sections of a two-component divisor glued at a length-1 node."""
+    x, y, index = _glued_setup(div)
+    return _sections(x, y, index)
+
+
+def glued_h1(div: GlobalEllDivisor) -> int:
+    x, y, index = _glued_setup(div)
+    # Riemann-Roch: h0 - h1 = (c1 + 1) + (c2 + 1), less 1 when the node fiber
+    # carries invariant sections
+    return _sections(x, y, index) - x[0] - y[0] - 2 + (x[1] % index == 0)
+
+
+def _sections(x: tuple, y: tuple, index: int) -> int:
+    """h0 of the divisor with parts x = (c1, w1, ...) on C1 and y = (c2, w2, ...)
+    on C2, glued at a length-1 node of ``index`` whose weights are w1 and w2.
 
     Node weights on the two sides must be complementary mod the index; the
     node fiber carries invariant sections only when they vanish mod the index,
     and in that case a nonzero section on either side evaluates nonzero there,
-    imposing one matching condition.
+    imposing one matching condition.  Each side alone has h0 = max(0, c + 1).
     """
-    c1, c2, invariant = _glued_setup(div)
-    return _glued_h0(c1, c2, invariant)
+    c1, w1, c2 = x[0], x[1], y[0]
+    if (w1 + y[1]) % index:
+        raise ValueError(f"node weights {w1} + {y[1]} are not complementary mod {index}")
+    total = (c1 + 1 if c1 >= 0 else 0) + (c2 + 1 if c2 >= 0 else 0)
+    return total - 1 if total and w1 % index == 0 else total
 
 
-def glued_h1(div: GlobalEllDivisor) -> int:
-    c1, c2, invariant = _glued_setup(div)
-    matched = invariant and (_h0(c1) > 0 or _h0(c2) > 0)
-    return _h1(c1) + _h1(c2) + invariant - matched
-
-
-def _glued_h0(c1: int, c2: int, invariant: bool) -> int:
-    total = _h0(c1) + _h0(c2)
-    return total - 1 if invariant and total > 0 else total
-
-
-def _node_invariant(w1: int, w2: int, index: int) -> bool:
-    """Whether the node fiber carries invariant sections, from the node
-    weights on the two sides, which must be complementary mod the index."""
-    if (w1 + w2) % index:
-        raise ValueError(f"node weights {w1} + {w2} are not complementary mod {index}")
-    return w1 % index == 0
-
-
-def _glued_setup(div: GlobalEllDivisor) -> tuple[int, int, bool]:
+def _glued_setup(div: GlobalEllDivisor) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """The (c, node weight) pairs of the two parts of ``div``, and the node index."""
     if div.node.lam != 1:
         raise ValueError(
             "cohomology across a length-2 node is not determined by component "
@@ -293,7 +321,7 @@ def _glued_setup(div: GlobalEllDivisor) -> tuple[int, int, bool]:
         raise ValueError("gluing is implemented for two components")
     (_, d1), (_, d2) = div.parts
     label = div.node.label
-    return d1.c, d2.c, _node_invariant(d1.weight(label), d2.weight(label), div.node.index)
+    return (d1.c, d1.weight(label)), (d2.c, d2.weight(label)), div.node.index
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +650,6 @@ def _kad_c1_forms(m: int, m_prime: int) -> tuple:
     b1 = (0, 0, 1)
     b1b1 = c1.tensor(b1, b1)
     return c1, b1, b1b1, c1.dual(b1b1)
-
-
-def _sections(x: tuple, y: tuple, index: int) -> int:
-    """h0 of the divisor with parts x on C1 and y on C2, glued at a length-1
-    node of ``index`` that is the first point of both."""
-    return _glued_h0(x[0], y[0], _node_invariant(x[1], y[1], index))
 
 
 def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTrace:

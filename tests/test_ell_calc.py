@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +23,7 @@ from germcalc.ell_calc import (
     tensor,
     thm812_check,
 )
-from germcalc.ell_calc import _Component
+from germcalc.ell_calc import _carry, _Component
 
 P5 = MarkedPoint("P", 5)
 P7 = MarkedPoint("P", 7)
@@ -54,6 +56,51 @@ class TestNormalForm:
     def test_non_integer_weight_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             normalize(0, {P5: F(1, 2)})
+
+    @pytest.mark.parametrize("build, value", [
+        (lambda: EllDivisor(1.7, {P5: 1}), "1.7"),
+        (lambda: normalize(2.5, {P5: 7}), "2.5"),
+        (lambda: EllDivisor(F(3, 2)), "Fraction(3, 2)"),
+        (lambda: EllDivisor(0, {P5: True}), "True"),
+        (lambda: MarkedPoint("P", 2.5), "2.5"),
+        (lambda: Node("P", 5.0, lam=1), "5.0"),
+        (lambda: Node("P", 5, lam=True), "True"),
+    ], ids=["float-c", "normalize-float-c", "fraction-c", "bool-weight", "float-index",
+            "float-node-index", "bool-gluing-length"])
+    def test_inexact_input_rejected(self, build, value):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value}")):
+            build()
+
+
+def _floor_carry(c, raw, indices):
+    """The normal form of c + sum raw_i P_i by exact division: c + sum floor(w/n)
+    and each w mod n."""
+    floors = [math.floor(F(w, n)) for w, n in zip(raw, indices)]
+    return (c + sum(floors), *[w - n * q for w, n, q in zip(raw, indices, floors)])
+
+
+class TestStraightLinePath:
+    """_carry, tensor, dual and degree on components of one and two points, which
+    take the straight-line path, and of three, which take the loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_against_floor_division(self, data):
+        indices = tuple(data.draw(st.lists(st.integers(2, 60), min_size=1, max_size=3)))
+        comp = _Component(**dict(zip("PQR", indices)))
+
+        def draw_raw():
+            return tuple([data.draw(st.integers(-10 * n, 10 * n)) for n in indices])
+
+        c, raw = data.draw(st.integers(-100, 100)), draw_raw()
+        a = _floor_carry(c, raw, indices)
+        assert _carry(c, raw, indices) == a
+        b = _floor_carry(data.draw(st.integers(-100, 100)), draw_raw(), indices)
+        assert comp.tensor(a, b) == _floor_carry(
+            a[0] + b[0], [x + y for x, y in zip(a[1:], b[1:])], indices)
+        assert comp.dual(a) == _floor_carry(-a[0], [-w for w in a[1:]], indices)
+        den = math.lcm(*indices) * data.draw(st.integers(1, 3))
+        assert comp.degree(a, den) == den * (a[0] + sum(F(w, n) for w, n in zip(a[1:], indices)))
 
 
 class TestTensorDual:
@@ -243,6 +290,20 @@ class TestGluedCohomology:
             )
             nu = 1 if w % m == 0 else 0
             assert glued_h0(d) - glued_h1(d) == (c1 + 1) + (c2 + 1) - nu
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 29), st.integers(-6, 6), st.integers(-6, 6))
+    def test_glued_counts_by_sides(self, m, w, c1, c2):
+        # h0 and h1 of each side, less one matching condition when the node
+        # fiber carries invariant sections and a side has sections
+        w %= m
+        p = MarkedPoint("P", m)
+        d = GlobalEllDivisor([("C1", EllDivisor(c1, {p: w})),
+                              ("C2", EllDivisor(c2, {p: -w % m}))], self.node(m))
+        sides = (EllDivisor(c1), EllDivisor(c2))
+        matched = w == 0 and any(h0(s) for s in sides)
+        assert glued_h0(d) == sum(h0(s) for s in sides) - matched
+        assert glued_h1(d) == sum(h1(s) for s in sides) + (w == 0) - matched
 
 
 class TestWidthInequality:
