@@ -51,16 +51,12 @@ def _carry(c: int, raw, indices) -> tuple[int, ...]:
     index indices[i]: each weight is reduced into [0, index) and the overflow
     is carried into the integer part.
 
-    Components of one or two points, which are all that the scripts build,
-    take a straight-line path; wider ones take the loop.
+    Components of two points, which every scripted tuple computes on, take a
+    straight-line path; others take the loop.
     """
-    k = len(indices)
-    if k == 2:
+    if len(indices) == 2:
         (w1, w2), (n1, n2) = raw, indices
         return (c + w1 // n1 + w2 // n2, w1 % n1, w2 % n2)
-    if k == 1:
-        (w,), (n,) = raw, indices
-        return (c + w // n, w % n)
     weights = []
     for w, n in zip(raw, indices):
         q, r = divmod(w, n)
@@ -84,8 +80,8 @@ class _Component:
         self.labels = tuple(points)
         self.indices = tuple(points.values())
 
-    # the scripts' components have one or two points: tensor and dual spell out
-    # two, which every tuple runs, and _carry and degree spell out both
+    # every scripted tuple computes on two-point components: tensor, dual and
+    # degree spell out two points and keep the generic path for the rest
 
     def tensor(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if len(a) == 3:
@@ -102,8 +98,6 @@ class _Component:
         if len(a) == 3:
             n1, n2 = self.indices
             return a[0] * den + a[1] * (den // n1) + a[2] * (den // n2)
-        if len(a) == 2:
-            return a[0] * den + a[1] * (den // self.indices[0])
         return a[0] * den + sum(w * (den // n) for w, n in zip(a[1:], self.indices))
 
     def union(self, other: _Component) -> _Component:
@@ -289,25 +283,30 @@ def glued_h0(div: GlobalEllDivisor) -> int:
 
 def glued_h1(div: GlobalEllDivisor) -> int:
     x, y, index = _glued_setup(div)
-    # Riemann-Roch: h0 - h1 = (c1 + 1) + (c2 + 1), less 1 when the node fiber
-    # carries invariant sections
-    return _sections(x, y, index) - x[0] - y[0] - 2 + (x[1] % index == 0)
+    invariant = _node_invariant(x[1], y[1], index)
+    matched = invariant and (_h0(x[0]) > 0 or _h0(y[0]) > 0)
+    return _h1(x[0]) + _h1(y[0]) + invariant - matched
 
 
 def _sections(x: tuple, y: tuple, index: int) -> int:
     """h0 of the divisor with parts x = (c1, w1, ...) on C1 and y = (c2, w2, ...)
     on C2, glued at a length-1 node of ``index`` whose weights are w1 and w2.
 
-    Node weights on the two sides must be complementary mod the index; the
-    node fiber carries invariant sections only when they vanish mod the index,
-    and in that case a nonzero section on either side evaluates nonzero there,
-    imposing one matching condition.  Each side alone has h0 = max(0, c + 1).
+    Each side alone has h0 = max(0, c + 1).  When the node fiber carries
+    invariant sections, a nonzero section on either side evaluates nonzero
+    there, imposing one matching condition.
     """
-    c1, w1, c2 = x[0], x[1], y[0]
-    if (w1 + y[1]) % index:
-        raise ValueError(f"node weights {w1} + {y[1]} are not complementary mod {index}")
-    total = (c1 + 1 if c1 >= 0 else 0) + (c2 + 1 if c2 >= 0 else 0)
-    return total - 1 if total and w1 % index == 0 else total
+    invariant = _node_invariant(x[1], y[1], index)
+    total = _h0(x[0]) + _h0(y[0])
+    return total - 1 if invariant and total else total
+
+
+def _node_invariant(w1: int, w2: int, index: int) -> bool:
+    """Whether the node fiber carries invariant sections, from the node
+    weights on the two sides, which must be complementary mod the index."""
+    if (w1 + w2) % index:
+        raise ValueError(f"node weights {w1} + {w2} are not complementary mod {index}")
+    return w1 % index == 0
 
 
 def _glued_setup(div: GlobalEllDivisor) -> tuple[tuple[int, int], tuple[int, int], int]:

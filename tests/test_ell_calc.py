@@ -80,8 +80,8 @@ def _floor_carry(c, raw, indices):
 
 
 class TestStraightLinePath:
-    """_carry, tensor, dual and degree on components of one and two points, which
-    take the straight-line path, and of three, which take the loop."""
+    """_carry, tensor, dual and degree on components of two points, which take
+    the straight-line path, and of one and three, which take the loop."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
