@@ -9,7 +9,7 @@ of the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -94,37 +94,3 @@ def global_imprimitivity(points: list[tuple[int, int]]) -> GlobalPrimitivity:
     base = "smooth" if degree == 1 else f"A{degree - 1}"
     return GlobalPrimitivity(degree == 1, degree, base, rule)
 
-
-@dataclass(frozen=True)
-class ClassGroupSummary:
-    """Shape of the semi-Cartier class group of a germ.
-
-    The free part has rank equal to the number of components; any torsion is
-    cyclic and embeds into the local group of a single point, so its order
-    divides one of the local orders.
-    """
-
-    rank: int
-    local_orders: tuple[int, ...]
-    torsion_cyclic: bool = True
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-    def torsion_trivial(self) -> bool:
-        return not self.local_orders
-
-
-def clsc_rank(n_components: int, local_orders: list[int]) -> ClassGroupSummary:
-    if n_components < 1:
-        raise ValueError("need at least one component")
-    for m in local_orders:
-        if m < 2:
-            raise ValueError("local orders must be >= 2")
-    notes = ["free part has rank equal to the component count"]
-    if local_orders:
-        notes.append(
-            "torsion is cyclic and embeds into a single local group, so its "
-            f"order divides one of {sorted(local_orders)}"
-        )
-    else:
-        notes.append("no non-Gorenstein points: the class group is torsion free")
-    return ClassGroupSummary(n_components, tuple(local_orders), True, tuple(notes))

@@ -4,8 +4,8 @@ The table is data, one entry per row: a component-multiset pattern, the
 allowed contraction kinds with their component-count bounds, and the
 constraints on the non-Gorenstein points that are expressible from type tags
 and index arithmetic.  A descriptor belongs to the first row it matches.
-Excluded combinations carry their source citations, as do the clauses of the
-component-count lemma and the flip table.
+Excluded combinations carry their source citations, as do the rows of the flip
+table.
 
 Descriptors are read from a small text format::
 
@@ -82,11 +82,6 @@ _FORBIDDEN: dict[frozenset[ComponentType], str] = {
     frozenset({ComponentType.k2A, ComponentType.k3A}): "Theorem 4.3",
     frozenset({ComponentType.k2A, ComponentType.kAD}): "Theorem 4.3",
 }
-
-
-def forbidden_pair(a: ComponentType, b: ComponentType) -> str | None:
-    """Citation for an excluded unordered pair of component types, if any."""
-    return _FORBIDDEN.get(frozenset({a, b}))
 
 
 _QUOT_TAG = re.compile(r"1/(\d+)\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\Z")
@@ -195,6 +190,11 @@ class TableRow:
 _T = ComponentType
 _F, _D, _CB = GermKind.FLIPPING, GermKind.DIVISORIAL, GermKind.CB
 _CB_PAIR = {_CB: (2, True)}
+# The component counts of Lemma 5.1, as kind -> (bound, exact).  _BOUNDED:
+# clause (4) gives exactly 2 components for a flipping germ, and clause (1) at
+# most 4 for a divisorial germ and at most 5 for a conic bundle.  _NON_FLIPPING,
+# for rows whose leading component contracts divisorially: clause (3) gives
+# exactly 2 for a divisorial germ, and clause (2) at most 3 for a conic bundle.
 _BOUNDED = {_F: (2, True), _D: (4, False), _CB: (5, False)}
 _NON_FLIPPING = {_D: (2, True), _CB: (3, False)}
 _UNBOUNDED = {_F: (None, False), _D: (None, False), _CB: (None, False)}
@@ -272,43 +272,6 @@ def validate_against_table(g: GermDescriptor) -> Validation:
 
 
 # ---------------------------------------------------------------------------
-# component-count bounds
-
-
-_BOUND_LEADING = {_T.cD3, _T.IC, _T.kAD, _T.IIdual, _T.IIB, _T.k3A}
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    applicable: bool
-    bound: int | None = None
-    exact: bool = False
-    clause: str = ""
-    reason: str = ""
-
-
-def component_bound(
-    leading: ComponentType, leading_kind: GermKind, germ_kind: GermKind
-) -> BoundReport:
-    """Tightest component-count bound from the contraction lemma clauses."""
-    if leading not in _BOUND_LEADING:
-        return BoundReport(
-            False, reason=f"{leading.value} is outside the lemma's hypothesis list"
-        )
-    candidates: list[tuple[int, bool, str]] = []
-    birational = germ_kind in (GermKind.FLIPPING, GermKind.DIVISORIAL)
-    candidates.append((4 if birational else 5, False, "Lemma 5.1(1)"))
-    if leading_kind is GermKind.DIVISORIAL and leading is not _T.IIdual:
-        candidates.append((3, False, "Lemma 5.1(2)"))
-        if germ_kind is GermKind.DIVISORIAL:
-            candidates.append((2, True, "Lemma 5.1(3)"))
-    if germ_kind is GermKind.FLIPPING:
-        candidates.append((2, True, "Lemma 5.1(4)"))
-    bound, exact, clause = min(candidates, key=lambda c: (c[0], not c[1]))
-    return BoundReport(True, bound, exact, clause)
-
-
-# ---------------------------------------------------------------------------
 # flip arithmetic
 
 
@@ -342,17 +305,6 @@ def flip_transfer(data: FlipGermData, k_dot_c: Fraction) -> Fraction:
             f"index {data.index_x} times degree {k_dot_c} must be an integer"
         )
     return Fraction(-data.index_x * k_dot_c, data.index_plus)
-
-
-def kc_from_w(w_values: list[Fraction]) -> Fraction:
-    """Minus the canonical degree from the per-point contributions: 1 - sum."""
-    total = Fraction(0)
-    for w in w_values:
-        w = Fraction(w)
-        if not 0 <= w < 1:
-            raise ValueError("contributions must lie in [0, 1)")
-        total += w
-    return 1 - total
 
 
 @dataclass(frozen=True)
@@ -414,87 +366,6 @@ def check_table2(rows: tuple[Table2Row, ...] | None = None) -> Table2Report:
             consistent=(got == row.k_plus),
         ))
     return Table2Report(tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# pushing canonical degrees through contraction chains
-
-
-@dataclass(frozen=True)
-class PushStep:
-    kind: str  # "div" | "flip"
-    local_index: int | None
-    bound: Fraction
-    strict: bool
-
-
-@dataclass(frozen=True)
-class BoundTrace:
-    start: Fraction
-    steps: tuple[PushStep, ...]
-    floor: Fraction
-
-    @property
-    def final_bound(self) -> Fraction:
-        return self.steps[-1].bound if self.steps else self.start
-
-    @property
-    def feasible(self) -> bool:
-        if not self.steps:
-            return True
-        last = self.steps[-1]
-        return last.bound > self.floor if last.strict else last.bound >= self.floor
-
-
-def push_inequalities(
-    start: Fraction | int,
-    steps: list[tuple[str, int] | tuple[str]],
-    floor: Fraction | int = Fraction(-1),
-) -> BoundTrace:
-    """Track the upper bound on a curve's canonical degree along contractions.
-
-    Each divisorial step with local index n lowers the bound by 1/n; each flip
-    lowers it strictly.  The trace records whether the final bound can still
-    clear the floor (the degree of a curve on an extremal germ never drops
-    below -1).
-    """
-    bound = Fraction(start)
-    floor = Fraction(floor)
-    out: list[PushStep] = []
-    strict = False
-    for step in steps:
-        n = _local_index(step)
-        if n is None:
-            strict = True
-        else:
-            bound -= Fraction(1, n)
-        out.append(PushStep(step[0], n, bound, strict))
-    return BoundTrace(Fraction(start), tuple(out), floor)
-
-
-def _local_index(step: tuple[str, int] | tuple[str]) -> int | None:
-    """The local index n of a ``("div", n)`` step, None for ``("flip",)``."""
-    if step == ("flip",):
-        return None
-    if len(step) != 2 or step[0] != "div":
-        raise ValueError(f"unknown step {step!r}")
-    n = step[1]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"local index must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError(f"local index must be >= 1, got {n}")
-    return n
-
-
-def divisorial_budget(
-    start: Fraction | int, floor: Fraction | int = Fraction(-1), local_index: int = 1
-) -> int:
-    """Largest number of index-n divisorial steps keeping the bound above the floor."""
-    _local_index(("div", local_index))
-    start, floor = Fraction(start), Fraction(floor)
-    if start < floor:
-        return 0
-    return int((start - floor) * local_index)
 
 
 # ---------------------------------------------------------------------------

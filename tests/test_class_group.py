@@ -4,7 +4,6 @@ import pytest
 
 from germcalc.class_group import (
     NonGorPoint,
-    clsc_rank,
     global_imprimitivity,
     local_primitivity,
 )
@@ -98,25 +97,6 @@ class TestImprimitiveChainFamily:
             rep = local_primitivity(value, m)
             assert rep.splitting_degree == 2 * k - 1
             assert not rep.primitive
-
-
-class TestClassGroupSummary:
-    def test_two_components_one_point(self):
-        s = clsc_rank(2, [5])
-        assert s.rank == 2
-        assert s.torsion_cyclic
-        assert s.local_orders == (5,)
-
-    def test_one_component_two_points(self):
-        s = clsc_rank(1, [4, 6])
-        assert s.rank == 1
-        assert s.torsion_cyclic
-        assert any("single local group" in n for n in s.notes)
-
-    def test_no_points_torsion_free(self):
-        s = clsc_rank(3, [])
-        assert s.torsion_trivial()
-        assert any("torsion free" in n for n in s.notes)
 
 
 class TestNonGorPoint:

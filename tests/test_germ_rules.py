@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +12,9 @@ from germcalc.germ_rules import (
     GermDescriptor,
     GermKind,
     check_table2,
-    component_bound,
-    divisorial_budget,
     flip_transfer,
-    forbidden_pair,
-    kc_from_w,
     parse_descriptor,
     parse_quotient_tag,
-    push_inequalities,
     table2_rows,
     validate_against_table,
 )
@@ -30,21 +24,6 @@ CAX4 = NonGorPoint(4, "cAx/4")
 
 def descr(components, kind, points=()):
     return GermDescriptor(tuple(components), kind, tuple(points))
-
-
-class TestForbiddenPairs:
-    def test_known_exclusions(self):
-        assert forbidden_pair(T.IC, T.k2A) == "Theorem 3.2"
-        assert forbidden_pair(T.k2A, T.kAD) == "Theorem 4.3"
-        assert forbidden_pair(T.k2A, T.k3A) == "Theorem 4.3"
-        assert forbidden_pair(T.IIdual, T.IIB) == "Lemma 5.4"
-
-    def test_symmetry(self):
-        for a, b in combinations_with_replacement(T, 2):
-            assert forbidden_pair(a, b) == forbidden_pair(b, a)
-
-    def test_allowed_pair(self):
-        assert forbidden_pair(T.k1A, T.k1A) is None
 
 
 class TestTable:
@@ -83,6 +62,9 @@ class TestTable:
             ([T.k2A, T.k3A], "Theorem 4.3"),
             ([T.IIdual, T.IIB], "Lemma 5.4"),
         ]
+        # each pair in both orders, and once beside a third component
+        cases += [(components[::-1], citation) for components, citation in cases]
+        cases += [([T.k1A] + components, citation) for components, citation in cases[:4]]
         for components, citation in cases:
             got = validate_against_table(descr(components, GermKind.DIVISORIAL))
             assert not got.accepted
@@ -278,28 +260,6 @@ class TestQuotientTags:
         assert parse_quotient_tag("cAx/4") is None
 
 
-class TestComponentBound:
-    def test_flipping_total(self):
-        rep = component_bound(T.IC, GermKind.FLIPPING, GermKind.FLIPPING)
-        assert (rep.bound, rep.exact, rep.clause) == (2, True, "Lemma 5.1(4)")
-
-    def test_double_divisorial(self):
-        rep = component_bound(T.k3A, GermKind.DIVISORIAL, GermKind.DIVISORIAL)
-        assert (rep.bound, rep.exact, rep.clause) == (2, True, "Lemma 5.1(3)")
-
-    def test_imprimitive_leading_exempt(self):
-        rep = component_bound(T.IIdual, GermKind.DIVISORIAL, GermKind.CB)
-        assert (rep.bound, rep.clause) == (5, "Lemma 5.1(1)")
-
-    def test_birational_tightening(self):
-        rep = component_bound(T.IIB, GermKind.CB, GermKind.DIVISORIAL)
-        assert rep.bound == 4 and rep.clause == "Lemma 5.1(1)"
-
-    def test_out_of_scope_leading(self):
-        rep = component_bound(T.k1A, GermKind.FLIPPING, GermKind.FLIPPING)
-        assert not rep.applicable
-
-
 class TestFlipTransfer:
     def test_two_point_target(self):
         assert flip_transfer(FlipGermData(4, (2, 3)), F(-1, 4)) == F(1, 6)
@@ -354,67 +314,6 @@ class TestTable2:
         assert not report.all_consistent
         flagged = [c for c in report.checks if not c.consistent]
         assert len(flagged) == 1 and flagged[0].row.k_plus == F(1, 5)
-
-
-class TestKcFromW:
-    def test_empty(self):
-        assert kc_from_w([]) == 1
-
-    def test_single_heavy_point(self):
-        for m in range(5, 20, 2):
-            assert kc_from_w([F(m - 1, m)]) == F(1, m)
-
-    def test_third_index_case(self):
-        assert kc_from_w([F(2, 3)]) == F(1, 3)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            kc_from_w([F(3, 2)])
-
-
-class TestPushInequalities:
-    def test_half_budget(self):
-        assert divisorial_budget(F(1, 2)) == 1
-
-    def test_unit_budget(self):
-        assert divisorial_budget(F(1)) == 2
-
-    def test_empty_scenario(self):
-        trace = push_inequalities(F(1, 2), [])
-        assert trace.final_bound == F(1, 2)
-        assert trace.feasible
-
-    def test_stepwise_bounds(self):
-        trace = push_inequalities(F(1, 2), [("div", 1), ("div", 1)])
-        assert [s.bound for s in trace.steps] == [F(-1, 2), F(-3, 2)]
-        assert not trace.feasible
-
-    def test_flip_makes_bound_strict(self):
-        trace = push_inequalities(F(0), [("flip",), ("div", 1)])
-        assert trace.steps[0].strict
-        assert trace.steps[1].bound == F(-1)
-        assert not trace.feasible  # strict bound at the floor fails
-
-    def test_fractional_index_steps(self):
-        trace = push_inequalities(F(1, 2), [("div", 2), ("div", 2), ("div", 2)])
-        assert trace.final_bound == F(-1)
-        assert trace.feasible
-
-    @pytest.mark.parametrize("func, args, message", [
-        (divisorial_budget, (1, -1, -3), "local index must be >= 1, got -3"),
-        (divisorial_budget, (1, -1, 0), "local index must be >= 1, got 0"),
-        (push_inequalities, (0, [("div",)]), r"unknown step \('div',\)"),
-        (push_inequalities, (0, [()]), r"unknown step \(\)"),
-        (divisorial_budget, (1, -1, 2.5), "local index must be an int, got 2.5"),
-        (push_inequalities, (0, [("div", 2.5)]), "local index must be an int, got 2.5"),
-        (divisorial_budget, (1, -1, "3"), "local index must be an int, got '3'"),
-        (push_inequalities, (0, [("div", True)]), "local index must be an int, got True"),
-    ], ids=["budget-negative-index", "budget-zero-index", "div-without-index", "empty-step",
-            "budget-fractional-index", "div-fractional-index", "budget-string-index",
-            "div-bool-index"])
-    def test_bad_step_or_index_is_a_value_error(self, func, args, message):
-        with pytest.raises(ValueError, match=message):
-            func(*args)
 
 
 class TestDescriptorFormat:
