@@ -60,7 +60,6 @@ class GlobalPrimitivity:
     primitive: bool
     degree: int
     base_singularity: str  # "smooth" or "A<k>"
-    rule: str
 
 
 def global_imprimitivity(points: list[tuple[int, int]]) -> GlobalPrimitivity:
@@ -84,13 +83,10 @@ def global_imprimitivity(points: list[tuple[int, int]]) -> GlobalPrimitivity:
                 "a locally imprimitive point excludes any other non-Gorenstein point"
             )
         degree = imprimitive[0][1]
-        rule = "single locally imprimitive point"
     elif len(points) == 2:
         degree = gcd(points[0][0], points[1][0])
-        rule = "two primitive points, gcd of indices"
     else:
         degree = 1
-        rule = "no imprimitivity source"
     base = "smooth" if degree == 1 else f"A{degree - 1}"
-    return GlobalPrimitivity(degree == 1, degree, base, rule)
+    return GlobalPrimitivity(degree == 1, degree, base)
 

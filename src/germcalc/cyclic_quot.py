@@ -38,10 +38,6 @@ class HJChain:
         return HJChain(tuple(reversed(self.entries)))
 
 
-def chain(*entries: int) -> HJChain:
-    return HJChain(tuple(entries))
-
-
 @dataclass(frozen=True)
 class CycQuot:
     """The cyclic quotient type 1/n(1, q), with 0 < q < n and gcd(n, q) = 1."""

@@ -7,10 +7,11 @@ duals negate and renormalise.  The fractional degree is c + sum w_P / m_P;
 on the underlying rational curve the sheaf has degree c, so section counts
 are h0 = max(0, c + 1) and h1 = max(0, -c - 1).
 
-Global divisors live on two components glued at one marked point.  Their
-cohomology is only computed for the length-1 gluing pattern, through the
-restriction sequence to the node; the length-2 pattern is handled by counting
-invariant node sections with explicitly supplied residues, never inferred.
+A divisor on two components glued at one marked point is given by its two
+sides, one EllDivisor per component.  Its cohomology is only computed for the
+length-1 gluing pattern, through the restriction sequence to the node; the
+length-2 pattern is handled by counting invariant node sections with
+explicitly supplied residues, never inferred.
 
 On top of the algebra sit two scripted impossibility runs.  Both follow the
 width-d degree test: when a curve neighbourhood carries a filtration that is
@@ -21,9 +22,10 @@ deg(B) + deg(A)/d >= 0, strictly for birational contractions.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import count
 from math import gcd, lcm
 from operator import add
@@ -194,9 +196,7 @@ def dual(a: EllDivisor) -> EllDivisor:
     return a.component.divisor(a.component.dual(a.nf))
 
 
-def ell_deg(div: "EllDivisor | GlobalEllDivisor") -> Fraction:
-    if isinstance(div, GlobalEllDivisor):
-        return sum((ell_deg(part) for _, part in div.parts), Fraction(0))
+def ell_deg(div: EllDivisor) -> Fraction:
     den = lcm(*div.component.indices)
     return Fraction(div.component.degree(div.nf, den), den)
 
@@ -228,62 +228,14 @@ def node_invariant_dim(g: int, t: int, lam: int, m: int) -> int:
     return sum(1 for j in range(lam) if (g + j * t) % m == 0)
 
 
-@dataclass(frozen=True)
-class Node:
-    """The shared marked point of a two-component curve, with gluing length."""
-
-    label: str
-    index: int
-    lam: int
-
-    def __post_init__(self):
-        if _exact_int(self.index, "node index") < 2:
-            raise ValueError("node index must be >= 2")
-        if _exact_int(self.lam, "gluing length") not in (1, 2):
-            raise ValueError("gluing length must be 1 or 2")
+def glued_h0(d1: EllDivisor, d2: EllDivisor, node: MarkedPoint) -> int:
+    """Sections of the divisor with sides d1 and d2, glued at a length-1 node."""
+    return _sections(_node_side(d1, node), _node_side(d2, node), node.index)
 
 
-class GlobalEllDivisor:
-    """One divisor per component, over a shared node."""
-
-    __slots__ = ("parts", "node")
-
-    def __init__(self, parts: list[tuple[str, EllDivisor]], node: Node):
-        names = [name for name, _ in parts]
-        if len(set(names)) != len(names) or not parts:
-            raise ValueError("component names must be nonempty and distinct")
-        for name, div in parts:
-            idx = dict(zip(div.component.labels, div.component.indices)).get(node.label)
-            if idx is not None and idx != node.index:
-                raise ValueError(
-                    f"component {name!r} carries the node {node.label!r} with "
-                    f"index {idx}, expected {node.index}"
-                )
-        object.__setattr__(self, "parts", tuple(parts))
-        object.__setattr__(self, "node", node)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GlobalEllDivisor is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GlobalEllDivisor):
-            return NotImplemented
-        return self.node == other.node and self.parts == other.parts
-
-    def __repr__(self):
-        inner = ", ".join(f"{n}: {div!r}" for n, div in self.parts)
-        return f"Global({inner}; node {self.node.label}@{self.node.index}, len {self.node.lam})"
-
-
-def glued_h0(div: GlobalEllDivisor) -> int:
-    """Sections of a two-component divisor glued at a length-1 node."""
-    x, y, index = _glued_setup(div)
-    return _sections(x, y, index)
-
-
-def glued_h1(div: GlobalEllDivisor) -> int:
-    x, y, index = _glued_setup(div)
-    invariant = _node_invariant(x[1], y[1], index)
+def glued_h1(d1: EllDivisor, d2: EllDivisor, node: MarkedPoint) -> int:
+    x, y = _node_side(d1, node), _node_side(d2, node)
+    invariant = _node_invariant(x[1], y[1], node.index)
     matched = invariant and (_h0(x[0]) > 0 or _h0(y[0]) > 0)
     return _h1(x[0]) + _h1(y[0]) + invariant - matched
 
@@ -309,18 +261,13 @@ def _node_invariant(w1: int, w2: int, index: int) -> bool:
     return w1 % index == 0
 
 
-def _glued_setup(div: GlobalEllDivisor) -> tuple[tuple[int, int], tuple[int, int], int]:
-    """The (c, node weight) pairs of the two parts of ``div``, and the node index."""
-    if div.node.lam != 1:
-        raise ValueError(
-            "cohomology across a length-2 node is not determined by component "
-            "data alone; supply node residues to node_invariant_dim instead"
-        )
-    if len(div.parts) != 2:
-        raise ValueError("gluing is implemented for two components")
-    (_, d1), (_, d2) = div.parts
-    label = div.node.label
-    return (d1.c, d1.weight(label)), (d2.c, d2.weight(label)), div.node.index
+def _node_side(div: EllDivisor, node: MarkedPoint) -> tuple[int, int]:
+    """(c, node weight) of one side of a divisor glued at ``node``."""
+    index = dict(zip(div.component.labels, div.component.indices)).get(node.label)
+    if index not in (None, node.index):
+        raise ValueError(f"a side carries the node {node.label!r} with index {index}, "
+                         f"expected {node.index}")
+    return div.c, div.weight(node.label)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +282,13 @@ class WidthTestResult:
 
 
 def thm812_check(
-    a: GlobalEllDivisor | EllDivisor,
-    b: GlobalEllDivisor | EllDivisor,
+    a: Sequence[EllDivisor],
+    b: Sequence[EllDivisor],
     d: int,
     kind: str = "unknown",
 ) -> WidthTestResult:
-    """Evaluate the width-d inequality deg(B) + deg(A)/d >= 0.
+    """Evaluate the width-d inequality deg(B) + deg(A)/d >= 0, where A and B
+    are given by their parts, one per component.
 
     A negative value contradicts the existence of the contraction; a zero
     value contradicts a birational one and otherwise forces the fiber-over-
@@ -350,12 +298,7 @@ def thm812_check(
         raise ValueError("width must be >= 2")
     if kind not in ("birational", "cb", "unknown"):
         raise ValueError(f"unknown contraction kind {kind!r}")
-    if isinstance(a, GlobalEllDivisor) != isinstance(b, GlobalEllDivisor):
-        raise ValueError("mix of global and single-component divisors")
-    if isinstance(a, GlobalEllDivisor) and isinstance(b, GlobalEllDivisor):
-        if a.node != b.node or [n for n, _ in a.parts] != [n for n, _ in b.parts]:
-            raise ValueError("global divisors live on different component universes")
-    value = ell_deg(b) + Fraction(ell_deg(a), d)
+    value = sum(map(ell_deg, b), Fraction(0)) + sum(map(ell_deg, a), Fraction(0)) / d
     return WidthTestResult(value, d * value, _width_verdict(value, kind))
 
 
@@ -385,35 +328,19 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class DisproofTrace:
-    """The outcome of a scripted run.
-
-    The scripts record each step as a plain tuple (name, num, den, verdict,
-    note): the value is num/den, or None when num is None, and the note is a
-    string or a tuple (format, *args) that ``steps`` formats.  ``steps`` builds
-    the TraceSteps from them on first read, so a caller that reads only
-    ``status`` and ``end``, or compares or hashes traces, never builds them.
-    Sweeps build no trace: they run the scripts' bodies on bare records.
-    """
+    """The outcome of a scripted run: its steps, or why it was rejected."""
 
     script: str
     inputs: tuple[int, ...]
     status: str  # "contradiction" | "rejected"
-    records: tuple[tuple, ...] = ()
+    steps: tuple[TraceStep, ...] = ()
     rejection: str = ""
     rejection_value: Fraction | None = None
-
-    @cached_property
-    def steps(self) -> tuple[TraceStep, ...]:
-        return tuple([
-            TraceStep(name, None if num is None else Fraction(num, den), verdict,
-                      note if isinstance(note, str) else note[0].format(*note[1:]))
-            for name, num, den, verdict, note in self.records
-        ])
 
     @property
     def end(self) -> str:
         """The name of the final step, "" when there is none."""
-        return self.records[-1][0] if self.records else ""
+        return self.steps[-1].name if self.steps else ""
 
     def step(self, name: str) -> TraceStep:
         return next(s for s in self.steps if s.name == name)
@@ -453,10 +380,22 @@ def _expect(step: str, label: str, comp: _Component, got: tuple, want: tuple) ->
         )
 
 
-def _rejected(script: str, inputs: tuple[int, ...], rejection) -> DisproofTrace:
-    reason, value = rejection
-    return DisproofTrace(script, inputs, "rejected", (), reason,
-                         None if value is None else Fraction(*value))
+def _trace(script: str, inputs: tuple[int, ...], rejection, body) -> DisproofTrace:
+    """The trace of a run: rejected for a (reason, value) ``rejection``, else
+    the steps of the records that ``body`` returns on ``inputs``.
+
+    The bodies record each step as a plain tuple (name, num, den, verdict,
+    note): the value is num/den, or None when num is None, and the note is a
+    string or a tuple (format, component, normal form) whose format takes the
+    EllDivisor view of the form.  Sweeps run the bodies and build no trace.
+    """
+    if rejection is not None:
+        return DisproofTrace(script, inputs, "rejected", (), *rejection)
+    return DisproofTrace(script, inputs, "contradiction", tuple([
+        TraceStep(name, None if num is None else Fraction(num, den), verdict,
+                  note if isinstance(note, str) else note[0].format(note[1].divisor(note[2])))
+        for name, num, den, verdict, note in body(*inputs)
+    ]))
 
 
 def _chain_point_rejection(m_prime: int, a_prime: int):
@@ -483,12 +422,12 @@ def _ic_min_a_prime(m: int, m_prime: int) -> int:
 
 def ic_rejection(m: int, m_prime: int, a_prime: int):
     """Why ic_disproof rejects (m, m', a'), as (reason, value) with the value
-    a (numerator, denominator) pair or None; None for an admissible tuple."""
+    a Fraction or None; None for an admissible tuple."""
     rejection = _ic_index_rejection(m) or _chain_point_rejection(m_prime, a_prime)
     if rejection is not None:
         return rejection
     if a_prime < _ic_min_a_prime(m, m_prime):
-        return "K-negativity fails", ((m + 1) * m_prime - 2 * m * a_prime, 2 * m * m_prime)
+        return "K-negativity fails", Fraction(m + 1, 2 * m) - Fraction(a_prime, m_prime)
     return None
 
 
@@ -524,12 +463,7 @@ def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
     obstruction then vanishes, the filtration extends to width 3, and the
     width-3 degree -(m+m')/(2mm') is strictly negative.
     """
-    script = "ic"
-    inputs = (m, m_prime, a_prime)
-    rejection = ic_rejection(m, m_prime, a_prime)
-    if rejection is not None:
-        return _rejected(script, inputs, rejection)
-    return DisproofTrace(script, inputs, "contradiction", _ic_steps(m, m_prime, a_prime))
+    return _trace("ic", (m, m_prime, a_prime), ic_rejection(m, m_prime, a_prime), _ic_steps)
 
 
 def _ic_steps(m: int, m_prime: int, a_prime: int) -> tuple[tuple, ...]:
@@ -607,7 +541,7 @@ def kad_rejection(m: int, m_prime: int, a_prime: int, subcase: str):
     if rejection is not None:
         return rejection
     if a_prime < _kad_min_a_prime(m, m_prime):
-        return f"m'-a' = {m_prime - a_prime} >= m'/2", (m_prime - a_prime, 1)
+        return f"m'-a' = {m_prime - a_prime} >= m'/2", Fraction(m_prime - a_prime)
     return None
 
 
@@ -660,13 +594,9 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     further and ends on a multiplicity conflict).
     """
     subcase = subcase.lower()
-    script = f"kad/{subcase}"
-    inputs = (m, m_prime, a_prime)
-    rejection = kad_rejection(m, m_prime, a_prime, subcase)
-    if rejection is not None:
-        return _rejected(script, inputs, rejection)
-    return DisproofTrace(script, inputs, "contradiction",
-                         _kad_steps(m, m_prime, a_prime, subcase))
+    return _trace(f"kad/{subcase}", (m, m_prime, a_prime),
+                  kad_rejection(m, m_prime, a_prime, subcase),
+                  partial(_kad_steps, subcase=subcase))
 
 
 def _kad_steps(m: int, m_prime: int, a_prime: int, subcase: str) -> tuple[tuple, ...]:
@@ -734,7 +664,7 @@ def _kad_steps(m: int, m_prime: int, a_prime: int, subcase: str) -> tuple[tuple,
     split1 = c1.tensor(b1b1, c1.dual(a1))
     obstruction1 = _h1(split1[0])
     steps.append(("split-check-c1", obstruction1, 1, "holds",
-                  ("splitting obstruction {!r}", c1.divisor(split1))))
+                  ("splitting obstruction {!r}", c1, split1)))
     step = "split-check-thickening"
     mm1 = c1.tensor(a1b1, d1_inv)
     _expect(step, "E1*B1/D1", c1, mm1, (-1, up, gap - 1))

@@ -6,7 +6,6 @@ import pytest
 from germcalc.cyclic_quot import (
     CycQuot,
     HJChain,
-    chain,
     chain_to_quot,
     classify_T,
     du_val_A,
@@ -24,19 +23,19 @@ def all_quots(max_n):
 
 class TestChainQuot:
     def test_minimal_chain(self):
-        assert chain_to_quot(chain(2)) == CycQuot(2, 1)
+        assert chain_to_quot(HJChain((2,))) == CycQuot(2, 1)
 
     def test_two_entry_chain(self):
         # 2 - 1/5 = 9/5
-        assert chain_to_quot(chain(2, 5)) == CycQuot(9, 5)
+        assert chain_to_quot(HJChain((2, 5))) == CycQuot(9, 5)
 
     def test_family_chain(self):
-        assert chain_to_quot(chain(3, 2, 5, 4, 2)) == CycQuot(144, 59)
+        assert chain_to_quot(HJChain((3, 2, 5, 4, 2))) == CycQuot(144, 59)
 
     def test_inverse_expansion(self):
-        assert quot_to_chain(CycQuot(2, 1)) == chain(2)
-        assert quot_to_chain(CycQuot(9, 5)) == chain(2, 5)
-        assert quot_to_chain(CycQuot(144, 59)) == chain(3, 2, 5, 4, 2)
+        assert quot_to_chain(CycQuot(2, 1)) == HJChain((2,))
+        assert quot_to_chain(CycQuot(9, 5)) == HJChain((2, 5))
+        assert quot_to_chain(CycQuot(144, 59)) == HJChain((3, 2, 5, 4, 2))
 
     def test_round_trip_chains_exhaustive(self):
         for r in range(1, 7):
@@ -63,13 +62,13 @@ class TestChainQuot:
 
 class TestDuVal:
     def test_all_two_chain(self):
-        assert du_val_A(chain(2, 2, 2)) == 3
+        assert du_val_A(HJChain((2, 2, 2))) == 3
 
     def test_mixed_chain(self):
-        assert du_val_A(chain(2, 5)) is None
+        assert du_val_A(HJChain((2, 5))) is None
 
     def test_single(self):
-        assert du_val_A(chain(2)) == 1
+        assert du_val_A(HJChain((2,))) == 1
 
 
 def generate_t_chains(max_n):

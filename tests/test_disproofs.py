@@ -44,9 +44,9 @@ class TestIcScript:
         for m, mp, ap in [(5, 3, 1), (7, 5, 2), (9, 4, 1), (11, 7, 3)]:
             reason, value = ic_rejection(m, mp, ap)
             assert reason == "K-negativity fails"
-            assert F(*value) == F(m + 1, 2 * m) - F(ap, mp)
+            assert value == F(m + 1, 2 * m) - F(ap, mp)
         # exactly zero is rejected: (m+1)/(2m) = a'/m' at (5, 5, 3)
-        assert ic_rejection(5, 5, 3) == ("K-negativity fails", (0, 50))
+        assert ic_rejection(5, 5, 3) == ("K-negativity fails", F(0))
 
     def test_even_m_rejected(self):
         assert ic_disproof(6, 3, 2).status == "rejected"
@@ -193,7 +193,7 @@ def check_admissibility(script):
                 if not ok:
                     reason, value = rejection(m, mp, ap)
                     assert trace.rejection == reason
-                    assert trace.rejection_value == (None if value is None else F(*value))
+                    assert trace.rejection_value == value
 
 
 class TestSweepVerdicts:
@@ -301,6 +301,23 @@ class TestOneRulePerLevel:
                           "_kad_steps": 210}),
         }
 
+    def test_kad_sweep_builds_no_divisor_view(self, monkeypatch):
+        # the split-check-c1 note keeps its normal form bare: only a trace
+        # formats it, through the EllDivisor view
+        calls = Counter()
+        real = ell_calc._Component.divisor
+
+        def counted(self, a):
+            calls["divisor"] += 1
+            return real(self, a)
+        monkeypatch.setattr(ell_calc._Component, "divisor", counted)
+        summary = kad_sweep("kad", 15)
+        assert summary.total == 210 and summary.all_contradicted
+        assert calls["divisor"] == 0
+        note = kad_disproof(7, 5, 3, "kad").step("split-check-c1").note
+        assert note == "splitting obstruction (0 + 3*P[7] + 0*Q[5])"
+        assert calls["divisor"] == 1
+
     @pytest.mark.parametrize("script, final, ends", [
         ("ic", "width-3-degree", {"width-2-degree": 7951, "width-3-degree": 276}),
         ("k3a", "section-count-conflict", {"section-count-conflict": 376}),
@@ -359,29 +376,28 @@ class TestPerMFormsAndLazyTraces:
         monkeypatch.undo()  # the corrupted forms must not outlive that sweep
         assert kad_sweep(subcase, 15).failures == 0
 
-    def test_lazy_trace_equals_eager_trace(self):
+    def test_repeated_runs_give_equal_traces(self):
         runs = (ic_disproof, partial(kad_disproof, subcase="k3a"),
                 partial(kad_disproof, subcase="kad"))
         for m in range(1, 12):
             for mp in range(0, 12):
                 for ap in range(-1, mp + 2):
                     for run in runs:
-                        eager = run(m, mp, ap)
-                        steps = eager.steps
-                        lazy = run(m, mp, ap)
-                        assert "steps" not in vars(lazy)
-                        assert lazy.end == (steps[-1].name if steps else "")
+                        first = run(m, mp, ap)
+                        steps = first.steps
+                        again = run(m, mp, ap)
+                        assert again.end == (steps[-1].name if steps else "")
                         for field in ("script", "inputs", "status", "rejection",
                                       "rejection_value"):
-                            assert getattr(lazy, field) == getattr(eager, field)
-                        assert lazy.render() == eager.render()
-                        assert lazy.steps == steps
-                        for a, b in zip(lazy.steps, steps):
+                            assert getattr(again, field) == getattr(first, field)
+                        assert again.render() == first.render()
+                        assert again.steps == steps
+                        for a, b in zip(again.steps, steps):
                             assert type(a.value) is type(b.value)
                             assert b.value is None or type(b.value) is F
                             assert type(a.note) is type(b.note) is str
-                        assert lazy == eager and hash(lazy) == hash(eager)
-                        assert repr(lazy) == repr(eager)
+                        assert again == first and hash(again) == hash(first)
+                        assert repr(again) == repr(first)
 
 
 def _run_sweep(script, cap):

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from germcalc.ell_calc import (
     EllDivisor,
-    GlobalEllDivisor,
     MarkedPoint,
-    Node,
     dual,
     ell_deg,
     glued_h0,
@@ -63,10 +61,7 @@ class TestNormalForm:
         (lambda: EllDivisor(F(3, 2)), "Fraction(3, 2)"),
         (lambda: EllDivisor(0, {P5: True}), "True"),
         (lambda: MarkedPoint("P", 2.5), "2.5"),
-        (lambda: Node("P", 5.0, lam=1), "5.0"),
-        (lambda: Node("P", 5, lam=True), "True"),
-    ], ids=["float-c", "normalize-float-c", "fraction-c", "bool-weight", "float-index",
-            "float-node-index", "bool-gluing-length"])
+    ], ids=["float-c", "normalize-float-c", "fraction-c", "bool-weight", "float-index"])
     def test_inexact_input_rejected(self, build, value):
         with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value}")):
             build()
@@ -157,19 +152,13 @@ class TestDegreeAlgebra:
         assert ell_deg(EllDivisor(0)) == 0
 
     def test_global_sum(self):
-        node = Node("P", 5, lam=2)
+        # the degree of a two-component divisor is the sum over its parts
         p, r = MarkedPoint("P", 5), MarkedPoint("R", 3)
-        b = GlobalEllDivisor(
-            [("C1", EllDivisor(-1, {p: 3, r: 1})), ("C2", EllDivisor(-1, {p: 4}))],
-            node,
-        )
-        assert ell_deg(b) == F(-4, 15)
-        a = GlobalEllDivisor(
-            [("C1", EllDivisor(-1, {p: 4, r: 1})), ("C2", EllDivisor(0, {p: 2}))],
-            node,
-        )
-        assert ell_deg(a) == F(8, 15)
-        assert ell_deg(a) + 2 * ell_deg(b) == 0
+        b = (EllDivisor(-1, {p: 3, r: 1}), EllDivisor(-1, {p: 4}))
+        assert sum(map(ell_deg, b)) == F(-4, 15)
+        a = (EllDivisor(-1, {p: 4, r: 1}), EllDivisor(0, {p: 2}))
+        assert sum(map(ell_deg, a)) == F(8, 15)
+        assert sum(map(ell_deg, a)) + 2 * sum(map(ell_deg, b)) == 0
 
     def test_thousand_random_identities(self):
         rng = random.Random(97)
@@ -232,48 +221,32 @@ class TestNodeInvariants:
 
 
 class TestGluedCohomology:
-    def node(self, m):
-        return Node("P", m, lam=1)
-
     def test_section_on_far_side_survives(self):
         m = 5
         p = MarkedPoint("P", m)
-        a = GlobalEllDivisor(
-            [
-                ("C1", EllDivisor(-1, {p: 3, MarkedPoint("Q", 3): 1})),
-                ("C2", EllDivisor(0, {p: 2, R2: 1})),
-            ],
-            self.node(m),
-        )
-        assert glued_h0(a) == 1
+        c1 = EllDivisor(-1, {p: 3, MarkedPoint("Q", 3): 1})
+        c2 = EllDivisor(0, {p: 2, R2: 1})
+        assert glued_h0(c1, c2, p) == 1
 
     def test_matching_condition_kills_lone_section(self):
         m = 5
         q = MarkedPoint("Q", 3)
-        b = GlobalEllDivisor(
-            [("C1", EllDivisor(0, {q: 1})), ("C2", EllDivisor(-1, {R2: 1}))],
-            self.node(m),
-        )
-        assert glued_h0(b) == 0
-        assert glued_h1(b) == 0
-
-    def test_length_two_node_refused(self):
-        p = MarkedPoint("P", 5)
-        d = GlobalEllDivisor(
-            [("C1", EllDivisor(0, {p: 2})), ("C2", EllDivisor(0, {p: 3}))],
-            Node("P", 5, lam=2),
-        )
-        with pytest.raises(ValueError, match="length-2"):
-            glued_h0(d)
+        d = (EllDivisor(0, {q: 1}), EllDivisor(-1, {R2: 1}), MarkedPoint("P", m))
+        assert glued_h0(*d) == 0
+        assert glued_h1(*d) == 0
 
     def test_non_complementary_weights_refused(self):
         p = MarkedPoint("P", 5)
-        d = GlobalEllDivisor(
-            [("C1", EllDivisor(0, {p: 2})), ("C2", EllDivisor(0, {p: 2}))],
-            self.node(5),
-        )
         with pytest.raises(ValueError, match="complementary"):
-            glued_h0(d)
+            glued_h0(EllDivisor(0, {p: 2}), EllDivisor(0, {p: 2}), p)
+
+    @pytest.mark.parametrize("glued", [glued_h0, glued_h1])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_node_index_mismatch_refused(self, glued, side):
+        sides = [EllDivisor(0, {P5: 2}), EllDivisor(0, {P5: 3})]
+        sides[side] = EllDivisor(0, {P7: 2})
+        with pytest.raises(ValueError, match="node 'P' with index 7, expected 5"):
+            glued(*sides, P5)
 
     def test_euler_characteristic_additivity(self):
         # chi(glued) = chi(C1) + chi(C2) - invariant node dimension
@@ -283,13 +256,9 @@ class TestGluedCohomology:
             p = MarkedPoint("P", m)
             w = rng.randrange(m)
             c1, c2 = rng.randint(-4, 4), rng.randint(-4, 4)
-            d = GlobalEllDivisor(
-                [("C1", EllDivisor(c1, {p: w})),
-                 ("C2", EllDivisor(c2, {p: (m - w) % m}))],
-                self.node(m),
-            )
+            d = (EllDivisor(c1, {p: w}), EllDivisor(c2, {p: (m - w) % m}), p)
             nu = 1 if w % m == 0 else 0
-            assert glued_h0(d) - glued_h1(d) == (c1 + 1) + (c2 + 1) - nu
+            assert glued_h0(*d) - glued_h1(*d) == (c1 + 1) + (c2 + 1) - nu
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 30), st.integers(0, 29), st.integers(-6, 6), st.integers(-6, 6))
@@ -298,28 +267,18 @@ class TestGluedCohomology:
         # fiber carries invariant sections and a side has sections
         w %= m
         p = MarkedPoint("P", m)
-        d = GlobalEllDivisor([("C1", EllDivisor(c1, {p: w})),
-                              ("C2", EllDivisor(c2, {p: -w % m}))], self.node(m))
+        d = (EllDivisor(c1, {p: w}), EllDivisor(c2, {p: -w % m}), p)
         sides = (EllDivisor(c1), EllDivisor(c2))
         matched = w == 0 and any(h0(s) for s in sides)
-        assert glued_h0(d) == sum(h0(s) for s in sides) - matched
-        assert glued_h1(d) == sum(h1(s) for s in sides) + (w == 0) - matched
+        assert glued_h0(*d) == sum(h0(s) for s in sides) - matched
+        assert glued_h1(*d) == sum(h1(s) for s in sides) + (w == 0) - matched
 
 
 class TestWidthInequality:
-    def node(self):
-        return Node("P", 5, lam=2)
-
     def section_data(self):
         p, r = MarkedPoint("P", 5), MarkedPoint("R", 3)
-        a = GlobalEllDivisor(
-            [("C1", EllDivisor(-1, {p: 4, r: 1})), ("C2", EllDivisor(0, {p: 2}))],
-            self.node(),
-        )
-        b = GlobalEllDivisor(
-            [("C1", EllDivisor(-1, {p: 3, r: 1})), ("C2", EllDivisor(-1, {p: 4}))],
-            self.node(),
-        )
+        a = (EllDivisor(-1, {p: 4, r: 1}), EllDivisor(0, {p: 2}))
+        b = (EllDivisor(-1, {p: 3, r: 1}), EllDivisor(-1, {p: 4}))
         return a, b
 
     def test_zero_value_forces_fiber_case(self):
@@ -339,13 +298,8 @@ class TestWidthInequality:
         assert res.value == F(-4, 45)
 
     def test_positive_value_holds(self):
-        node = Node("P", 5, lam=1)
         p = MarkedPoint("P", 5)
-        one = GlobalEllDivisor(
-            [("C1", EllDivisor(1, {p: 0})), ("C2", EllDivisor(0, {p: 0}))], node
-        )
-        zero = GlobalEllDivisor(
-            [("C1", EllDivisor(0, {p: 0})), ("C2", EllDivisor(0, {p: 0}))], node
-        )
+        one = (EllDivisor(1, {p: 0}), EllDivisor(0, {p: 0}))
+        zero = (EllDivisor(0, {p: 0}), EllDivisor(0, {p: 0}))
         res = thm812_check(one, zero, 2, kind="birational")
         assert res.value == F(1, 2) and res.verdict == "holds"
