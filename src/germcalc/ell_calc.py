@@ -21,6 +21,7 @@ deg(B) + deg(A)/d >= 0, strictly for birational contractions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -343,7 +344,10 @@ class DisproofTrace:
         return self.steps[-1].name if self.steps else ""
 
     def step(self, name: str) -> TraceStep:
-        return next(s for s in self.steps if s.name == name)
+        for s in self.steps:
+            if s.name == name:
+                return s
+        raise KeyError(f"no step {name!r} in the {self.script} trace")
 
     def render(self) -> list[str]:
         header = f"{self.script} inputs {self.inputs}: {self.status}"
@@ -546,42 +550,113 @@ def kad_rejection(m: int, m_prime: int, a_prime: int, subcase: str):
 
 
 @lru_cache(maxsize=1)
-def _kad_c2_forms(m: int, subcase: str) -> tuple:
-    """The normal forms on C2 of kad_disproof, which depend on m and the
-    subcase alone: (C2, A2, B2, om2, A2^2, A2*B2, B2^2, twists), where the
-    twists are (A2*B2*om, B2^2*om) for k3a and (om*B2, E2*B2/D2, om*E2,
-    om*E2*B2) for kad.
+def _kad_m_stage(m: int, subcase: str) -> tuple:
+    """The checks of kad_disproof that read m and the subcase alone, and their
+    records as (head, tail): those before and after the two split checks, the
+    only ones that read a'; k3a has none, so its tail is empty.  They are C2's
+    pinned forms, the canonical and vanishing checks, kad's key twist and every
+    section count, which reads only (c, node weight) of each side: on C1 the
+    build of A1 and the pins of the later stages fix those.
 
-    A sweep enumerates m outermost, so one entry serves every tuple of an m.
-    kad_disproof still pins each form on every tuple, and a sweep clears the
-    cache when it starts, so it never reads forms computed before it began.
+    One entry serves every tuple of an m.  A failing check is not cached, so it
+    fails each of them, and a sweep empties the cache when it starts.
     """
     c2 = _Component(P=m, R=2)
-    down = (m - 1) // 2
+    up, down = (m + 1) // 2, (m - 1) // 2
     # graded-sheaf normal forms; om2 is the canonical restriction
     a2 = (0 if subcase == "kad" else -1, down, 1)
     b2 = (-1, 0, 1)
     om2 = (-1, down, 1)
-    a2b2, b2b2 = c2.tensor(a2, b2), c2.tensor(b2, b2)
+    a2a2, a2b2, b2b2 = c2.tensor(a2, a2), c2.tensor(a2, b2), c2.tensor(b2, b2)
+    # (c, node weight) on C1 of A1, A1^2 and A1*B1, and of B1 and B1^2
+    a1, a1a1, a1b1, b1 = (-1, up), (-1, 1), (-1, up), (0, 0)
+
+    step = "degree-table"
+    _expect(step, "B2^2", c2, b2b2, (-1, 0, 0))
+    _expect(step, "A2^2", c2, a2a2, (1, m - 1, 0) if subcase == "kad" else (-1, 2, 0))
+    _expect(step, "A2*B2", c2, a2b2, (0, down, 0) if subcase == "kad" else (-1, 1, 0))
+    head = [(step, None, 1, "holds", "graded normal forms verified")]
+
+    step = "canonical-restrictions"
+    for label, om in (("C1", a1), ("C2", om2)):
+        if _h0(om[0]) or _h1(om[0]):
+            raise ScriptCheckError(step, f"canonical restriction to {label} has sections")
+    head.append((step, 0, 1, "holds", "h0 = h1 = 0 on both components"))
+
     if subcase == "k3a":
-        twists = (c2.tensor(a2b2, om2), c2.tensor(b2b2, om2))
-    else:
-        d2, e2 = (0, 0, 0), om2
-        oe2 = c2.tensor(om2, e2)
-        twists = (c2.tensor(om2, b2), c2.tensor(c2.tensor(e2, b2), c2.dual(d2)), oe2,
-                  c2.tensor(oe2, b2))
-    return c2, a2, b2, om2, c2.tensor(a2, a2), a2b2, b2b2, twists
+        twist1, twist2 = c2.tensor(a2b2, om2), c2.tensor(b2b2, om2)
+        _expect("h1-a2b2-omega", "A2*B2*om", c2, twist1, (-2, 2, 1))
+        head.append(("h1-a2b2-omega", _h1(twist1[0]), 1, "holds", ""))
+        _expect("h1-b2sq-omega", "B2^2*om", c2, twist2, (-2, 1, 1))
+        head.append(("h1-b2sq-omega", _h1(twist2[0]), 1, "holds", ""))
+        _check(_h1(twist1[0]) == 1 and _h1(twist2[0]) == 1, "forces-conic-bundle",
+               "expected h1 = 1 twice")
+        head.append(("forces-conic-bundle", None, 1, "forces_cb",
+                     "h1 of the twisted square is >= 2"))
+        h_gr1 = _sections(a1, a2, m) + _sections(b1, b2, m)
+        head.append(("h0-gr1", h_gr1, 1, "holds", ""))
+        h_sym = _sections(a1a1, a2a2, m) + _sections(a1b1, a2b2, m) + _sections(b1, b2b2, m)
+        head.append(("h0-sym2", h_sym, 1, "holds", ""))
+        _check(h_gr1 == 0 and h_sym == 0, "section-count-conflict",
+               "expected no sections in weights 1 and 2")
+        head.append(("section-count-conflict", None, 1, "contradiction",
+                     "two independent width-2 sections cannot fit in "
+                     "h0 <= h0(sym2) + 1 = 1"))
+        return tuple(head), ()
+
+    # kad, m >= 5; on C2 D2 = 0 and E2 = om2, on C1 om*B1 = A1*B1 and om*E1 = A1^2
+    step = "gr1-omega-vanishing"
+    om_b2 = c2.tensor(om2, b2)
+    _expect(step, "om*B2", c2, om_b2, (-1, down, 0))
+    if _h0(a1b1[0]) or _h1(a1b1[0]) or _h0(om_b2[0]) or _h1(om_b2[0]):
+        raise ScriptCheckError(step, "twisted weight-1 piece has sections")
+    head.append((step, 0, 1, "holds", ""))
+
+    # C2's share of the thickening check; C1's reads a'
+    step = "split-check-thickening"
+    mm2 = c2.tensor(c2.tensor(om2, b2), c2.dual((0, 0, 0)))
+    _expect(step, "E2*B2/D2", c2, mm2, (-1, down, 0))
+    _check(not _h1(mm2[0]), step, "splitting obstruction does not vanish")
+
+    step = "omega-e-vanishing"
+    oe2 = c2.tensor(om2, om2)
+    _expect(step, "om*E2", c2, oe2, (-1, m - 1, 0))
+    if _h0(a1a1[0]) or _h1(a1a1[0]) or _h0(oe2[0]) or _h1(oe2[0]):
+        raise ScriptCheckError(step, "twisted splitting piece has sections")
+    tail = [(step, 0, 1, "holds", "")]
+
+    step = "h1-omega-e-b2"
+    key = c2.tensor(oe2, b2)
+    _expect(step, "om*E*B2", c2, key, (-2, m - 1, 1))
+    hk = _h1(key[0])
+    tail.append((step, hk, 1, "forces_cb", "nonvanishing h1 rules out the birational cases"))
+    _check(hk == 1, step, "expected h1 = 1 on the key twist")
+
+    h_a, h_b = _sections(a1, a2, m), _sections(b1, b2, m)
+    tail.append(("h0-gr1", h_a + h_b, 1, "holds", "the unique weight-1 section lives on C2"))
+    _check((h_a, h_b) == (1, 0), "h0-gr1", "weight-1 section count off")
+    sq_a, sq_ab, sq_b = (_sections(a1a1, a2a2, m), _sections(a1b1, a2b2, m),
+                         _sections(b1, b2b2, m))
+    c1_side = _h0(a1a1[0]) + _h0(a1b1[0]) + sq_b
+    tail.append(("h0-gr2", sq_a + sq_ab + sq_b, 1, "holds",
+                 "all weight-2 sections restrict to zero on C1"))
+    _check((sq_a, sq_ab, sq_b) == (2, 1, 0) and c1_side == 0, "h0-gr2",
+           "weight-2 section count off")
+    tail.append(("multiplicity-conflict", None, 1, "contradiction",
+                 "a second base section must vanish to order 3 along "
+                 "C1, against the length-4 budget"))
+    return tuple(head), tuple(tail)
 
 
 @lru_cache(maxsize=1)
 def _kad_c1_forms(m: int, m_prime: int) -> tuple:
     """The normal forms on C1 of kad_disproof that do not involve A1, which
-    depend on (m, m') alone: (C1, B1, B1^2, dual(B1^2)), where B1^2 = D1; they
-    are pinned on every tuple, as those of _kad_c2_forms are."""
+    depend on (m, m') alone, with B1^2 = D1 pinned: (C1, B1, B1^2, dual(B1^2))."""
     # C1 carries the node P and Q; the gluing with C2 has length 1
     c1 = _Component(P=m, Q=m_prime)
     b1 = (0, 0, 1)
     b1b1 = c1.tensor(b1, b1)
+    _expect("degree-table", "B1^2", c1, b1b1, (0, 0, 2))
     return c1, b1, b1b1, c1.dual(b1b1)
 
 
@@ -601,118 +676,45 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
 
 def _kad_steps(m: int, m_prime: int, a_prime: int, subcase: str) -> tuple[tuple, ...]:
     """The records of kad_disproof on a tuple admissible in ``subcase``, which
-    is lower case."""
+    is lower case: those of _kad_m_stage around the split checks, the only
+    ones that read a'.  Only the forms that involve A1 are computed here."""
+    head, tail = _kad_m_stage(m, subcase)
     c1, b1, b1b1, d1_inv = _kad_c1_forms(m, m_prime)
-    c2, a2, b2, om2, a2a2, a2b2, b2b2, twists = _kad_c2_forms(m, subcase)
     gap = m_prime - a_prime
-    up, down = (m + 1) // 2, (m - 1) // 2
+    up = (m + 1) // 2
     # graded-sheaf normal form; the canonical restriction om1 and E1 equal a1
     a1 = (-1, up, gap)
-
-    # the tensor-square/product table, pinned
-    step = "degree-table"
     a1a1, a1b1 = c1.tensor(a1, a1), c1.tensor(a1, b1)
-    _expect(step, "A1^2", c1, a1a1, (-1, 1, 2 * gap))
-    _expect(step, "B1^2", c1, b1b1, (0, 0, 2))
-    _expect(step, "A1*B1", c1, a1b1, (-1, up, gap + 1))
-    _expect(step, "B2^2", c2, b2b2, (-1, 0, 0))
-    if subcase == "kad":
-        _expect(step, "A2^2", c2, a2a2, (1, m - 1, 0))
-        _expect(step, "A2*B2", c2, a2b2, (0, down, 0))
-    else:
-        _expect(step, "A2^2", c2, a2a2, (-1, 2, 0))
-        _expect(step, "A2*B2", c2, a2b2, (-1, 1, 0))
-    steps = [(step, None, 1, "holds", "graded normal forms verified")]
-
-    step = "canonical-restrictions"
-    for label, om in (("C1", a1), ("C2", om2)):
-        if _h0(om[0]) or _h1(om[0]):
-            raise ScriptCheckError(step, f"canonical restriction to {label} has sections")
-    steps.append((step, 0, 1, "holds", "h0 = h1 = 0 on both components"))
-
+    _expect("degree-table", "A1^2", c1, a1a1, (-1, 1, 2 * gap))
+    _expect("degree-table", "A1*B1", c1, a1b1, (-1, up, gap + 1))
     if subcase == "k3a":
-        twist1, twist2 = twists
-        _expect("h1-a2b2-omega", "A2*B2*om", c2, twist1, (-2, 2, 1))
-        steps.append(("h1-a2b2-omega", _h1(twist1[0]), 1, "holds", ""))
-        _expect("h1-b2sq-omega", "B2^2*om", c2, twist2, (-2, 1, 1))
-        steps.append(("h1-b2sq-omega", _h1(twist2[0]), 1, "holds", ""))
-        _check(_h1(twist1[0]) == 1 and _h1(twist2[0]) == 1, "forces-conic-bundle",
-               "expected h1 = 1 twice")
-        steps.append(("forces-conic-bundle", None, 1, "forces_cb",
-                      "h1 of the twisted square is >= 2"))
-        h_gr1 = _sections(a1, a2, m) + _sections(b1, b2, m)
-        steps.append(("h0-gr1", h_gr1, 1, "holds", ""))
-        h_sym = _sections(a1a1, a2a2, m) + _sections(a1b1, a2b2, m) + _sections(b1b1, b2b2, m)
-        steps.append(("h0-sym2", h_sym, 1, "holds", ""))
-        _check(h_gr1 == 0 and h_sym == 0, "section-count-conflict",
-               "expected no sections in weights 1 and 2")
-        steps.append(("section-count-conflict", None, 1, "contradiction",
-                      "two independent width-2 sections cannot fit in "
-                      "h0 <= h0(sym2) + 1 = 1"))
-        return tuple(steps)
-
-    # kad, m >= 5
-    twist2, mm2, oe2, key = twists
-    # om*B1 = E1*B1 = A1*B1 and om*E1 = A1^2: the pins below reread those products
-    step = "gr1-omega-vanishing"
-    _expect(step, "om*B1", c1, a1b1, (-1, up, gap + 1))
-    _expect(step, "om*B2", c2, twist2, (-1, down, 0))
-    if _h0(a1b1[0]) or _h1(a1b1[0]) or _h0(twist2[0]) or _h1(twist2[0]):
-        raise ScriptCheckError(step, "twisted weight-1 piece has sections")
-    steps.append((step, 0, 1, "holds", ""))
+        return head
 
     split1 = c1.tensor(b1b1, c1.dual(a1))
     obstruction1 = _h1(split1[0])
-    steps.append(("split-check-c1", obstruction1, 1, "holds",
-                  ("splitting obstruction {!r}", c1, split1)))
     step = "split-check-thickening"
     mm1 = c1.tensor(a1b1, d1_inv)
     _expect(step, "E1*B1/D1", c1, mm1, (-1, up, gap - 1))
-    _expect(step, "E2*B2/D2", c2, mm2, (-1, down, 0))
-    obstruction2 = _h1(mm1[0]) + _h1(mm2[0])
-    steps.append((step, obstruction2, 1, "holds", ""))
+    obstruction2 = _h1(mm1[0])  # C2's share is checked to be 0 by _kad_m_stage
     _check(not (obstruction1 or obstruction2), step, "splitting obstruction does not vanish")
-
-    step = "omega-e-vanishing"
-    _expect(step, "om*E1", c1, a1a1, (-1, 1, 2 * gap))
-    _expect(step, "om*E2", c2, oe2, (-1, m - 1, 0))
-    if _h0(a1a1[0]) or _h1(a1a1[0]) or _h0(oe2[0]) or _h1(oe2[0]):
-        raise ScriptCheckError(step, "twisted splitting piece has sections")
-    steps.append((step, 0, 1, "holds", ""))
-
-    step = "h1-omega-e-b2"
-    _expect(step, "om*E*B2", c2, key, (-2, m - 1, 1))
-    hk = _h1(key[0])
-    steps.append((step, hk, 1, "forces_cb", "nonvanishing h1 rules out the birational cases"))
-    _check(hk == 1, step, "expected h1 = 1 on the key twist")
-
-    h_a, h_b = _sections(a1, a2, m), _sections(b1, b2, m)
-    steps.append(("h0-gr1", h_a + h_b, 1, "holds", "the unique weight-1 section lives on C2"))
-    _check((h_a, h_b) == (1, 0), "h0-gr1", "weight-1 section count off")
-    sq_a, sq_ab, sq_b = (_sections(a1a1, a2a2, m), _sections(a1b1, a2b2, m),
-                         _sections(b1b1, b2b2, m))
-    c1_side = _h0(a1a1[0]) + _h0(a1b1[0]) + sq_b
-    steps.append(("h0-gr2", sq_a + sq_ab + sq_b, 1, "holds",
-                  "all weight-2 sections restrict to zero on C1"))
-    _check((sq_a, sq_ab, sq_b) == (2, 1, 0) and c1_side == 0, "h0-gr2",
-           "weight-2 section count off")
-    steps.append(("multiplicity-conflict", None, 1, "contradiction",
-                  "a second base section must vanish to order 3 along "
-                  "C1, against the length-4 budget"))
-    return tuple(steps)
+    return (*head, ("split-check-c1", obstruction1, 1, "holds",
+                    ("splitting obstruction {!r}", c1, split1)),
+            (step, obstruction2, 1, "holds", ""), *tail)
 
 
 def _admissible(index_rejection, min_a_prime, sweep_max: int):
     """The tuples with m, m' <= sweep_max that a script's rule admits, in the
     order m, m', a'.  The rule is judged once per level: ``index_rejection``
-    once per m, and from ``min_a_prime(m, m')`` up only the chain-point rule."""
-    for m in range(1, sweep_max + 1):
-        if index_rejection(m) is not None:
-            continue
-        for m_prime in range(1, sweep_max + 1):
-            for a_prime in range(min_a_prime(m, m_prime), m_prime):
-                if _chain_point_rejection(m_prime, a_prime) is None:
-                    yield (m, m_prime, a_prime)
+    once per m, and the chain-point rule once per (m', a') from the least
+    ``min_a_prime`` of any m up; each (m, m') bisects to its own bound."""
+    ms = [m for m in range(1, sweep_max + 1) if index_rejection(m) is None]
+    a_primes = [[a for a in range(min(min_a_prime(m, m_prime) for m in ms), m_prime)
+                 if _chain_point_rejection(m_prime, a) is None]
+                for m_prime in range(1, sweep_max + 1)] if ms else []
+    for m in ms:
+        for m_prime, admitted in enumerate(a_primes, 1):
+            yield from ((m, m_prime, a) for a in
+                        admitted[bisect_left(admitted, min_a_prime(m, m_prime)):])
 
 
 def ic_admissible(sweep_max: int = 49):
@@ -749,7 +751,7 @@ class SweepSummary:
 
 # the per-parameter forms of the scripts, emptied when a sweep starts so that it
 # never reads forms computed before it began
-_SWEEP_CACHES = (_ic_c2_forms, _ic_forms, _kad_c1_forms, _kad_c2_forms)
+_SWEEP_CACHES = (_ic_c2_forms, _ic_forms, _kad_c1_forms, _kad_m_stage)
 
 
 def _sweep(script: str, tuples, body, final_step: str, reaches_final) -> SweepSummary:

@@ -65,6 +65,14 @@ class TestIcScript:
         assert trace.step("width-2-degree").value == F(4 + 1 - 6, 4)
         assert not any(s.name == "width-3-degree" for s in trace.steps)
 
+    def test_unknown_step_raises_key_error(self):
+        trace = ic_disproof(7, 4, 3)  # ends at the width-2 step
+        with pytest.raises(KeyError, match="no step 'width-3-degree' in the ic trace"):
+            trace.step("width-3-degree")
+        # map would end early on a StopIteration; a KeyError reaches the caller
+        with pytest.raises(KeyError):
+            list(map(trace.step, ("width-2-degree", "width-3-degree")))
+
     def test_replay_is_deterministic(self):
         first = ic_disproof(9, 5, 3)
         second = ic_disproof(9, 5, 3)
@@ -270,8 +278,13 @@ class TestOneRulePerLevel:
 
     def test_work_per_sweep(self, monkeypatch):
         # These count work, not time: at cap 15 a sweep judges the index rule once
-        # per m and the chain-point rule once per candidate from the a' bound up,
-        # and runs the script's body, not its public entry, once per tuple.
+        # per m and the chain-point rule once per (m', a') from the least a' bound
+        # of any m up, and runs the script's body, not its public entry, once per
+        # tuple.  kad runs each check once per parameter it reads: the 5 section
+        # counts and C2's 7 pins (5 for k3a) per m, the B1^2 pin per (m, m') (78
+        # pairs, 13 for k3a), and only A1^2, A1*B1 and, for kad, E1*B1/D1 per
+        # tuple.  Run on every tuple, they were 1050 and 175 section counts and
+        # 2730 and 280 pins.
         calls = Counter()
 
         def counting(name):
@@ -284,7 +297,7 @@ class TestOneRulePerLevel:
 
         for name in ("_ic_index_rejection", "_kad_index_rejection", "ic_rejection",
                      "kad_rejection", "_chain_point_rejection", "_ic_steps", "_kad_steps",
-                     "ic_disproof", "kad_disproof", "DisproofTrace"):
+                     "ic_disproof", "kad_disproof", "DisproofTrace", "_sections", "_expect"):
             counting(name)
         counts = {}
         for script in ("ic", "k3a", "kad"):
@@ -293,12 +306,13 @@ class TestOneRulePerLevel:
             assert summary.all_contradicted
             counts[script] = (summary.total, dict(calls))
         assert counts == {
-            "ic": (188, {"_ic_index_rejection": 15, "_chain_point_rejection": 268,
-                         "_ic_steps": 188}),
+            "ic": (188, {"_ic_index_rejection": 15, "_chain_point_rejection": 48,
+                         "_ic_steps": 188, "_expect": 42}),
             "k3a": (35, {"_kad_index_rejection": 15, "_chain_point_rejection": 49,
-                         "_kad_steps": 35}),
-            "kad": (210, {"_kad_index_rejection": 15, "_chain_point_rejection": 294,
-                          "_kad_steps": 210}),
+                         "_kad_steps": 35, "_sections": 5, "_expect": 5 + 13 + 2 * 35}),
+            "kad": (210, {"_kad_index_rejection": 15, "_chain_point_rejection": 49,
+                          "_kad_steps": 210, "_sections": 6 * 5,
+                          "_expect": 6 * 7 + 78 + 3 * 210}),
         }
 
     def test_kad_sweep_builds_no_divisor_view(self, monkeypatch):
@@ -431,7 +445,28 @@ CORRUPTED_FIRST_FORMS = [
 ]
 
 
+# Corrupted forms on C1 that one tuple reads: A1*B1 and E1*B1/D1 depend on a'.
+# The messages are those the script gave while it pinned every form on every tuple.
+CORRUPTED_TUPLE_FORMS = [
+    ("A1*B1", (-1, 4, 3), (-1, 4, 4),
+     "1 of 210 failed, first (7, 5, 3) at degree-table: A1*B1: computed "
+     "(-1 + 4*P[7] + 4*Q[5]), expected (-1 + 4*P[7] + 3*Q[5])"),
+    ("E1*B1/D1", (-1, 4, 1), (-1, 4, 2),
+     "1 of 210 failed, first (7, 5, 3) at split-check-thickening: E1*B1/D1: computed "
+     "(-1 + 4*P[7] + 2*Q[5]), expected (-1 + 4*P[7] + 1*Q[5])"),
+]
+
+
 class TestPerPairForms:
+    @pytest.mark.parametrize("form, good, bad, message", CORRUPTED_TUPLE_FORMS,
+                             ids=[case[0] for case in CORRUPTED_TUPLE_FORMS])
+    def test_corrupt_tuple_form_fails_only_its_tuple(self, monkeypatch, form, good, bad,
+                                                     message):
+        _corrupt_carry(monkeypatch, (7, 5), good, bad)
+        summary = kad_sweep("kad", 15)
+        assert summary.failure == message
+        assert summary.survivors == summary.total - 1
+
     @pytest.mark.parametrize("script, indices, good, bad, message", CORRUPTED_PAIR_FORMS,
                              ids=[case[0] for case in CORRUPTED_PAIR_FORMS])
     def test_corrupt_pair_form_fails_every_tuple_that_reads_it(
