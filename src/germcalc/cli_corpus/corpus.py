@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 from .. import class_group, cyclic_quot, ell_calc, germ_rules, resolution
 from ..dual_graph import (
@@ -76,7 +77,7 @@ def analyze_graph(
             entry["negative_definite"] = False
             entry["error"] = "cluster is not contractible"
             continue
-        entry["codiscrepancy"] = {v: fmt(d.coeffs[v]) for v in cluster.ids}
+        entry["codiscrepancy"] = {v: fmt(x, d.den) for v, x in d.numerators.items()}
         entry["class"] = resolution.singularity_class(d).value
         if cluster.shape is ClusterShape.CHAIN:
             # a list, not a generator: tuple(<genexpr>) leaks RSS per call on CPython 3.11
@@ -124,18 +125,21 @@ def analyze_graph(
             if m is None:
                 continue
             for comp in g.component_ids():
-                local = sum(
-                    (d.coeffs[nb] for nb in g.adjacency[comp] if nb in d.coeffs),
-                    Fraction(0),
-                )
+                local = sum(d.numerators[nb] for nb in g.adjacency[comp] if nb in d.numerators)
                 if local == 0:
                     continue
-                rep = class_group.local_primitivity(local, m)
+                value, order = fmt(local, d.den), d.den // gcd(local, d.den)
+                if m > 1 and m % order:  # local_primitivity rejects an index below 2
+                    report["notes"].append(
+                        f"{comp} at cluster {number}: local class {value} has denominator "
+                        f"{order}, which does not divide the index {m}; no primitivity line")
+                    continue
+                rep = class_group.local_primitivity(Fraction(local, d.den), m)
                 report["primitivity"].append({
                     "component": comp,
                     "cluster": number,
                     "index": m,
-                    "local_value": fmt(local),
+                    "local_value": value,
                     "image_order": rep.image_order,
                     "splitting_degree": rep.splitting_degree,
                     "primitive": rep.primitive,

@@ -1,7 +1,7 @@
 """Exact rational linear algebra on sparse symmetric integer matrices.
 
-Everything here works over plain Python integers and ``fractions.Fraction``;
-no floating point is used anywhere in the package.
+Integers throughout, ``fractions.Fraction`` only at the edges (a right-hand side,
+fill-in, the views of a result); no floating point is used anywhere in the package.
 
 ``eliminate`` is the one elimination behind both the definiteness verdict
 and the linear solve.  It removes the row with the fewest remaining
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 class SingularMatrixError(ValueError):
@@ -66,16 +66,27 @@ class SymmetricForm:
 
 @dataclass(frozen=True)
 class Elimination:
-    """Result of ``eliminate``: ``pivots[k]`` is the pivot of row ``order[k]``.
+    """Result of ``eliminate``: row ``order[k]`` has pivot ``D / s`` for
+    ``(D, s) = pivot_pairs[k]``, ``s > 0``; with a right-hand side, x = X / den.
 
     On a form that is not negative definite the lists end at the first pivot
-    that is not negative, and ``solution`` is None.
+    that is not negative, and ``numerators`` (X) and ``den`` are None.
     """
 
     order: tuple[int, ...]
-    pivots: tuple[Fraction, ...]
+    pivot_pairs: tuple[tuple[int, int], ...]
     negative_definite: bool
-    solution: tuple[Fraction, ...] | None = None
+    numerators: tuple[int, ...] | None = None
+    den: int | None = None
+
+    @property
+    def pivots(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(d, s) for d, s in self.pivot_pairs])
+
+    @property
+    def solution(self) -> tuple[Fraction, ...] | None:
+        den = self.den
+        return None if den is None else tuple([Fraction(x, den) for x in self.numerators])
 
 
 def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
@@ -85,8 +96,9 @@ def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
     by (degree, row) that is read only when no leaf is left, so a tree never
     reads it.  Only a heap row can create fill-in, and it is taken only
     while no leaf exists, so a row in the leaf stack keeps degree at most one.
-    With ``rhs``, back substitution gives the solution of ``M x = rhs`` when
-    every pivot is negative.
+    With ``rhs``, back substitution solves ``M x = rhs`` when every pivot is
+    negative, as integers ``X = den * x``, ``den = |det M| * lcm(rhs denominators)``:
+    ``det(M) * M^-1`` is the adjugate, an integer matrix, so each row divides exactly.
 
     Row v of the remaining Schur complement has diagonal ``D[v] / s[v]`` and
     right-hand side ``B[v] / s[v]`` in integers, ``s[v] > 0``.  On a tree with
@@ -107,7 +119,7 @@ def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
     heap = [(len(row), v) for v, row in enumerate(nbrs) if len(row) > 1]
     heapify(heap)
     order: list[int] = []
-    pivots: list[Fraction] = []
+    pivots: list[tuple[int, int]] = []
     rows_at_pivot: list[dict] = []
     while len(order) < n:
         if leaves:
@@ -118,7 +130,7 @@ def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
                 continue  # stale entry
         Dv, sv, Bv = D[v], s[v], B[v]
         order.append(v)
-        pivots.append(Fraction(Dv, sv))
+        pivots.append((Dv, sv))
         if Dv >= 0:
             return Elimination(tuple(order), tuple(pivots), False)
         row = nbrs[v]
@@ -151,27 +163,31 @@ def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
                 heappush(heap, (len(nu), u))
     if rhs is None:
         return Elimination(tuple(order), tuple(pivots), True)
-    x: list = [None] * n
+    det = 1  # the pivots so far multiply to an integer minor, so each step divides exactly
+    for Dv, sv in pivots:
+        det = det * Dv // sv
+    den = abs(det) * lcm(*[x.denominator for x in rhs])
+    X: list = [None] * n
     for v, row in zip(reversed(order), reversed(rows_at_pivot)):
-        # x[v] = (b[v] - t) / pivot with t = sum of a * x[u], kept as tn / td
+        # X[v] = (den * b[v] - t) / pivot with t = sum of a * X[u], kept as tn / td
         tn, td = 0, 1
         for u, a in row.items():
-            xu = x[u]
-            yn, yd = a.numerator * xu.numerator, a.denominator * xu.denominator
-            tn, td = tn * yd + yn * td, td * yd
-        x[v] = Fraction(B[v] * td - s[v] * tn, D[v] * td)
-    return Elimination(tuple(order), tuple(pivots), True, tuple(x))
+            tn, td = tn * a.denominator + a.numerator * X[u] * td, td * a.denominator
+        X[v], r = divmod(den * B[v] * td - s[v] * tn, D[v] * td)
+        if r:
+            raise AssertionError(f"inexact back substitution at row {v}")
+    return Elimination(tuple(order), tuple(pivots), True, tuple(X), den)
 
 
-def solve_exact(form: SymmetricForm, rhs) -> list[Fraction]:
-    """Solve M x = rhs exactly for a negative-definite form M.
+def solve_exact(form: SymmetricForm, rhs) -> tuple[tuple[int, ...], int]:
+    """Solve M x = rhs for a negative-definite form M, as ``(X, den)`` with x = X / den.
 
     Raises SingularMatrixError when M is not negative definite.
     """
     result = eliminate(form, rhs)
     if not result.negative_definite:
         raise SingularMatrixError("matrix is not negative definite")
-    return list(result.solution)
+    return result.numerators, result.den
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
@@ -203,6 +219,9 @@ def leading_principal_minors(rows: list[list[int]]) -> list[int]:
     return [det_bareiss([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
 
 
-def fmt(value: Fraction | int) -> str:
-    """Render a rational reduced, as ``p/q`` or plain ``p`` when integral."""
-    return str(Fraction(value))
+def fmt(value: Fraction | int, den: int = 1) -> str:
+    """Render ``value / den`` (``den > 0``) reduced, as ``p/q`` or ``p`` when integral."""
+    if type(value) is not int:  # a Fraction
+        value, den = value.numerator, value.denominator * den
+    g = gcd(value, den)
+    return str(value // g) if g == den else f"{value // g}/{den // g}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .dual_graph import Cluster, ConfigGraph, VertexKind, intersection_matrix
 # re-exported beside codiscrepancy; perfbench/tests checks that tracing wraps this binding
@@ -33,10 +34,12 @@ class SingClass(Enum):
 @dataclass(frozen=True)
 class Codiscrepancy:
     cluster: tuple[str, ...]
-    coeffs: dict[str, Fraction]
+    numerators: dict[str, int]  # the coefficient at v is numerators[v] / den
+    den: int  # |det M|
 
-    def max_coeff(self) -> Fraction:
-        return max(self.coeffs.values())
+    @property
+    def coeffs(self) -> dict[str, Fraction]:
+        return {v: Fraction(x, self.den) for v, x in self.numerators.items()}
 
 
 @dataclass(frozen=True)
@@ -65,24 +68,23 @@ def codiscrepancy(g: ConfigGraph, cluster: Cluster | tuple[str, ...] | list[str]
     form = intersection_matrix(g, ids).form
     rhs = [2 + s for s in form.diag]  # 2 - a_j with a_j = -self_int
     try:
-        sol = solve_exact(form, rhs)
+        numerators, den = solve_exact(form, rhs)
     except SingularMatrixError:
         raise ContractibilityError(
             f"cluster ({', '.join(ids)}) is not negative definite and cannot be contracted"
         ) from None
-    coeffs = dict(zip(ids, sol))
     # effectivity is forced for negative-definite clusters with all a_j >= 2
-    bad = [v for v, d in coeffs.items() if d < 0]
+    bad = [v for v, x in zip(ids, numerators) if x < 0]
     if bad:
         raise AssertionError(f"negative codiscrepancy coefficient at {bad[0]}")
-    return Codiscrepancy(ids, coeffs)
+    return Codiscrepancy(ids, dict(zip(ids, numerators)), den)
 
 
 def singularity_class(d: Codiscrepancy) -> SingClass:
-    top = d.max_coeff()
-    if top < 1:
+    top = max(d.numerators.values())
+    if top < d.den:
         return SingClass.LOG_TERMINAL
-    if top == 1:
+    if top == d.den:
         return SingClass.LOG_CANONICAL_STRICT
     return SingClass.NOT_LOG_CANONICAL
 
@@ -94,9 +96,10 @@ def k_dot_components(g: ConfigGraph, codiscrepancies: list[Codiscrepancy]) -> KR
     a zero value is reported as infeasible (the contraction needs strictly
     negative degrees).
     """
-    coeff: dict[str, Fraction] = {}
+    den = lcm(*(d.den for d in codiscrepancies))  # every coefficient as coeff[v] / den
+    coeff: dict[str, int] = {}
     for d in codiscrepancies:
-        coeff.update(d.coeffs)
+        coeff.update({v: x * (den // d.den) for v, x in d.numerators.items()})
     for v in g.exceptional_ids():
         if v not in coeff:
             raise ValueError(f"no codiscrepancy supplied for exceptional vertex {v!r}")
@@ -104,7 +107,6 @@ def k_dot_components(g: ConfigGraph, codiscrepancies: list[Codiscrepancy]) -> KR
     for v in g.vertices:
         if v.kind is not VertexKind.COMPONENT:
             continue
-        total = sum((coeff[nb] for nb in g.adjacency[v.id] if nb in coeff), Fraction(0))
-        value = Fraction(-1) + total
-        entries.append(KEntry(v.id, value, value < 0))
+        total = sum(coeff[nb] for nb in g.adjacency[v.id] if nb in coeff) - den
+        entries.append(KEntry(v.id, Fraction(total, den), total < 0))
     return KReport(tuple(entries), all(e.k_negative for e in entries))

@@ -80,6 +80,27 @@ class TestAnalyze:
         assert out.endswith("note: some cluster has no recognised index; pass --point-index "
                             "to enable its primitivity lines\n")
 
+    def test_mismatched_assumed_index_is_a_note(self, tmp_path, capsys):
+        # cluster 2's local classes have denominator 5, which 4 does not divide;
+        # cluster 1 is class T of index 2 and keeps its primitivity line
+        path = data_path("kad_cb4.graph", tmp_path)
+        rc = main(["analyze", path, "--point-index", "4", "--assume-generator"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "K.C(c1) = -1/10  [K-negative]\n" in out
+        assert "  c1 at cluster 1 (index 2): local class 1/2, image order 2, primitive\n" in out
+        assert "at cluster 2 (index 4)" not in out
+        assert ("note: c3 at cluster 2: local class 4/5 has denominator 5, which does not "
+                "divide the index 4; no primitivity line\n") in out
+        rc = main(["--json", "analyze", path, "--point-index", "4", "--assume-generator"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert [(p["component"], p["cluster"]) for p in payload["primitivity"]] == [("c1", 1)]
+        assert sum("does not divide the index 4" in n for n in payload["notes"]) == 4
+        # an index below 2 stays an input error, not a note
+        assert main(["analyze", path, "--point-index", "1", "--assume-generator"]) == 2
+        assert capsys.readouterr().err == "error: index must be >= 2\n"
+
     def test_noncontractible_cluster_text(self, tmp_path, capsys):
         rc = main(["analyze", triangle_path(tmp_path)])
         assert rc == 0

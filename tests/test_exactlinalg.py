@@ -3,7 +3,7 @@
 Each form is checked three ways: the product of the pivots against a dense
 Bareiss determinant of the rows eliminated so far, the verdict against the
 characteristic-polynomial test, and the solution by substituting it back into
-M x = b in Fractions.
+M x = b in Fractions and its integer numerators X into M X = den b in integers.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -57,9 +57,16 @@ def check_against_oracles(rows: list[list[int]], rhs: list) -> bool:
         x = result.solution
         for i in range(n):
             assert sum(Fraction(rows[i][j]) * x[j] for j in range(n)) == rhs[i]
-        assert solve_exact(form, rhs) == list(x)
+        numerators, den = result.numerators, result.den
+        assert den == abs(det_bareiss(rows)) * lcm(*(Fraction(b).denominator for b in rhs))
+        assert all(type(v) is int for v in numerators)
+        for i in range(n):
+            assert sum(rows[i][j] * numerators[j] for j in range(n)) == den * rhs[i]
+        assert solve_exact(form, rhs) == (numerators, den)
+        assert x == tuple(Fraction(v, den) for v in numerators)
     else:
         assert result.pivots[-1] >= 0 and result.solution is None
+        assert result.numerators is None and result.den is None
         with pytest.raises(SingularMatrixError):
             solve_exact(form, rhs)
     return verdict
@@ -175,14 +182,17 @@ def big_tree(rng: random.Random, n: int) -> ConfigGraph:
 
 @pytest.mark.parametrize("build", [big_chain, big_tree])
 def test_400_vertices_finish_fast(rng, build):
-    g = build(rng, 400)
-    ids = [v.id for v in g.vertices]
-    start = time.perf_counter()
-    assert is_negative_definite(intersection_matrix(g, ids))
-    d = codiscrepancy(g, ids)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0  # generous: about 0.02 s on a 2-CPU machine
-    m = intersection_matrix(g, ids)
-    for i, v in enumerate(ids):
-        lhs = m.form.diag[i] * d.coeffs[v] + sum(a * d.coeffs[ids[j]] for j, a in m.form.links[i])
-        assert lhs == 2 + m.form.diag[i]
+    # 1,600 vertices catch a determinant product that is not kept reduced
+    for n in (400, 1600):
+        g = build(rng, n)
+        ids = [v.id for v in g.vertices]
+        start = time.perf_counter()
+        assert is_negative_definite(intersection_matrix(g, ids))
+        d = codiscrepancy(g, ids)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0  # generous: at most about 0.04 s on a 2-CPU machine
+        m = intersection_matrix(g, ids)
+        c = d.coeffs
+        for i, v in enumerate(ids):
+            lhs = m.form.diag[i] * c[v] + sum(a * c[ids[j]] for j, a in m.form.links[i])
+            assert lhs == 2 + m.form.diag[i]
