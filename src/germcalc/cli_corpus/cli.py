@@ -29,8 +29,8 @@ def _cmd_analyze(args) -> tuple[dict, list[str], int]:
     return report, corpus.render_analysis(report), 0
 
 
-def _check_sweep_max(sweep_max: int, scripts: tuple[str, ...]) -> None:
-    """Reject a cap at which some script admits no tuple, an input error."""
+def _check_sweep_max(sweep_max: int, scripts) -> None:
+    """Reject a cap at which one of ``scripts`` admits no tuple, an input error."""
     smallest = max(ell_calc.smallest_sweep_max(s) for s in scripts)
     if sweep_max < smallest:
         raise ValueError(f"--sweep-max {sweep_max} is below {smallest}, the smallest cap "
@@ -38,7 +38,7 @@ def _check_sweep_max(sweep_max: int, scripts: tuple[str, ...]) -> None:
 
 
 def _cmd_verify(args) -> tuple[dict, list[str], int]:
-    _check_sweep_max(args.sweep_max, ("ic", "k3a", "kad"))
+    _check_sweep_max(args.sweep_max, ell_calc.SCRIPTS)
     report = corpus.verify_paper(sweep_max=args.sweep_max)
     payload = {
         "checks": [dataclasses.asdict(c) for c in report.checks],
@@ -100,7 +100,11 @@ def _cmd_classify(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_flip(args) -> tuple[dict, list[str], int]:
-    plus = tuple(int(x) for x in args.plus_indices.split(",")) if args.plus_indices else ()
+    try:
+        plus = tuple(int(x) for x in args.plus_indices.split(",")) if args.plus_indices else ()
+    except ValueError:
+        raise ValueError(f"--plus-indices {args.plus_indices!r} is not a comma-separated "
+                         "list of integers") from None
     data = germ_rules.FlipGermData(args.index, plus)
     try:
         kc = Fraction(args.kc)
@@ -123,21 +127,18 @@ def _cmd_flip(args) -> tuple[dict, list[str], int]:
 def _cmd_disprove(args) -> tuple[dict, list[str], int]:
     """Run one exclusion script: kad's ``--subcase`` names it; without one it is ic."""
     inputs = (args.m, args.mprime, args.aprime)
+    script = ell_calc.SCRIPTS[args.script]
     if args.sweep_max is not None:
         if inputs != (None, None, None):
             raise ValueError("provide --m/--mprime/--aprime or --sweep-max, not both")
-        _check_sweep_max(args.sweep_max, (args.subcase or "ic",))
-        summary = (ell_calc.kad_sweep(args.subcase, args.sweep_max) if args.subcase
-                   else ell_calc.ic_sweep(args.sweep_max))
-        line = (
-            f"sweep {summary.script} (max {args.sweep_max}): {summary.total} tuples, "
-            f"{summary.verdict()}"
-        )
+        _check_sweep_max(args.sweep_max, (args.script,))
+        summary = script.sweep(args.sweep_max)
+        line = (f"sweep {summary.script} (max {args.sweep_max}): {summary.total} tuples, "
+                f"{summary.verdict()}")
         return dataclasses.asdict(summary), [line], 0 if summary.all_contradicted else 1
     if None in inputs:
         raise ValueError("provide --m/--mprime/--aprime or --sweep-max")
-    trace = (ell_calc.kad_disproof(*inputs, args.subcase) if args.subcase
-             else ell_calc.ic_disproof(*inputs))
+    trace = script.disproof(*inputs)
     payload = {
         "script": trace.script,
         "inputs": list(trace.inputs),
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flip", help="transfer a canonical degree through a flip")
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--kc", required=True, help="canonical degree, e.g. -1/4")
+    p.add_argument("--kc", required=True, help="canonical degree, e.g. --kc=-1/4")
     p.add_argument("--plus-indices", default="",
                    help="comma-separated indices on the flipped side")
     p.set_defaults(func=_cmd_flip)
@@ -205,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mprime", type=int)
         p.add_argument("--aprime", type=int)
         if subcases:
-            p.add_argument("--subcase", choices=subcases, required=True)
+            p.add_argument("--subcase", dest="script", choices=subcases, required=True)
         p.add_argument("--sweep-max", type=int, default=None)
-        p.set_defaults(func=_cmd_disprove, subcase=None)
+        p.set_defaults(func=_cmd_disprove, script="ic")
 
     parser.add_argument("--json", action="store_true",
                         help="emit the same content as JSON")

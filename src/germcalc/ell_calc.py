@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import count
 from math import gcd, lcm
 from operator import add
@@ -384,24 +384,6 @@ def _expect(step: str, label: str, comp: _Component, got: tuple, want: tuple) ->
         )
 
 
-def _trace(script: str, inputs: tuple[int, ...], rejection, body) -> DisproofTrace:
-    """The trace of a run: rejected for a (reason, value) ``rejection``, else
-    the steps of the records that ``body`` returns on ``inputs``.
-
-    The bodies record each step as a plain tuple (name, num, den, verdict,
-    note): the value is num/den, or None when num is None, and the note is a
-    string or a tuple (format, component, normal form) whose format takes the
-    EllDivisor view of the form.  Sweeps run the bodies and build no trace.
-    """
-    if rejection is not None:
-        return DisproofTrace(script, inputs, "rejected", (), *rejection)
-    return DisproofTrace(script, inputs, "contradiction", tuple([
-        TraceStep(name, None if num is None else Fraction(num, den), verdict,
-                  note if isinstance(note, str) else note[0].format(note[1].divisor(note[2])))
-        for name, num, den, verdict, note in body(*inputs)
-    ]))
-
-
 def _chain_point_rejection(m_prime: int, a_prime: int):
     if m_prime < 3:
         return "m' must be >= 3", None
@@ -412,44 +394,167 @@ def _chain_point_rejection(m_prime: int, a_prime: int):
     return None
 
 
-def _ic_index_rejection(m: int):
-    if m < 5 or m % 2 == 0:
-        return "m must be odd and >= 5", None
-    return None
+@dataclass(frozen=True)
+class SweepSummary:
+    script: str
+    total: int
+    survivors: int  # tuples whose trace reaches the script's final step
+    all_contradicted: bool  # false as well when no tuple is admitted
+    failures: int = 0
+    failure: str = ""  # on failure: the count and the first failing tuple and step
+    # step name -> the number of tuples whose records end at that step
+    ends: dict[str, int] = field(default_factory=dict, hash=False)
+
+    def verdict(self) -> str:
+        return "all contradicted" if self.all_contradicted else f"FAILURE: {self.failure}"
+
+
+def _raised(err: Exception) -> str:
+    step = getattr(err, "step", None)
+    return f"at {step}: {err}" if step else f"raised {type(err).__name__}: {err}"
+
+
+@dataclass(frozen=True)
+class Script:
+    """A scripted run as data: its admissibility rule and its three stages.
+
+    The rule: ``index_rule(m)``, the chain-point rule on (m', a'), and a' at
+    least ``min_a_prime(m, m')``, else ``a_prime_rejection``.  Each stage runs
+    the checks that read its parameters: ``m_stage(m)`` returns (head, tail,
+    forms), the records before and after the tuple's own; ``pair_stage(m, m',
+    forms)`` the forms of (m, m'); ``tuple_stage(m, m', a', forms)`` the
+    tuple's own records.  A record is (name, num, den, verdict, note), valued
+    num/den or None, its note a string or a (format, component, normal form)
+    that formats the EllDivisor view.  head + own + tail must end in a
+    contradiction, at ``final_step`` for exactly the tuples that
+    ``reaches_final`` names (all when it is None).
+    """
+
+    name: str
+    index_rule: Callable[[int], bool]
+    index_reason: str
+    min_a_prime: Callable[[int, int], int]
+    a_prime_rejection: Callable[[int, int, int], tuple]
+    m_stage: Callable[[int], tuple]
+    pair_stage: Callable[[int, int, tuple], tuple]
+    tuple_stage: Callable[[int, int, int, tuple], tuple]
+    final_step: str
+    reaches_final: Callable[[int, int, int], bool] | None = None
+
+    def rejection(self, m: int, m_prime: int, a_prime: int):
+        """Why the run rejects (m, m', a'); None for an admissible tuple."""
+        if not self.index_rule(m):
+            return self.index_reason, None
+        rejection = _chain_point_rejection(m_prime, a_prime)
+        if rejection is None and a_prime < self.min_a_prime(m, m_prime):
+            return self.a_prime_rejection(m, m_prime, a_prime)
+        return rejection
+
+    def disproof(self, m: int, m_prime: int, a_prime: int) -> DisproofTrace:
+        """The trace on one tuple: the three stages in turn, or its rejection."""
+        inputs = (m, m_prime, a_prime)
+        rejection = self.rejection(*inputs)
+        if rejection is not None:
+            return DisproofTrace(self.name, inputs, "rejected", (), *rejection)
+        head, tail, forms = self.m_stage(m)
+        own = self.tuple_stage(m, m_prime, a_prime, self.pair_stage(m, m_prime, forms))
+        return DisproofTrace(self.name, inputs, "contradiction", tuple([
+            TraceStep(name, None if num is None else Fraction(num, den), verdict,
+                      note if isinstance(note, str) else note[0].format(note[1].divisor(note[2])))
+            for name, num, den, verdict, note in (*head, *own, *tail)
+        ]))
+
+    def levels(self, sweep_max: int):
+        """The admissible tuples with m, m' <= sweep_max as (m, [(m', [a', ...]),
+        ...]), ascending, no list empty: the index rule judged once per m, the
+        chain-point rule once per (m', a'), and each (m, m') bisected at its a'."""
+        ms = [m for m in range(1, sweep_max + 1) if self.index_rule(m)]
+        if not ms:
+            return
+        a_primes = [[a for a in range(min(self.min_a_prime(m, m_prime) for m in ms), m_prime)
+                     if _chain_point_rejection(m_prime, a) is None]
+                    for m_prime in range(1, sweep_max + 1)]
+        for m in ms:
+            pairs = [(m_prime, admitted[bisect_left(admitted, self.min_a_prime(m, m_prime)):])
+                     for m_prime, admitted in enumerate(a_primes, 1)]
+            pairs = [pair for pair in pairs if pair[1]]
+            if pairs:
+                yield m, pairs
+
+    def sweep(self, sweep_max: int = 49) -> SweepSummary:
+        """Every admissible tuple up to the cap: m, then m', then a', each stage
+        given the forms of the one above.  A stage that raises in an internal
+        check fails every tuple under it; a tuple also fails when its records
+        are empty or end other than as the class docstring says."""
+        tuple_stage, final, reaches = self.tuple_stage, self.final_step, self.reaches_final
+        total, ends, failed = 0, Counter(), []  # failed: (tuples, first tuple, problem)
+        for m, pairs in self.levels(sweep_max):
+            under = sum(len(admitted) for _, admitted in pairs)
+            total += under
+            try:
+                head, tail, m_forms = self.m_stage(m)
+            except (AssertionError, ValueError) as err:
+                failed.append((under, (m, pairs[0][0], pairs[0][1][0]), _raised(err)))
+                continue
+            for m_prime, admitted in pairs:
+                try:
+                    forms = self.pair_stage(m, m_prime, m_forms)
+                except (AssertionError, ValueError) as err:
+                    failed.append((len(admitted), (m, m_prime, admitted[0]), _raised(err)))
+                    continue
+                for a_prime in admitted:
+                    try:
+                        own = tuple_stage(m, m_prime, a_prime, forms)
+                    except (AssertionError, ValueError) as err:
+                        failed.append((1, (m, m_prime, a_prime), _raised(err)))
+                        continue
+                    records = tail or own or head
+                    if not records:
+                        failed.append((1, (m, m_prime, a_prime), "returned no records"))
+                        continue
+                    end, verdict = records[-1][0], records[-1][3]
+                    ends[end] += 1
+                    if verdict != "contradiction" or (end == final) != (
+                            reaches is None or reaches(m, m_prime, a_prime)):
+                        failed.append((1, (m, m_prime, a_prime), f"ends {verdict} at {end}"))
+        failures = sum(tuples for tuples, _, _ in failed)
+        failure = ("no admissible tuples" if total == 0 else "" if not failed else
+                   f"{failures} of {total} failed, first {failed[0][1]} {failed[0][2]}")
+        return SweepSummary(self.name, total, ends[final], not failure, failures, failure,
+                            dict(sorted(ends.items())))
+
+
+def _odd_from_5(m: int) -> bool:
+    return m >= 5 and m % 2 == 1
 
 
 def _ic_min_a_prime(m: int, m_prime: int) -> int:
-    """The least a' for which the k-negativity value (m+1)/(2m) - a'/m' is
-    negative."""
+    """The least a' that makes the k-negativity value (m+1)/(2m) - a'/m' < 0."""
     return (m + 1) * m_prime // (2 * m) + 1
 
 
-def ic_rejection(m: int, m_prime: int, a_prime: int):
-    """Why ic_disproof rejects (m, m', a'), as (reason, value) with the value
-    a Fraction or None; None for an admissible tuple."""
-    rejection = _ic_index_rejection(m) or _chain_point_rejection(m_prime, a_prime)
-    if rejection is not None:
-        return rejection
-    if a_prime < _ic_min_a_prime(m, m_prime):
-        return "K-negativity fails", Fraction(m + 1, 2 * m) - Fraction(a_prime, m_prime)
-    return None
+def _ic_a_prime_rejection(m: int, m_prime: int, a_prime: int):
+    return "K-negativity fails", Fraction(m + 1, 2 * m) - Fraction(a_prime, m_prime)
 
 
-@lru_cache(maxsize=1)
-def _ic_c2_forms(m: int) -> tuple:
-    """(C2, A2, B2, dual(A2)*B2^2) of ic_disproof, which depend on m alone; the
-    last is the splitting obstruction on C2."""
+def _ic_forced(m: int, m_prime: int, a_prime: int) -> bool:
+    """The equalities that a zero width-2 degree forces; exactly the tuples
+    that meet them reach the width-3 step."""
+    return 2 * a_prime == m_prime + 1 and m > m_prime
+
+
+def _ic_m_stage(m: int) -> tuple:
+    """No records; (C2, A2, B2, dual(A2)*B2^2), the last C2's splitting
+    obstruction."""
     c2 = _Component(P=m)
     a2, b2 = (0, 2), (-1, m - 1)
-    return c2, a2, b2, c2.tensor(c2.dual(a2), c2.tensor(b2, b2))
+    return (), (), (c2, a2, b2, c2.tensor(c2.dual(a2), c2.tensor(b2, b2)))
 
 
-@lru_cache(maxsize=1)
-def _ic_forms(m: int, m_prime: int) -> tuple:
-    """The forms of ic_disproof that do not involve a', which depend on (m, m')
-    alone: (C1, C2, A1, den, deg(A), C2's share of deg(B), the C2 obstruction),
-    the degrees as numerators over den = mm'.  A sweep reads one entry per (m, m')."""
-    c2, a2, b2, obstruction2 = _ic_c2_forms(m)
+def _ic_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
+    """The forms that do not involve a': (C1, C2, A1, den, deg(A), C2's share
+    of deg(B), the C2 obstruction), the degrees as numerators over den = mm'."""
+    c2, a2, b2, obstruction2 = m_forms
     # C1 carries the node P and R, C2 carries P; the gluing has length 2
     c1 = _Component(P=m, R=m_prime)
     a1 = (-1, m - 1, 1)
@@ -458,28 +563,13 @@ def _ic_forms(m: int, m_prime: int) -> tuple:
             obstruction2)
 
 
-def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
-    """Degree-calculus run excluding a two-component germ with an index-m
-    point of the rigid kind joined to a two-point chain component.
-
-    The width-2 degree comes out as (m'+1-2a')/m'; a zero value forces the
-    fiber-over-surface case and pins 2a' = m'+1 with m > m'.  The splitting
-    obstruction then vanishes, the filtration extends to width 3, and the
-    width-3 degree -(m+m')/(2mm') is strictly negative.
-    """
-    return _trace("ic", (m, m_prime, a_prime), ic_rejection(m, m_prime, a_prime), _ic_steps)
-
-
-def _ic_steps(m: int, m_prime: int, a_prime: int) -> tuple[tuple, ...]:
-    """The records of ic_disproof on an admissible tuple."""
-    c1, c2, a1, den, deg_a, deg_b2, obstruction2 = _ic_forms(m, m_prime)
+def _ic_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, ...]:
+    """The records of ic on an admissible tuple, all of which are its own."""
+    c1, c2, a1, den, deg_a, deg_b2, obstruction2 = forms
     b1 = (-1, (m + 1) // 2, m_prime - a_prime)
     deg_b = c1.degree(b1, den) + deg_b2  # degrees are numerators over den
-    steps = [
-        ("k-negativity", (m + 1) * m_prime - 2 * m * a_prime, 2 * den, "holds", ""),
-        ("deg-A", deg_a, den, "holds", ""),
-        ("deg-B", deg_b, den, "holds", ""),
-    ]
+    steps = [("k-negativity", (m + 1) * m_prime - 2 * m * a_prime, 2 * den, "holds", ""),
+             ("deg-A", deg_a, den, "holds", ""), ("deg-B", deg_b, den, "holds", "")]
 
     # the width-d degree d*deg(B) + deg(A) has the sign of the width-d test
     width2 = 2 * deg_b + deg_a
@@ -493,7 +583,7 @@ def _ic_steps(m: int, m_prime: int, a_prime: int) -> tuple[tuple, ...]:
     steps.append(("width-2-degree", width2, den, "forces_cb",
                   "zero degree rules out the birational cases"))
 
-    _check(2 * a_prime == m_prime + 1 and m > m_prime, "forced-equality",
+    _check(_ic_forced(m, m_prime, a_prime), "forced-equality",
            "forced parameter equality failed")
     steps.append(("forced-equality", None, 1, "holds", "2a' = m'+1 and m > m'"))
 
@@ -523,44 +613,21 @@ def _ic_steps(m: int, m_prime: int, a_prime: int) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-def _kad_index_rejection(m: int, subcase: str):
-    if subcase not in ("k3a", "kad"):
-        raise ValueError("subcase must be 'k3a' or 'kad'")
-    if subcase == "k3a" and m != 3:
-        return "subcase k3a forces m = 3", None
-    if subcase == "kad" and (m < 5 or m % 2 == 0):
-        return "subcase kad needs odd m >= 5", None
-    return None
-
-
 def _kad_min_a_prime(m: int, m_prime: int) -> int:
     """The least a' with m' - a' < m'/2, whatever m."""
     return m_prime // 2 + 1
 
 
-def kad_rejection(m: int, m_prime: int, a_prime: int, subcase: str):
-    """Why kad_disproof rejects (m, m', a') in ``subcase`` ("k3a" or "kad"),
-    in the form ic_rejection uses."""
-    rejection = _kad_index_rejection(m, subcase) or _chain_point_rejection(m_prime, a_prime)
-    if rejection is not None:
-        return rejection
-    if a_prime < _kad_min_a_prime(m, m_prime):
-        return f"m'-a' = {m_prime - a_prime} >= m'/2", Fraction(m_prime - a_prime)
-    return None
+def _kad_a_prime_rejection(m: int, m_prime: int, a_prime: int):
+    return f"m'-a' = {m_prime - a_prime} >= m'/2", Fraction(m_prime - a_prime)
 
 
-@lru_cache(maxsize=1)
-def _kad_m_stage(m: int, subcase: str) -> tuple:
-    """The checks of kad_disproof that read m and the subcase alone, and their
-    records as (head, tail): those before and after the two split checks, the
-    only ones that read a'; k3a has none, so its tail is empty.  They are C2's
-    pinned forms, the canonical and vanishing checks, kad's key twist and every
-    section count, which reads only (c, node weight) of each side: on C1 the
-    build of A1 and the pins of the later stages fix those.
-
-    One entry serves every tuple of an m.  A failing check is not cached, so it
-    fails each of them, and a sweep empties the cache when it starts.
-    """
+def _kad_m_stage(subcase: str, m: int) -> tuple:
+    """The checks that read m and the subcase alone: C2's pinned forms, the
+    canonical and vanishing checks, kad's key twist and every section count,
+    which reads only (c, node weight) of each side, fixed on C1 by the build
+    of A1 and the later pins.  Their records are split around the two split
+    checks, which k3a lacks; the forms are (m+1)/2 and whether those run."""
     c2 = _Component(P=m, R=2)
     up, down = (m + 1) // 2, (m - 1) // 2
     # graded-sheaf normal forms; om2 is the canonical restriction
@@ -602,21 +669,17 @@ def _kad_m_stage(m: int, subcase: str) -> tuple:
         head.append(("section-count-conflict", None, 1, "contradiction",
                      "two independent width-2 sections cannot fit in "
                      "h0 <= h0(sym2) + 1 = 1"))
-        return tuple(head), ()
+        return tuple(head), (), (up, False)
 
     # kad, m >= 5; on C2 D2 = 0 and E2 = om2, on C1 om*B1 = A1*B1 and om*E1 = A1^2
     step = "gr1-omega-vanishing"
     om_b2 = c2.tensor(om2, b2)
     _expect(step, "om*B2", c2, om_b2, (-1, down, 0))
+    # om*B2 is also E2*B2/D2, C2's share of the thickening check, which this
+    # vanishing covers; C1's share reads a'
     if _h0(a1b1[0]) or _h1(a1b1[0]) or _h0(om_b2[0]) or _h1(om_b2[0]):
         raise ScriptCheckError(step, "twisted weight-1 piece has sections")
     head.append((step, 0, 1, "holds", ""))
-
-    # C2's share of the thickening check; C1's reads a'
-    step = "split-check-thickening"
-    mm2 = c2.tensor(c2.tensor(om2, b2), c2.dual((0, 0, 0)))
-    _expect(step, "E2*B2/D2", c2, mm2, (-1, down, 0))
-    _check(not _h1(mm2[0]), step, "splitting obstruction does not vanish")
 
     step = "omega-e-vanishing"
     oe2 = c2.tensor(om2, om2)
@@ -645,19 +708,79 @@ def _kad_m_stage(m: int, subcase: str) -> tuple:
     tail.append(("multiplicity-conflict", None, 1, "contradiction",
                  "a second base section must vanish to order 3 along "
                  "C1, against the length-4 budget"))
-    return tuple(head), tuple(tail)
+    return tuple(head), tuple(tail), (up, True)
 
 
-@lru_cache(maxsize=1)
-def _kad_c1_forms(m: int, m_prime: int) -> tuple:
-    """The normal forms on C1 of kad_disproof that do not involve A1, which
-    depend on (m, m') alone, with B1^2 = D1 pinned: (C1, B1, B1^2, dual(B1^2))."""
-    # C1 carries the node P and Q; the gluing with C2 has length 1
+def _kad_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
+    """The forms on C1 that do not involve A1, which read (m, m') alone, with
+    B1^2 = D1 pinned: those of the m stage, then C1, B1^2 and dual(B1^2)."""
+    # C1 carries the node P and Q, a length-1 gluing; B1 is (0, 0, 1)
     c1 = _Component(P=m, Q=m_prime)
-    b1 = (0, 0, 1)
-    b1b1 = c1.tensor(b1, b1)
+    b1b1 = c1.tensor((0, 0, 1), (0, 0, 1))
     _expect("degree-table", "B1^2", c1, b1b1, (0, 0, 2))
-    return c1, b1, b1b1, c1.dual(b1b1)
+    return (*m_forms, c1, b1b1, c1.dual(b1b1))
+
+
+def _kad_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, ...]:
+    """A kad tuple's own records: it computes the forms that involve A1 only,
+    pins them, and for kad adds the two split checks, the only ones reading a'."""
+    up, split, c1, b1b1, d1_inv = forms
+    gap = m_prime - a_prime
+    # graded-sheaf normal form; the canonical restriction om1 and E1 equal a1
+    a1 = (-1, up, gap)
+    a1a1, a1b1 = c1.tensor(a1, a1), c1.tensor(a1, (0, 0, 1))
+    _expect("degree-table", "A1^2", c1, a1a1, (-1, 1, 2 * gap))
+    _expect("degree-table", "A1*B1", c1, a1b1, (-1, up, gap + 1))
+    if not split:
+        return ()
+
+    split1 = c1.tensor(b1b1, c1.dual(a1))
+    obstruction1 = _h1(split1[0])
+    step = "split-check-thickening"
+    mm1 = c1.tensor(a1b1, d1_inv)
+    _expect(step, "E1*B1/D1", c1, mm1, (-1, up, gap - 1))
+    obstruction2 = _h1(mm1[0])  # C2's share is checked to be 0 by _kad_m_stage
+    _check(not (obstruction1 or obstruction2), step, "splitting obstruction does not vanish")
+    return (("split-check-c1", obstruction1, 1, "holds",
+             ("splitting obstruction {!r}", c1, split1)),
+            (step, obstruction2, 1, "holds", ""))
+
+
+# the scripts by the name the CLI gives them
+SCRIPTS = {
+    "ic": Script("ic", _odd_from_5, "m must be odd and >= 5", _ic_min_a_prime,
+                 _ic_a_prime_rejection, _ic_m_stage, _ic_pair_stage, _ic_steps,
+                 "width-3-degree", _ic_forced),
+    "k3a": Script("kad/k3a", lambda m: m == 3, "subcase k3a forces m = 3", _kad_min_a_prime,
+                  _kad_a_prime_rejection, partial(_kad_m_stage, "k3a"), _kad_pair_stage,
+                  _kad_steps, "section-count-conflict"),
+    "kad": Script("kad/kad", _odd_from_5, "subcase kad needs odd m >= 5", _kad_min_a_prime,
+                  _kad_a_prime_rejection, partial(_kad_m_stage, "kad"), _kad_pair_stage,
+                  _kad_steps, "multiplicity-conflict"),
+}
+
+
+def smallest_sweep_max(script: str) -> int:
+    """The least cap at which the sweep of ``script``, a SCRIPTS key, admits a tuple."""
+    return next(n for n in count(1) if next(SCRIPTS[script].levels(n), None) is not None)
+
+
+def _kad(subcase: str) -> Script:
+    if subcase.lower() not in ("k3a", "kad"):
+        raise ValueError("subcase must be 'k3a' or 'kad'")
+    return SCRIPTS[subcase.lower()]
+
+
+def ic_disproof(m: int, m_prime: int, a_prime: int) -> DisproofTrace:
+    """Degree-calculus run excluding a two-component germ with an index-m
+    point of the rigid kind joined to a two-point chain component.
+
+    The width-2 degree comes out as (m'+1-2a')/m'; a zero value forces the
+    fiber-over-surface case and pins 2a' = m'+1 with m > m'.  The splitting
+    obstruction then vanishes, the filtration extends to width 3, and the
+    width-3 degree -(m+m')/(2mm') is strictly negative.
+    """
+    return SCRIPTS["ic"].disproof(m, m_prime, a_prime)
 
 
 def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTrace:
@@ -668,137 +791,12 @@ def kad_disproof(m: int, m_prime: int, a_prime: int, subcase: str) -> DisproofTr
     graded pieces) or "kad" (odd m >= 5, pushes the filtration one step
     further and ends on a multiplicity conflict).
     """
-    subcase = subcase.lower()
-    return _trace(f"kad/{subcase}", (m, m_prime, a_prime),
-                  kad_rejection(m, m_prime, a_prime, subcase),
-                  partial(_kad_steps, subcase=subcase))
-
-
-def _kad_steps(m: int, m_prime: int, a_prime: int, subcase: str) -> tuple[tuple, ...]:
-    """The records of kad_disproof on a tuple admissible in ``subcase``, which
-    is lower case: those of _kad_m_stage around the split checks, the only
-    ones that read a'.  Only the forms that involve A1 are computed here."""
-    head, tail = _kad_m_stage(m, subcase)
-    c1, b1, b1b1, d1_inv = _kad_c1_forms(m, m_prime)
-    gap = m_prime - a_prime
-    up = (m + 1) // 2
-    # graded-sheaf normal form; the canonical restriction om1 and E1 equal a1
-    a1 = (-1, up, gap)
-    a1a1, a1b1 = c1.tensor(a1, a1), c1.tensor(a1, b1)
-    _expect("degree-table", "A1^2", c1, a1a1, (-1, 1, 2 * gap))
-    _expect("degree-table", "A1*B1", c1, a1b1, (-1, up, gap + 1))
-    if subcase == "k3a":
-        return head
-
-    split1 = c1.tensor(b1b1, c1.dual(a1))
-    obstruction1 = _h1(split1[0])
-    step = "split-check-thickening"
-    mm1 = c1.tensor(a1b1, d1_inv)
-    _expect(step, "E1*B1/D1", c1, mm1, (-1, up, gap - 1))
-    obstruction2 = _h1(mm1[0])  # C2's share is checked to be 0 by _kad_m_stage
-    _check(not (obstruction1 or obstruction2), step, "splitting obstruction does not vanish")
-    return (*head, ("split-check-c1", obstruction1, 1, "holds",
-                    ("splitting obstruction {!r}", c1, split1)),
-            (step, obstruction2, 1, "holds", ""), *tail)
-
-
-def _admissible(index_rejection, min_a_prime, sweep_max: int):
-    """The tuples with m, m' <= sweep_max that a script's rule admits, in the
-    order m, m', a'.  The rule is judged once per level: ``index_rejection``
-    once per m, and the chain-point rule once per (m', a') from the least
-    ``min_a_prime`` of any m up; each (m, m') bisects to its own bound."""
-    ms = [m for m in range(1, sweep_max + 1) if index_rejection(m) is None]
-    a_primes = [[a for a in range(min(min_a_prime(m, m_prime) for m in ms), m_prime)
-                 if _chain_point_rejection(m_prime, a) is None]
-                for m_prime in range(1, sweep_max + 1)] if ms else []
-    for m in ms:
-        for m_prime, admitted in enumerate(a_primes, 1):
-            yield from ((m, m_prime, a) for a in
-                        admitted[bisect_left(admitted, min_a_prime(m, m_prime)):])
-
-
-def ic_admissible(sweep_max: int = 49):
-    """Input triples accepted by ic_disproof, with m, m' capped."""
-    return _admissible(_ic_index_rejection, _ic_min_a_prime, sweep_max)
-
-
-def kad_admissible(subcase: str, sweep_max: int = 49):
-    return _admissible(partial(_kad_index_rejection, subcase=subcase.lower()),
-                       _kad_min_a_prime, sweep_max)
-
-
-def smallest_sweep_max(script: str) -> int:
-    """The least cap at which the sweep of ``script`` ("ic", "k3a" or "kad")
-    admits a tuple."""
-    tuples = ic_admissible if script == "ic" else partial(kad_admissible, script)
-    return next(n for n in count(1) if next(tuples(n), None) is not None)
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    script: str
-    total: int
-    survivors: int  # tuples whose trace reaches the script's final step
-    all_contradicted: bool  # false as well when no tuple is admitted
-    failures: int = 0
-    failure: str = ""  # on failure: the count and the first failing tuple and step
-    # step name -> the number of tuples whose records end at that step
-    ends: dict[str, int] = field(default_factory=dict, hash=False)
-
-    def verdict(self) -> str:
-        return "all contradicted" if self.all_contradicted else f"FAILURE: {self.failure}"
-
-
-# the per-parameter forms of the scripts, emptied when a sweep starts so that it
-# never reads forms computed before it began
-_SWEEP_CACHES = (_ic_c2_forms, _ic_forms, _kad_c1_forms, _kad_m_stage)
-
-
-def _sweep(script: str, tuples, body, final_step: str, reaches_final) -> SweepSummary:
-    """Run the script's body on every tuple, counting a failure for each that
-    raises in an internal check, returns no records, ends other than in a
-    contradiction, or reaches ``final_step`` other than as ``reaches_final``
-    predicts."""
-    for cache in _SWEEP_CACHES:
-        cache.cache_clear()
-    total = failures = 0
-    ends = Counter()
-    first = ""
-    for inputs in tuples:
-        total += 1
-        try:
-            records = body(*inputs)
-        except (AssertionError, ValueError) as err:
-            step = getattr(err, "step", None)
-            problem = f"at {step}: {err}" if step else f"raised {type(err).__name__}: {err}"
-        else:
-            if records:
-                end, verdict = records[-1][0], records[-1][3]
-                ends[end] += 1
-                if verdict == "contradiction" and (end == final_step) == reaches_final(*inputs):
-                    continue
-                problem = f"ends {verdict} at {end}"
-            else:
-                problem = "returned no records"
-        failures += 1
-        first = first or f"first {inputs} {problem}"
-    if total == 0:
-        failure = "no admissible tuples"
-    else:
-        failure = f"{failures} of {total} failed, {first}" if failures else ""
-    return SweepSummary(script, total, ends[final_step], not failure, failures, failure,
-                        dict(sorted(ends.items())))
+    return _kad(subcase).disproof(m, m_prime, a_prime)
 
 
 def ic_sweep(sweep_max: int = 49) -> SweepSummary:
-    """The ic script on every admissible tuple up to the cap; exactly the tuples
-    with 2a' = m'+1 and m > m' must reach the width-3 step."""
-    return _sweep("ic", ic_admissible(sweep_max), _ic_steps, "width-3-degree",
-                  lambda m, m_prime, a_prime: 2 * a_prime == m_prime + 1 and m > m_prime)
+    return SCRIPTS["ic"].sweep(sweep_max)
 
 
 def kad_sweep(subcase: str, sweep_max: int = 49) -> SweepSummary:
-    subcase = subcase.lower()
-    final = "section-count-conflict" if subcase == "k3a" else "multiplicity-conflict"
-    return _sweep(f"kad/{subcase}", kad_admissible(subcase, sweep_max),
-                  partial(_kad_steps, subcase=subcase), final, lambda *_: True)
+    return _kad(subcase).sweep(sweep_max)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from germcalc import ell_calc
 from germcalc.dual_graph import ConfigGraph, Vertex, VertexKind
 
 
@@ -57,6 +59,21 @@ def random_tree_graph(rng: random.Random, n_exc: int, n_comp: int = 0) -> Config
         vertices.append(Vertex(f"c{j}", VertexKind.COMPONENT, -1))
         edges.append((f"e{rng.randrange(n_exc)}", f"c{j}"))
     return ConfigGraph(vertices, edges)
+
+
+def patch_stage(monkeypatch, script: str, stage: str, wrap) -> None:
+    """Until the test ends, run the ``stage`` field of ``ell_calc.SCRIPTS[script]``
+    as ``wrap(real stage)`` in every entry point that reads the table."""
+    real = ell_calc.SCRIPTS[script]
+    monkeypatch.setitem(ell_calc.SCRIPTS, script,
+                        dataclasses.replace(real, **{stage: wrap(getattr(real, stage))}))
+
+
+def admissible(script: str, sweep_max: int = 49):
+    """The admissible tuples of ``ell_calc.SCRIPTS[script]`` up to the cap, in
+    the order m, m', a'."""
+    return ((m, mp, ap) for m, pairs in ell_calc.SCRIPTS[script].levels(sweep_max)
+            for mp, admitted in pairs for ap in admitted)
 
 
 @pytest.fixture

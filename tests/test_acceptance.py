@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from conftest import neg_def_by_char_poly, random_symmetric
+from conftest import admissible, neg_def_by_char_poly, random_symmetric
 from germcalc import cyclic_quot, ell_calc, germ_rules
 from germcalc.cli_corpus import corpus
 from germcalc.dual_graph import IntersectionMatrix, is_negative_definite, parse_graph
@@ -95,7 +95,7 @@ def test_criterion_4_fork_with_detached_cluster():
 def test_criterion_5_width_degree_sweep():
     ok = True
     survivors = set()
-    for m, mp, ap in ell_calc.ic_admissible(49):
+    for m, mp, ap in admissible("ic"):
         trace = ell_calc.ic_disproof(m, mp, ap)
         ok &= trace.status == "contradiction"
         ok &= trace.step("width-2-degree").value == F(mp + 1 - 2 * ap, mp)
@@ -104,7 +104,7 @@ def test_criterion_5_width_degree_sweep():
             ok &= trace.step("width-3-degree").value == -F(m + mp, 2 * m * mp)
             ok &= trace.step("width-3-degree").value < 0
     expected = {
-        t for t in ell_calc.ic_admissible(49)
+        t for t in admissible("ic")
         if 2 * t[2] == t[1] + 1 and t[0] > t[1]
     }
     ok &= survivors == expected and len(survivors) > 0
@@ -114,14 +114,14 @@ def test_criterion_5_width_degree_sweep():
 
 def test_criterion_6_section_count_scripts():
     ok = True
-    for m, mp, ap in ell_calc.kad_admissible("k3a", 49):
+    for m, mp, ap in admissible("k3a"):
         trace = ell_calc.kad_disproof(m, mp, ap, "k3a")
         ok &= trace.status == "contradiction"
         ok &= trace.step("h1-a2b2-omega").value == 1
         ok &= trace.step("h1-b2sq-omega").value == 1
         ok &= trace.step("h0-gr1").value == 0
         ok &= trace.step("h0-sym2").value == 0
-    for m, mp, ap in ell_calc.kad_admissible("kad", 49):
+    for m, mp, ap in admissible("kad"):
         trace = ell_calc.kad_disproof(m, mp, ap, "kad")
         ok &= trace.status == "contradiction"
         ok &= trace.step("degree-table").verdict == "holds"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import germcalc
-from germcalc import ell_calc
+from conftest import patch_stage
 from germcalc.cli_corpus import corpus
 from germcalc.cli_corpus.cli import main
 
@@ -229,6 +229,13 @@ class TestFlipCommand:
         assert json.loads(capsys.readouterr().out) == {
             "index": 4, "kc": "-1/4", "plus_indices": [2, 3], "index_plus": 6, "kc_plus": "1/6"}
 
+    def test_help_spells_a_negative_degree_with_equals(self, capsys):
+        # "--kc -1/4" reads -1/4 as a flag, so the example must use "="
+        with pytest.raises(SystemExit) as exit_info:
+            main(["flip", "--help"])
+        assert exit_info.value.code == 0
+        assert "--kc=-1/4" in " ".join(capsys.readouterr().out.split())
+
 
 class TestJsonOutput:
     @pytest.mark.parametrize("argv, code", [
@@ -306,6 +313,8 @@ class TestInputErrors:
          "provide --m/--mprime/--aprime or --sweep-max, not both"),
         (["kad-disprove", "--subcase", "kad", "--aprime", "2", "--sweep-max", "9"],
          "provide --m/--mprime/--aprime or --sweep-max, not both"),
+        (["flip", "--index", "4", "--kc=-1/4", "--plus-indices", "2,,3"],
+         "--plus-indices '2,,3' is not a comma-separated list of integers"),
     ])
     def test_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"dir": str(tmp_path), "graph": data_path("iidual_cb5.graph", tmp_path)}
@@ -382,14 +391,14 @@ class TestVerifyCommand:
         assert any(c["case"] == "iidual" for c in payload["checks"])
 
     def test_sweep_failure_exits_1_without_traceback(self, capsys, monkeypatch):
-        real = ell_calc._ic_steps
+        def failing(real):
+            def stage(m, mp, ap, forms):
+                if (m, mp, ap) == (9, 5, 3):
+                    raise AssertionError("injected")
+                return real(m, mp, ap, forms)
+            return stage
 
-        def failing(m, mp, ap):
-            if (m, mp, ap) == (9, 5, 3):
-                raise AssertionError("injected")
-            return real(m, mp, ap)
-
-        monkeypatch.setattr(ell_calc, "_ic_steps", failing)
+        patch_stage(monkeypatch, "ic", "tuple_stage", failing)
         assert main(["verify-paper", "--sweep-max", "9"]) == 1
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import admissible, patch_stage
 from germcalc import ell_calc
 from germcalc.cli_corpus import corpus
 from germcalc.cli_corpus.corpus import analyze_graph, load_corpus, verify_paper
@@ -54,14 +55,14 @@ class TestVerify:
         assert a == b
 
     def test_sweep_failure_is_a_fail_line(self, monkeypatch):
-        real = ell_calc._kad_steps
+        def failing(real):
+            def stage(m, mp, ap, forms):
+                if (m, mp, ap) == (7, 5, 4):
+                    raise AssertionError("injected")
+                return real(m, mp, ap, forms)
+            return stage
 
-        def failing(m, mp, ap, subcase):
-            if (m, mp, ap) == (7, 5, 4) and subcase == "kad":
-                raise AssertionError("injected")
-            return real(m, mp, ap, subcase)
-
-        monkeypatch.setattr(ell_calc, "_kad_steps", failing)
+        patch_stage(monkeypatch, "kad", "tuple_stage", failing)
         report = verify_paper(sweep_max=9)
         assert not report.ok
         assert len(report.checks) == 237
@@ -75,21 +76,40 @@ class TestVerify:
         ("_ic_steps", (9, 5, 3), "rigid-chain exclusion", 0, "returned no records"),
         ("_ic_steps", (9, 5, 3), "rigid-chain exclusion", 4,
          "ends forces_cb at width-2-degree"),
-        ("_kad_steps", (7, 5, 4), "kad exclusion", 0, "returned no records"),
     ])
     def test_body_without_a_contradiction_is_a_fail_line(
             self, monkeypatch, body, inputs, check, last, problem):
-        real = getattr(ell_calc, body)
+        # ic's tuple stage returns every record of its tuple
+        assert ell_calc.SCRIPTS["ic"].tuple_stage is getattr(ell_calc, body)
 
-        def cut(*args, **kwargs):
-            records = real(*args, **kwargs)
-            return records[:last] if args[:3] == inputs else records
+        def cut(real):
+            def stage(*args):
+                records = real(*args)
+                return records[:last] if args[:3] == inputs else records
+            return stage
 
-        monkeypatch.setattr(ell_calc, body, cut)
+        patch_stage(monkeypatch, "ic", "tuple_stage", cut)
         report = verify_paper(sweep_max=9)
         bad = [c for c in report.checks if not c.ok]
         assert [(c.case, c.check) for c in bad] == [("sweep", check)]
         assert bad[0].line().endswith(f"first {inputs} {problem})")
+
+    def test_kad_tail_without_a_contradiction_is_a_fail_line(self, monkeypatch):
+        # kad's last records come from its m stage, so cutting them fails every
+        # tuple of that m
+        def cut(real):
+            def stage(m):
+                head, tail, forms = real(m)
+                return (head, tail[:-1] if m == 7 else tail, forms)
+            return stage
+
+        patch_stage(monkeypatch, "kad", "m_stage", cut)
+        report = verify_paper(sweep_max=9)
+        bad = [c for c in report.checks if not c.ok]
+        assert [(c.case, c.check) for c in bad] == [("sweep", "kad exclusion")]
+        under_7 = sum(1 for t in admissible("kad", 9) if t[0] == 7)
+        assert bad[0].line().endswith(
+            f"{under_7} of 39 failed, first (7, 3, 2) ends holds at h0-gr2)")
 
     def test_mutated_expectation_fails_with_diff(self):
         data = copy.deepcopy(load_corpus())

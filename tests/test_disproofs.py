@@ -5,18 +5,32 @@ from math import gcd
 
 import pytest
 
+from conftest import admissible, patch_stage
 from germcalc import ell_calc
 from germcalc.ell_calc import (
-    ic_admissible,
+    SCRIPTS,
     ic_disproof,
-    ic_rejection,
     ic_sweep,
-    kad_admissible,
     kad_disproof,
-    kad_rejection,
     kad_sweep,
     smallest_sweep_max,
 )
+
+
+def ic_admissible(sweep_max):
+    return admissible("ic", sweep_max)
+
+
+def kad_admissible(subcase, sweep_max):
+    return admissible(subcase, sweep_max)
+
+
+def ic_rejection(m, mp, ap):
+    return SCRIPTS["ic"].rejection(m, mp, ap)
+
+
+def kad_rejection(m, mp, ap, subcase):
+    return SCRIPTS[subcase].rejection(m, mp, ap)
 
 
 class TestIcScript:
@@ -237,15 +251,17 @@ class TestSweepVerdicts:
             "at node-invariants: node invariants unexpectedly nonzero")
 
     def test_trace_that_does_not_contradict_is_a_failure(self, monkeypatch):
-        real = ell_calc._kad_steps
+        # k3a's tuple stage records nothing of its own; one that ends its tuple's
+        # records on a step that holds fails that tuple alone
+        def rejecting(real):
+            def stage(m, mp, ap, forms):
+                own = real(m, mp, ap, forms)
+                if (m, mp, ap) == (3, 5, 3):
+                    return (*own, ("h0-sym2", 0, 1, "holds", ""))
+                return own
+            return stage
 
-        def rejecting(m, mp, ap, subcase):
-            records = real(m, mp, ap, subcase)
-            if (m, mp, ap) == (3, 5, 3):
-                return records[:-1]
-            return records
-
-        monkeypatch.setattr(ell_calc, "_kad_steps", rejecting)
+        patch_stage(monkeypatch, "k3a", "tuple_stage", rejecting)
         summary = kad_sweep("k3a", 9)
         assert summary.failures == 1
         assert summary.failure.endswith("first (3, 5, 3) ends holds at h0-sym2")
@@ -255,17 +271,13 @@ def _conditions(script):
     return _ic_conditions if script == "ic" else partial(_kad_conditions, script)
 
 
-def _admissible(script, cap):
-    return ic_admissible(cap) if script == "ic" else kad_admissible(script, cap)
-
-
 class TestOneRulePerLevel:
     @pytest.mark.parametrize("script", ["ic", "k3a", "kad"])
     def test_enumerator_matches_the_conditions_to_60(self, script):
         cap, conditions = 60, _conditions(script)
         expected = [(m, mp, ap) for m in range(1, cap + 1) for mp in range(1, cap + 1)
                     for ap in range(1, mp) if conditions(m, mp, ap)]
-        assert list(_admissible(script, cap)) == expected
+        assert list(admissible(script, cap)) == expected
 
     def test_rule_boundaries(self):
         trace = ic_disproof(5, 5, 3)
@@ -279,26 +291,31 @@ class TestOneRulePerLevel:
     def test_work_per_sweep(self, monkeypatch):
         # These count work, not time: at cap 15 a sweep judges the index rule once
         # per m and the chain-point rule once per (m', a') from the least a' bound
-        # of any m up, and runs the script's body, not its public entry, once per
-        # tuple.  kad runs each check once per parameter it reads: the 5 section
-        # counts and C2's 7 pins (5 for k3a) per m, the B1^2 pin per (m, m') (78
+        # of any m up, runs each stage once per parameter it reads, and builds no
+        # trace.  kad runs each check once per parameter it reads: the 5 section
+        # counts and C2's 6 pins (5 for k3a) per m, the B1^2 pin per (m, m') (78
         # pairs, 13 for k3a), and only A1^2, A1*B1 and, for kad, E1*B1/D1 per
         # tuple.  Run on every tuple, they were 1050 and 175 section counts and
         # 2730 and 280 pins.
         calls = Counter()
 
         def counting(name):
-            real = getattr(ell_calc, name)
+            def wrap(real):
+                def counted(*args, **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+                return counted
+            return wrap
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(ell_calc, name, counted)
-
-        for name in ("_ic_index_rejection", "_kad_index_rejection", "ic_rejection",
-                     "kad_rejection", "_chain_point_rejection", "_ic_steps", "_kad_steps",
-                     "ic_disproof", "kad_disproof", "DisproofTrace", "_sections", "_expect"):
-            counting(name)
+        for name in ("_chain_point_rejection", "ic_disproof", "kad_disproof", "DisproofTrace",
+                     "_sections", "_expect"):
+            monkeypatch.setattr(ell_calc, name, counting(name)(getattr(ell_calc, name)))
+        for name in ("rejection", "disproof"):
+            monkeypatch.setattr(ell_calc.Script, name,
+                                counting(name)(getattr(ell_calc.Script, name)))
+        for script in SCRIPTS:
+            for stage in ("index_rule", "m_stage", "pair_stage", "tuple_stage"):
+                patch_stage(monkeypatch, script, stage, counting(stage))
         counts = {}
         for script in ("ic", "k3a", "kad"):
             calls.clear()
@@ -306,13 +323,14 @@ class TestOneRulePerLevel:
             assert summary.all_contradicted
             counts[script] = (summary.total, dict(calls))
         assert counts == {
-            "ic": (188, {"_ic_index_rejection": 15, "_chain_point_rejection": 48,
-                         "_ic_steps": 188, "_expect": 42}),
-            "k3a": (35, {"_kad_index_rejection": 15, "_chain_point_rejection": 49,
-                         "_kad_steps": 35, "_sections": 5, "_expect": 5 + 13 + 2 * 35}),
-            "kad": (210, {"_kad_index_rejection": 15, "_chain_point_rejection": 49,
-                          "_kad_steps": 210, "_sections": 6 * 5,
-                          "_expect": 6 * 7 + 78 + 3 * 210}),
+            "ic": (188, {"index_rule": 15, "_chain_point_rejection": 48, "m_stage": 6,
+                         "pair_stage": 78, "tuple_stage": 188, "_expect": 42}),
+            "k3a": (35, {"index_rule": 15, "_chain_point_rejection": 49, "m_stage": 1,
+                         "pair_stage": 13, "tuple_stage": 35, "_sections": 5,
+                         "_expect": 5 + 13 + 2 * 35}),
+            "kad": (210, {"index_rule": 15, "_chain_point_rejection": 49, "m_stage": 6,
+                          "pair_stage": 78, "tuple_stage": 210, "_sections": 6 * 5,
+                          "_expect": 6 * 6 + 78 + 3 * 210}),
         }
 
     def test_kad_sweep_builds_no_divisor_view(self, monkeypatch):
@@ -414,6 +432,25 @@ class TestPerMFormsAndLazyTraces:
                         assert repr(again) == repr(first)
 
 
+class TestStagedSweeps:
+    @pytest.mark.parametrize("script", ["ic", "k3a", "kad"])
+    def test_sweep_counts_match_single_tuple_traces(self, script):
+        # the sweep reads each tuple's end off its stages' records without
+        # joining them; the single-tuple run joins them into a trace
+        run = ic_disproof if script == "ic" else partial(kad_disproof, subcase=script)
+        traces = [run(*t) for t in admissible(script, 15)]
+        assert all(t.status == "contradiction" for t in traces)
+        summary = _run_sweep(script, 15)
+        ends = Counter(t.end for t in traces)
+        assert summary.total == len(traces)
+        assert summary.ends == dict(sorted(ends.items()))
+        assert summary.survivors == ends[SCRIPTS[script].final_step]
+
+    def test_ell_calc_holds_no_cache(self):
+        assert [name for name, value in vars(ell_calc).items()
+                if hasattr(value, "cache_clear")] == []
+
+
 def _run_sweep(script, cap):
     return ic_sweep(cap) if script == "ic" else kad_sweep(script, cap)
 
@@ -489,7 +526,8 @@ class TestPerPairForms:
 
     def test_carries_per_sweep(self, monkeypatch):
         # These count work, not time: the carries, one per normal form computed,
-        # of each sweep at cap 15, 6.0 per kad tuple.
+        # of each sweep at cap 15.  kad makes 6 per m, 2 per (m, m') and 5 per
+        # tuple: 36 + 156 + 1050.
         real, calls = ell_calc._carry, []
 
         def counting(c, raw, indices):
@@ -502,4 +540,4 @@ class TestPerPairForms:
             calls.clear()
             assert _run_sweep(script, 15).all_contradicted
             counts[script] = len(calls)
-        assert counts == {"kad": 1260, "k3a": 101, "ic": 81}
+        assert counts == {"kad": 1242, "k3a": 101, "ic": 81}
