@@ -41,7 +41,8 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
     _check_sweep_max(args.sweep_max, ell_calc.SCRIPTS)
     report = corpus.verify_paper(sweep_max=args.sweep_max)
     payload = {
-        "checks": [dataclasses.asdict(c) for c in report.checks],
+        "checks": [{"case": c.case, "check": c.check, "ok": c.ok, "expected": c.expected,
+                    "got": c.got} for c in report.checks],
         "sweeps": report.sweep_lines,
         "ok": report.ok,
     }
@@ -58,8 +59,16 @@ def _class_t_result(cert, payload: dict, lines: list[str], extra: dict, *detail:
     return payload, [*lines, verdict, *detail], 0
 
 
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """The integers of the comma-separated ``text``, else a ValueError naming ``what``."""
+    try:
+        return tuple([int(x) for x in text.split(",")])
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not a comma-separated list of integers") from None
+
+
 def _cmd_quot(args) -> tuple[dict, list[str], int]:
-    entries = tuple(int(x) for x in args.chain.split(","))
+    entries = _int_list(args.chain, "chain")
     c = cyclic_quot.HJChain(entries)
     quot = cyclic_quot.chain_to_quot(c)
     cert = cyclic_quot.classify_T(quot)
@@ -100,11 +109,7 @@ def _cmd_classify(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_flip(args) -> tuple[dict, list[str], int]:
-    try:
-        plus = tuple(int(x) for x in args.plus_indices.split(",")) if args.plus_indices else ()
-    except ValueError:
-        raise ValueError(f"--plus-indices {args.plus_indices!r} is not a comma-separated "
-                         "list of integers") from None
+    plus = _int_list(args.plus_indices, "--plus-indices") if args.plus_indices else ()
     data = germ_rules.FlipGermData(args.index, plus)
     try:
         kc = Fraction(args.kc)

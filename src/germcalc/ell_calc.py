@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import count
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 
 def _exact_int(value, what: str) -> int:
@@ -79,12 +79,12 @@ class _Component:
 
     __slots__ = ("labels", "indices")
 
-    def __init__(self, **points: int):
-        self.labels = tuple(points)
-        self.indices = tuple(points.values())
+    def __init__(self, labels: tuple[str, ...], indices: tuple[int, ...]):
+        self.labels = labels
+        self.indices = indices
 
-    # every scripted tuple computes on two-point components: tensor, dual and
-    # degree spell out two points and keep the generic path for the rest
+    # every scripted tuple computes on two-point components: tensor, dual, over
+    # and degree spell out two points and keep the generic path for the rest
 
     def tensor(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if len(a) == 3:
@@ -95,6 +95,12 @@ class _Component:
         if len(a) == 3:
             return _carry(-a[0], (-a[1], -a[2]), self.indices)
         return _carry(-a[0], [-w for w in a[1:]], self.indices)
+
+    def over(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """a * dual(b) in one carry: the normal form of a - b."""
+        if len(a) == 3:
+            return _carry(a[0] - b[0], (a[1] - b[1], a[2] - b[2]), self.indices)
+        return _carry(a[0] - b[0], map(sub, a[1:], b[1:]), self.indices)
 
     def degree(self, a: tuple[int, ...], den: int) -> int:
         """den * ell_deg(a), for a den divisible by every index."""
@@ -109,7 +115,8 @@ class _Component:
         for label, n in zip(other.labels, other.indices):
             if points.setdefault(label, n) != n:
                 raise ValueError(f"index mismatch at point {label!r}: {points[label]} vs {n}")
-        return _Component(**dict(sorted(points.items())))
+        labels = tuple(sorted(points))
+        return _Component(labels, tuple([points[label] for label in labels]))
 
     def divisor(self, a: tuple[int, ...]) -> EllDivisor:
         """The EllDivisor view of ``a``."""
@@ -123,10 +130,10 @@ def _on_component(weights: dict[MarkedPoint, int]) -> tuple[_Component, list]:
     """The component of the points of ``weights`` and their weights, in
     label order."""
     points = sorted(weights, key=lambda p: p.label)
-    comp = _Component(**{p.label: p.index for p in points})
-    if len(comp.labels) != len(points):
+    labels = tuple([p.label for p in points])
+    if len(set(labels)) != len(labels):
         raise ValueError("duplicate point labels on one component")
-    return comp, [weights[p] for p in points]
+    return _Component(labels, tuple([p.index for p in points])), [weights[p] for p in points]
 
 
 class EllDivisor:
@@ -485,7 +492,9 @@ class Script:
         """Every admissible tuple up to the cap: m, then m', then a', each stage
         given the forms of the one above.  A stage that raises in an internal
         check fails every tuple under it; a tuple also fails when its records
-        are empty or end other than as the class docstring says."""
+        are empty or end other than as the class docstring says.  Under an m
+        whose m stage returns a tail every tuple ends on that tail, so each
+        (m, m') tallies the tuples that did not raise at once."""
         tuple_stage, final, reaches = self.tuple_stage, self.final_step, self.reaches_final
         total, ends, failed = 0, Counter(), []  # failed: (tuples, first tuple, problem)
         for m, pairs in self.levels(sweep_max):
@@ -502,13 +511,17 @@ class Script:
                 except (AssertionError, ValueError) as err:
                     failed.append((len(admitted), (m, m_prime, admitted[0]), _raised(err)))
                     continue
+                raised = []
                 for a_prime in admitted:
                     try:
                         own = tuple_stage(m, m_prime, a_prime, forms)
                     except (AssertionError, ValueError) as err:
                         failed.append((1, (m, m_prime, a_prime), _raised(err)))
+                        raised.append(a_prime)
                         continue
-                    records = tail or own or head
+                    if tail:
+                        continue
+                    records = own or head
                     if not records:
                         failed.append((1, (m, m_prime, a_prime), "returned no records"))
                         continue
@@ -517,9 +530,25 @@ class Script:
                     if verdict != "contradiction" or (end == final) != (
                             reaches is None or reaches(m, m_prime, a_prime)):
                         failed.append((1, (m, m_prime, a_prime), f"ends {verdict} at {end}"))
+                if tail and len(raised) < len(admitted):
+                    # the tuples that did not raise all end on the tail: one tally
+                    read = [a for a in admitted if a not in raised] if raised else admitted
+                    end, verdict = tail[-1][0], tail[-1][3]
+                    ends[end] += len(read)
+                    if reaches is None:
+                        wrong = read if verdict != "contradiction" or end != final else ()
+                    else:
+                        wrong = [a for a in read if verdict != "contradiction"
+                                 or (end == final) != reaches(m, m_prime, a)]
+                    if wrong:
+                        failed.append((len(wrong), (m, m_prime, wrong[0]),
+                                       f"ends {verdict} at {end}"))
         failures = sum(tuples for tuples, _, _ in failed)
-        failure = ("no admissible tuples" if total == 0 else "" if not failed else
-                   f"{failures} of {total} failed, first {failed[0][1]} {failed[0][2]}")
+        failure = "no admissible tuples" if total == 0 else ""
+        if failed:
+            # a pair's tail tally follows its raises: the first failure is the least tuple
+            _, first, problem = min(failed, key=lambda f: f[1])
+            failure = f"{failures} of {total} failed, first {first} {problem}"
         return SweepSummary(self.name, total, ends[final], not failure, failures, failure,
                             dict(sorted(ends.items())))
 
@@ -544,11 +573,11 @@ def _ic_forced(m: int, m_prime: int, a_prime: int) -> bool:
 
 
 def _ic_m_stage(m: int) -> tuple:
-    """No records; (C2, A2, B2, dual(A2)*B2^2), the last C2's splitting
+    """No records; (C2, A2, B2, B2^2*dual(A2)), the last C2's splitting
     obstruction."""
-    c2 = _Component(P=m)
+    c2 = _Component(("P",), (m,))
     a2, b2 = (0, 2), (-1, m - 1)
-    return (), (), (c2, a2, b2, c2.tensor(c2.dual(a2), c2.tensor(b2, b2)))
+    return (), (), (c2, a2, b2, c2.over(c2.tensor(b2, b2), a2))
 
 
 def _ic_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
@@ -556,7 +585,7 @@ def _ic_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
     of deg(B), the C2 obstruction), the degrees as numerators over den = mm'."""
     c2, a2, b2, obstruction2 = m_forms
     # C1 carries the node P and R, C2 carries P; the gluing has length 2
-    c1 = _Component(P=m, R=m_prime)
+    c1 = _Component(("P", "R"), (m, m_prime))
     a1 = (-1, m - 1, 1)
     den = m * m_prime
     return (c1, c2, a1, den, c1.degree(a1, den) + c2.degree(a2, den), c2.degree(b2, den),
@@ -588,7 +617,7 @@ def _ic_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, 
     steps.append(("forced-equality", None, 1, "holds", "2a' = m'+1 and m > m'"))
 
     step = "split-obstruction-h1"
-    obstruction1 = c1.tensor(c1.dual(a1), c1.tensor(b1, b1))
+    obstruction1 = c1.over(c1.tensor(b1, b1), a1)
     _expect(step, "obstruction on C1", c1, obstruction1, (-1, 2, m_prime - 2))
     _expect(step, "obstruction on C2", c2, obstruction2, (-1, m - 4))
     for name, obstruction in (("C1", obstruction1), ("C2", obstruction2)):
@@ -628,7 +657,7 @@ def _kad_m_stage(subcase: str, m: int) -> tuple:
     which reads only (c, node weight) of each side, fixed on C1 by the build
     of A1 and the later pins.  Their records are split around the two split
     checks, which k3a lacks; the forms are (m+1)/2 and whether those run."""
-    c2 = _Component(P=m, R=2)
+    c2 = _Component(("P", "R"), (m, 2))
     up, down = (m + 1) // 2, (m - 1) // 2
     # graded-sheaf normal forms; om2 is the canonical restriction
     a2 = (0 if subcase == "kad" else -1, down, 1)
@@ -713,18 +742,18 @@ def _kad_m_stage(subcase: str, m: int) -> tuple:
 
 def _kad_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
     """The forms on C1 that do not involve A1, which read (m, m') alone, with
-    B1^2 = D1 pinned: those of the m stage, then C1, B1^2 and dual(B1^2)."""
+    B1^2 = D1 pinned: those of the m stage, then C1 and B1^2."""
     # C1 carries the node P and Q, a length-1 gluing; B1 is (0, 0, 1)
-    c1 = _Component(P=m, Q=m_prime)
+    c1 = _Component(("P", "Q"), (m, m_prime))
     b1b1 = c1.tensor((0, 0, 1), (0, 0, 1))
     _expect("degree-table", "B1^2", c1, b1b1, (0, 0, 2))
-    return (*m_forms, c1, b1b1, c1.dual(b1b1))
+    return (*m_forms, c1, b1b1)
 
 
 def _kad_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, ...]:
     """A kad tuple's own records: it computes the forms that involve A1 only,
     pins them, and for kad adds the two split checks, the only ones reading a'."""
-    up, split, c1, b1b1, d1_inv = forms
+    up, split, c1, b1b1 = forms
     gap = m_prime - a_prime
     # graded-sheaf normal form; the canonical restriction om1 and E1 equal a1
     a1 = (-1, up, gap)
@@ -734,10 +763,10 @@ def _kad_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple,
     if not split:
         return ()
 
-    split1 = c1.tensor(b1b1, c1.dual(a1))
+    split1 = c1.over(b1b1, a1)
     obstruction1 = _h1(split1[0])
     step = "split-check-thickening"
-    mm1 = c1.tensor(a1b1, d1_inv)
+    mm1 = c1.over(a1b1, b1b1)
     _expect(step, "E1*B1/D1", c1, mm1, (-1, up, gap - 1))
     obstruction2 = _h1(mm1[0])  # C2's share is checked to be 0 by _kad_m_stage
     _check(not (obstruction1 or obstruction2), step, "splitting obstruction does not vanish")

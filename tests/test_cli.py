@@ -300,7 +300,7 @@ class TestInputErrors:
         (["classify", "{descr}"], "line 2: unknown kind 'q'"),
         (["flip", "--index", "4", "--kc=1/0"], "Fraction(1, 0)"),
         (["flip", "--index", "4", "--kc=abc"], "Invalid literal for Fraction: 'abc'"),
-        (["quot", "a,b"], "invalid literal for int() with base 10: 'a'"),
+        (["quot", "a,b"], "chain 'a,b' is not a comma-separated list of integers"),
         (["tchain", "0", "1"], "order n must be >= 2"),
         (["analyze", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
         (["analyze", "{graph}", "--point-index", "0"], "index must be >= 2"),
@@ -315,6 +315,7 @@ class TestInputErrors:
          "provide --m/--mprime/--aprime or --sweep-max, not both"),
         (["flip", "--index", "4", "--kc=-1/4", "--plus-indices", "2,,3"],
          "--plus-indices '2,,3' is not a comma-separated list of integers"),
+        (["quot", "3,,2"], "chain '3,,2' is not a comma-separated list of integers"),
     ])
     def test_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"dir": str(tmp_path), "graph": data_path("iidual_cb5.graph", tmp_path)}
@@ -389,6 +390,42 @@ class TestVerifyCommand:
         assert rc == 0
         assert payload["ok"] is True
         assert any(c["case"] == "iidual" for c in payload["checks"])
+
+    def test_a_passing_check_renders_nothing(self, capsys, monkeypatch):
+        # a check keeps the values it compared and renders them only when read:
+        # by a FAIL line or by the JSON
+        calls = []
+
+        class Counted:
+            def __init__(self, value):
+                self.value = value
+
+            def __eq__(self, other):
+                return self.value == other.value
+
+            def __repr__(self):
+                calls.append(self.value)
+                return f"Counted({self.value})"
+
+        report = corpus.VerifyReport()
+        report.add("case", "equal", Counted(1), Counted(1))
+        report.add("case", "differ", Counted(1), Counted(2))
+        passing, failing = report.checks
+        assert passing.line() == "PASS case: equal" and len(calls) == 0
+        assert (failing.expected, failing.got) == ("Counted(1)", "Counted(2)")
+        assert len(calls) == 2
+        assert failing.line() == "FAIL case: differ (expected Counted(1), got Counted(2))"
+        assert report.render()[-1] == "2 checks, 1 failed" and len(calls) == 6
+
+        monkeypatch.setattr(corpus, "verify_paper", lambda sweep_max: report)
+        assert main(["--json", "verify-paper", "--sweep-max", "9"]) == 1
+        assert len(calls) == 12  # the handler renders its lines as well as the JSON
+        assert json.loads(capsys.readouterr().out)["checks"] == [
+            {"case": "case", "check": "equal", "ok": True, "expected": "Counted(1)",
+             "got": "Counted(1)"},
+            {"case": "case", "check": "differ", "ok": False, "expected": "Counted(1)",
+             "got": "Counted(2)"},
+        ]
 
     def test_sweep_failure_exits_1_without_traceback(self, capsys, monkeypatch):
         def failing(real):

@@ -446,6 +446,43 @@ class TestStagedSweeps:
         assert summary.ends == dict(sorted(ends.items()))
         assert summary.survivors == ends[SCRIPTS[script].final_step]
 
+    @pytest.mark.parametrize("raising, first", [
+        ((7, 5, 4), "(7, 3, 2) ends holds at h0-gr2"),
+        ((7, 3, 2), "(7, 3, 2) raised AssertionError: injected"),
+    ])
+    def test_tail_tally_keeps_each_raise_and_the_least_first(self, monkeypatch, raising,
+                                                             first):
+        # kad's tuples end on their m's tail, tallied once per (m, m') over the
+        # tuples that did not raise; a raise stays its own tuple's failure
+        def cut(real):
+            def stage(m):
+                head, tail, forms = real(m)
+                return (head, tail[:-1] if m == 7 else tail, forms)
+            return stage
+
+        def failing(real):
+            def stage(m, mp, ap, forms):
+                if (m, mp, ap) == raising:
+                    raise AssertionError("injected")
+                return real(m, mp, ap, forms)
+            return stage
+
+        patch_stage(monkeypatch, "kad", "m_stage", cut)
+        patch_stage(monkeypatch, "kad", "tuple_stage", failing)
+        summary = kad_sweep("kad", 9)
+        under_7 = sum(1 for t in kad_admissible("kad", 9) if t[0] == 7)
+        assert summary.failure == f"{under_7} of 39 failed, first {first}"
+        assert summary.ends == {"h0-gr2": under_7 - 1,
+                                "multiplicity-conflict": 39 - under_7}
+
+    def test_tail_tally_reads_the_final_step_predicate_per_tuple(self, monkeypatch):
+        patch_stage(monkeypatch, "kad", "reaches_final",
+                    lambda real: lambda m, mp, ap: (m, mp, ap) not in ((7, 5, 4), (9, 7, 5)))
+        summary = kad_sweep("kad", 9)
+        assert summary.failures == 2
+        assert summary.failure == ("2 of 39 failed, first (7, 5, 4) ends contradiction "
+                                   "at multiplicity-conflict")
+
     def test_ell_calc_holds_no_cache(self):
         assert [name for name, value in vars(ell_calc).items()
                 if hasattr(value, "cache_clear")] == []
@@ -526,8 +563,12 @@ class TestPerPairForms:
 
     def test_carries_per_sweep(self, monkeypatch):
         # These count work, not time: the carries, one per normal form computed,
-        # of each sweep at cap 15.  kad makes 6 per m, 2 per (m, m') and 5 per
-        # tuple: 36 + 156 + 1050.
+        # of each sweep at cap 15.  kad makes 6 per m, 1 per (m, m') (B1^2) and 4
+        # per tuple (A1^2, A1*B1 and the two split checks, each an `over`):
+        # 6*6 + 78 + 4*210 = 954.  k3a makes 5 for its one m, 1 per (m, m') and 2
+        # per tuple: 5 + 13 + 2*35 = 88.  ic makes 2 per m (B2^2 and its `over`)
+        # and 2 per tuple that reaches the width-3 step (B1^2 and its `over`):
+        # 2*6 + 2*21 = 54.
         real, calls = ell_calc._carry, []
 
         def counting(c, raw, indices):
@@ -540,4 +581,4 @@ class TestPerPairForms:
             calls.clear()
             assert _run_sweep(script, 15).all_contradicted
             counts[script] = len(calls)
-        assert counts == {"kad": 1242, "k3a": 101, "ic": 81}
+        assert counts == {"kad": 954, "k3a": 88, "ic": 54}

@@ -82,7 +82,7 @@ class TestStraightLinePath:
     @given(st.data())
     def test_against_floor_division(self, data):
         indices = tuple(data.draw(st.lists(st.integers(2, 60), min_size=1, max_size=3)))
-        comp = _Component(**dict(zip("PQR", indices)))
+        comp = _Component(tuple("PQR"[:len(indices)]), indices)
 
         def draw_raw():
             return tuple([data.draw(st.integers(-10 * n, 10 * n)) for n in indices])
@@ -96,6 +96,24 @@ class TestStraightLinePath:
         assert comp.dual(a) == _floor_carry(-a[0], [-w for w in a[1:]], indices)
         den = math.lcm(*indices) * data.draw(st.integers(1, 3))
         assert comp.degree(a, den) == den * (a[0] + sum(F(w, n) for w, n in zip(a[1:], indices)))
+
+
+class TestOver:
+    """over(a, b), the one-carry a * dual(b) that the scripts' split checks use."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_over_is_tensor_with_dual(self, data):
+        indices = tuple(data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)))
+        comp = _Component(tuple("PQR"[:len(indices)]), indices)
+
+        def draw_nf():
+            return (data.draw(st.integers(-20, 20)),
+                    *[data.draw(st.integers(0, n - 1)) for n in indices])
+
+        a, b = draw_nf(), draw_nf()
+        assert comp.over(a, b) == comp.tensor(a, comp.dual(b))
+        assert comp.over(a, a) == (0,) * (len(indices) + 1)
 
 
 class TestTensorDual:
@@ -125,7 +143,7 @@ class TestTensorDual:
             "(0 + 3*P[5] + 1*R[2])")
 
     def test_view_over_script_normal_form(self):
-        comp = _Component(P=5, R=3)
+        comp = _Component(("P", "R"), (5, 3))
         nf = (-1, 3, 1)
         d = comp.divisor(nf)
         assert d.nf is nf and d.component is comp
