@@ -45,7 +45,7 @@ def local_primitivity(d_dot_c: Fraction | int, m: int) -> PrimitivityReport:
     """
     if m < 2:
         raise ValueError("index must be >= 2")
-    value = Fraction(d_dot_c)
+    value = d_dot_c if type(d_dot_c) is Fraction else Fraction(d_dot_c)
     if m % value.denominator:
         raise ValueError(
             f"denominator of {value} does not divide the index {m}: inconsistent input"

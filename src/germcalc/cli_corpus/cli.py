@@ -2,8 +2,10 @@
 
 Each subcommand handler returns ``(payload, lines, exit_code)``.  ``main``
 prints it, the lines as text or the payload as JSON under ``--json``, and maps
-input errors to one ``error:`` line.  Exit codes: 0 success, 1 verification
-mismatch or contradiction-free failure of an expected check, 2 input error.
+input errors to one ``error:`` line.  ``verify-paper``, whose payload renders
+every check's values, builds only the half that ``main`` prints and leaves
+the other None.  Exit codes: 0 success, 1 verification mismatch or
+contradiction-free failure of an expected check, 2 input error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from . import corpus
 
 
 def _cmd_analyze(args) -> tuple[dict, list[str], int]:
+    if args.point_index is not None and args.point_index < 2:
+        raise ValueError(f"--point-index {args.point_index} is below 2, the smallest "
+                         "index of a non-Gorenstein point")
     with open(args.file, encoding="utf-8") as fh:
         g = parse_graph(fh.read())
     report = corpus.analyze_graph(
@@ -37,16 +42,19 @@ def _check_sweep_max(sweep_max: int, scripts) -> None:
                          "at which every sweep admits a tuple")
 
 
-def _cmd_verify(args) -> tuple[dict, list[str], int]:
+def _cmd_verify(args) -> tuple[dict | None, list[str] | None, int]:
     _check_sweep_max(args.sweep_max, ell_calc.SCRIPTS)
     report = corpus.verify_paper(sweep_max=args.sweep_max)
+    code = 0 if report.ok else 1
+    if not args.json:  # a passing check's line renders none of its values
+        return None, report.render(), code
     payload = {
         "checks": [{"case": c.case, "check": c.check, "ok": c.ok, "expected": c.expected,
                     "got": c.got} for c in report.checks],
         "sweeps": report.sweep_lines,
         "ok": report.ok,
     }
-    return payload, report.render(), 0 if report.ok else 1
+    return payload, None, code
 
 
 def _class_t_result(cert, payload: dict, lines: list[str], extra: dict, *detail: str):

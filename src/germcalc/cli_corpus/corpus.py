@@ -57,8 +57,8 @@ def analyze_graph(
     """Full analysis report for one configuration graph, as plain data."""
     report: dict = {
         "vertices": len(g.vertices),
-        "exceptional": len(g.exceptional_ids()),
-        "components": len(g.component_ids()),
+        "exceptional": len(g.exceptional),
+        "components": len(g.components),
         "tree": is_tree(g),
         "clusters": [],
         "k": [],
@@ -96,13 +96,17 @@ def analyze_graph(
             index = entry["assumed_index"] = point_index
         contractible.append((number, d, index))
 
+    codiscrepancies = [d for _, d, _ in contractible]
+    by_cluster = None  # component -> its neighbours' numerators, per contractible cluster
     if len(contractible) == len(clusters):
-        kreport = resolution.k_dot_components(g, [d for _, d, _ in contractible])
+        kreport = resolution.k_dot_components(g, codiscrepancies)
+        by_cluster = {}
         for e in kreport.entries:
-            line = {"id": e.component, "k": fmt(e.value), "k_negative": e.k_negative}
-            if e.value == 0:
+            line = {"id": e.component, "k": fmt(e.numerator, e.den), "k_negative": e.k_negative}
+            if not e.numerator:
                 line["note"] = "degree 0: infeasible"
             report["k"].append(line)
+            by_cluster[e.component] = e.by_cluster
         report["feasible"] = kreport.germ_feasible
     else:
         report["notes"].append("skipping degree report: some cluster is not contractible")
@@ -123,20 +127,23 @@ def analyze_graph(
                 "some cluster has no recognised index; pass --point-index to "
                 "enable its primitivity lines"
             )
-        for number, d, m in contractible:
+        if by_cluster is None:
+            by_cluster = resolution.adjacent_numerators(g, codiscrepancies)
+        for i, (number, d, m) in enumerate(contractible):
             if m is None:
                 continue
-            for comp in g.component_ids():
-                local = sum(d.numerators[nb] for nb in g.adjacency[comp] if nb in d.numerators)
-                if local == 0:
+            den = d.den
+            for comp, sums in by_cluster.items():
+                local = sums[i]
+                if not local:
                     continue
-                value, order = fmt(local, d.den), d.den // gcd(local, d.den)
+                value, order = fmt(local, den), den // gcd(local, den)
                 if m > 1 and m % order:  # local_primitivity rejects an index below 2
                     report["notes"].append(
                         f"{comp} at cluster {number}: local class {value} has denominator "
                         f"{order}, which does not divide the index {m}; no primitivity line")
                     continue
-                rep = class_group.local_primitivity(Fraction(local, d.den), m)
+                rep = class_group.local_primitivity(Fraction(local, den), m)
                 report["primitivity"].append({
                     "component": comp,
                     "cluster": number,
@@ -163,11 +170,11 @@ def render_analysis(report: dict) -> list[str]:
         if "error" in c:
             lines.append(f"  {c['error']}")
             continue
-        coeffs = " ".join(f"{v}={c['codiscrepancy'][v]}" for v in c["ids"])
+        coeffs = " ".join([f"{v}={x}" for v, x in c["codiscrepancy"].items()])
         lines.append(f"  codiscrepancy: {coeffs}")
         lines.append(f"  class: {c['class']}")
         if "chain" in c:
-            chain = ",".join(str(a) for a in c["chain"])
+            chain = ",".join(map(str, c["chain"]))
             lines.append(f"  chain [{chain}] -> {c['quot']}")
             dv = c["du_val"]
             lines.append(f"  Du Val: {'A' + str(dv) if dv is not None else 'no'}")

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .exactlinalg import SymmetricForm, eliminate
 
@@ -40,14 +41,20 @@ class VertexKind(Enum):
     COMPONENT = "comp"
 
 
+# a dict read, where VertexKind(text) is an Enum call
+_KINDS = {kind.value: kind for kind in VertexKind}
+
+
 class ClusterShape(Enum):
     CHAIN = "chain"
     FORK = "fork"
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
+    """A named tuple, since a parse builds one per line, about twice as fast
+    as a frozen dataclass."""
+
     id: str
     kind: VertexKind
     self_int: int
@@ -90,13 +97,18 @@ class ConfigGraph:
 
     The constructor and ``parse_graph`` build it by the same steps:
     ``_add_vertex`` and ``_add_edge`` check one item and record it, and
-    ``_finish`` runs the checks that need the whole graph.
+    ``_finish`` runs the checks that need the whole graph.  Besides the
+    vertices and edges it holds, once, what every analysis reads: the
+    exceptional and the component ids in input order, and each vertex's
+    neighbours in input order.
     """
 
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[str, str], ...]
     by_id: dict[str, Vertex]
     adjacency: dict[str, tuple[str, ...]]
+    exceptional: tuple[str, ...]
+    components: tuple[str, ...]
 
     def __init__(self, vertices: list[Vertex], edges: list[tuple[str, str]]):
         self._begin()
@@ -109,64 +121,68 @@ class ConfigGraph:
     def _begin(self) -> None:
         # lists and sets while building; _finish freezes them
         self.vertices, self.edges, self.by_id, self.adjacency = [], [], {}, {}
+        self.exceptional, self.components = [], []
 
     def _add_vertex(self, v: Vertex) -> None:
-        if v.id in self.by_id:
-            raise GraphError(f"duplicate vertex id {v.id!r}")
-        if v.kind is VertexKind.EXCEPTIONAL and v.self_int > -2:
-            raise GraphError(
-                f"exceptional vertex {v.id!r} needs self-intersection <= -2, got {v.self_int}"
-            )
-        if v.kind is VertexKind.COMPONENT and v.self_int != -1:
-            raise GraphError(
-                f"component vertex {v.id!r} needs self-intersection -1, got {v.self_int}"
-            )
+        vid, kind, self_int = v
+        if vid in self.by_id:
+            raise GraphError(f"duplicate vertex id {vid!r}")
+        if kind is VertexKind.EXCEPTIONAL:
+            if self_int > -2:
+                raise GraphError(
+                    f"exceptional vertex {vid!r} needs self-intersection <= -2, got {self_int}")
+            self.exceptional.append(vid)
+        elif kind is VertexKind.COMPONENT:
+            if self_int != -1:
+                raise GraphError(
+                    f"component vertex {vid!r} needs self-intersection -1, got {self_int}")
+            self.components.append(vid)
         self.vertices.append(v)
-        self.by_id[v.id] = v
-        self.adjacency[v.id] = set()
+        self.by_id[vid] = v
+        self.adjacency[vid] = set()
 
     def _add_edge(self, a: str, b: str) -> None:
         """Edges may only name vertices added before them."""
+        adjacency = self.adjacency
         for x in (a, b):
-            if x not in self.by_id:
+            if x not in adjacency:
                 raise GraphError(f"edge references unknown vertex {x!r}")
         if a == b:
             raise GraphError(f"loop at vertex {a!r}")
         key = (a, b) if a < b else (b, a)
-        if b in self.adjacency[a]:
+        if b in adjacency[a]:
             raise GraphError(f"multi-edge between {key[0]!r} and {key[1]!r}")
         self.edges.append(key)
-        self.adjacency[a].add(b)
-        self.adjacency[b].add(a)
+        adjacency[a].add(b)
+        adjacency[b].add(a)
 
     def _finish(self) -> None:
         if not self.vertices:
             raise GraphError("graph has no vertices")
         self.vertices = tuple(self.vertices)
         self.edges = tuple(self.edges)
-        order = {vid: i for i, vid in enumerate(self.by_id)}
-        # neighbour lists in input order, for reproducible reports
-        self.adjacency = {k: tuple(sorted(vs, key=order.__getitem__))
-                          for k, vs in self.adjacency.items()}
-        reached = _reach(self.adjacency, self.vertices[0].id, self.by_id)
+        self.exceptional = tuple(self.exceptional)
+        self.components = tuple(self.components)
+        # neighbour lists in input order, for reproducible reports: visiting
+        # the vertices in input order appends each to its neighbours' lists
+        ordered: dict[str, list[str]] = {vid: [] for vid in self.adjacency}
+        for vid, nbs in self.adjacency.items():
+            for nb in nbs:
+                ordered[nb].append(vid)
+        self.adjacency = {vid: tuple(nbs) for vid, nbs in ordered.items()}
+        reached = _reach(self.adjacency, self.vertices[0].id)
         if len(reached) != len(self.vertices):
             missing = sorted(set(self.by_id) - reached)
             raise GraphError(f"graph is disconnected (unreached: {', '.join(missing)})")
 
-    def exceptional_ids(self) -> list[str]:
-        return [v.id for v in self.vertices if v.kind is VertexKind.EXCEPTIONAL]
 
-    def component_ids(self) -> list[str]:
-        return [v.id for v in self.vertices if v.kind is VertexKind.COMPONENT]
-
-
-def _reach(adjacency: dict[str, tuple[str, ...]], start: str, allowed) -> set[str]:
-    """The vertices reachable from ``start`` through vertices in ``allowed``."""
+def _reach(adjacency: dict[str, tuple[str, ...] | list[str]], start: str) -> set[str]:
+    """The vertices reachable from ``start``."""
     reached = {start}
     stack = [start]
     while stack:
         for nb in adjacency[stack.pop()]:
-            if nb in allowed and nb not in reached:
+            if nb not in reached:
                 reached.add(nb)
                 stack.append(nb)
     return reached
@@ -181,18 +197,18 @@ def parse_graph(text: str) -> ConfigGraph:
     """
     g = ConfigGraph.__new__(ConfigGraph)
     g._begin()
+    add_vertex, add_edge = g._add_vertex, g._add_edge
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
             if tokens[0] == "vertex":
-                g._add_vertex(_parse_vertex(tokens))
+                add_vertex(_parse_vertex(tokens))
             elif tokens[0] == "edge":
                 if len(tokens) != 3:
                     raise GraphError("edge line needs: edge <id> <id>")
-                g._add_edge(tokens[1], tokens[2])
+                add_edge(tokens[1], tokens[2])
             else:
                 raise GraphError(f"unknown keyword {tokens[0]!r}")
         except GraphError as err:
@@ -204,20 +220,23 @@ def parse_graph(text: str) -> ConfigGraph:
 def _parse_vertex(tokens: list[str]) -> Vertex:
     if len(tokens) != 4:
         raise GraphError("vertex line needs: vertex <id> kind=exc|comp self=<int>")
-    vid = tokens[1]
+    _, vid, first, second = tokens
     if not _ID_RE.match(vid):
         raise GraphError(f"bad vertex id {vid!r}")
-    fields = dict(t.split("=", 1) for t in tokens[2:] if "=" in t)
-    if set(fields) != {"kind", "self"}:
+    # the two fields, in either order, each split at its first "="
+    if first[:5] == "kind=" and second[:5] == "self=":
+        kind_text, self_text = first[5:], second[5:]
+    elif first[:5] == "self=" and second[:5] == "kind=":
+        kind_text, self_text = second[5:], first[5:]
+    else:
         raise GraphError("vertex line needs kind= and self= fields")
+    kind = _KINDS.get(kind_text)
+    if kind is None:
+        raise GraphError(f"unknown kind {kind_text!r}")
     try:
-        kind = VertexKind(fields["kind"])
+        self_int = int(self_text)
     except ValueError:
-        raise GraphError(f"unknown kind {fields['kind']!r}") from None
-    try:
-        self_int = int(fields["self"])
-    except ValueError:
-        raise GraphError(f"bad self-intersection {fields['self']!r}") from None
+        raise GraphError(f"bad self-intersection {self_text!r}") from None
     return Vertex(vid, kind, self_int)
 
 
@@ -228,40 +247,42 @@ def is_tree(g: ConfigGraph) -> bool:
 
 def exceptional_clusters(g: ConfigGraph) -> list[Cluster]:
     """Connected components of the exceptional-only subgraph, with shapes."""
-    exc = set(g.exceptional_ids())
-    order = {v.id: i for i, v in enumerate(g.vertices)}
-    seen: set[str] = set()
-    clusters: list[Cluster] = []
-    for vid in g.exceptional_ids():
-        if vid in seen:
-            continue
-        comp = _reach(g.adjacency, vid, exc)
-        seen |= comp
-        clusters.append(_shape_cluster(g, sorted(comp, key=order.__getitem__)))
-    return clusters
+    adjacency = g.adjacency
+    # each exceptional vertex's exceptional neighbours, in input order: the
+    # one filter that the search, the shapes and the path order all read
+    inner: dict[str, list[str]] = dict.fromkeys(g.exceptional)
+    for vid in inner:
+        inner[vid] = [nb for nb in adjacency[vid] if nb in inner]
+    members: dict[str, list[str]] = {}  # vertex -> its cluster's ids, filled in input order
+    clusters: list[list[str]] = []
+    for vid in g.exceptional:
+        if vid not in members:
+            clusters.append([])
+            members.update(dict.fromkeys(_reach(inner, vid), clusters[-1]))
+        members[vid].append(vid)
+    return [_shape_cluster(ids, inner) for ids in clusters]
 
 
-def _shape_cluster(g: ConfigGraph, ids: list[str]) -> Cluster:
+def _shape_cluster(ids: list[str], inner: dict[str, list[str]]) -> Cluster:
     """Shape of the cluster on ``ids``, given in input order."""
-    members = set(ids)
-    deg = {v: sum(1 for nb in g.adjacency[v] if nb in members) for v in ids}
-    acyclic = sum(deg.values()) // 2 == len(ids) - 1
-    degrees = sorted(deg.values(), reverse=True) + [0]
-    if acyclic and degrees[0] <= 2:
-        return Cluster(tuple(_path_order(g, ids, deg)), ClusterShape.CHAIN)
-    if acyclic and degrees[0] == 3 and degrees[1] <= 2:
+    degrees = [len(inner[v]) for v in ids]
+    acyclic = sum(degrees) == 2 * (len(ids) - 1)
+    top = max(degrees)
+    if acyclic and top <= 2:
+        return Cluster(_path_order(ids, inner), ClusterShape.CHAIN)
+    if acyclic and top == 3 and degrees.count(3) == 1:
         return Cluster(tuple(ids), ClusterShape.FORK)
     return Cluster(tuple(ids), ClusterShape.OTHER)
 
 
-def _path_order(g: ConfigGraph, ids: list[str], deg: dict[str, int]) -> list[str]:
-    path = [next(v for v in ids if deg[v] <= 1)]
-    prev = None
-    while len(path) < len(ids):
-        nxt = next(nb for nb in g.adjacency[path[-1]] if nb in deg and nb != prev)
-        prev = path[-1]
-        path.append(nxt)
-    return path
+def _path_order(ids: list[str], inner: dict[str, list[str]]) -> tuple[str, ...]:
+    v = next(v for v in ids if len(inner[v]) <= 1)
+    path, prev = [v], None
+    for _ in range(len(ids) - 1):
+        nbs = inner[v]
+        v, prev = nbs[0] if nbs[0] != prev else nbs[1], v
+        path.append(v)
+    return tuple(path)
 
 
 def intersection_matrix(g: ConfigGraph, subset: list[str] | tuple[str, ...]) -> IntersectionMatrix:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 
@@ -94,8 +94,10 @@ def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
 
     Rows of degree at most one wait in a leaf stack, the rest in a heap keyed
     by (degree, row) that is read only when no leaf is left, so a tree never
-    reads it.  Only a heap row can create fill-in, and it is taken only
-    while no leaf exists, so a row in the leaf stack keeps degree at most one.
+    reads it.  A row whose degree changes is noted, and the heap takes the
+    notes only when it is read, so a tree never builds it.  Only a heap row
+    can create fill-in, and it is taken only while no leaf exists, so a row
+    in the leaf stack keeps degree at most one.
     With ``rhs``, back substitution solves ``M x = rhs`` when every pivot is
     negative, as integers ``X = den * x``, ``den = |det M| * lcm(rhs denominators)``:
     ``det(M) * M^-1`` is the adjugate, an integer matrix, so each row divides exactly.
@@ -116,8 +118,8 @@ def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
     nbrs: list = [dict(links) for links in form.links]
     # lowest row first, so the order is reproducible
     leaves = [v for v in range(n - 1, -1, -1) if len(nbrs[v]) <= 1]
-    heap = [(len(row), v) for v, row in enumerate(nbrs) if len(row) > 1]
-    heapify(heap)
+    changed = [v for v in range(n) if len(nbrs[v]) > 1]  # rows the heap has yet to take
+    heap: list[tuple[int, int]] = []
     order: list[int] = []
     pivots: list[tuple[int, int]] = []
     rows_at_pivot: list[dict] = []
@@ -125,6 +127,10 @@ def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
         if leaves:
             v = leaves.pop()
         else:
+            for u in changed:
+                if nbrs[u] is not None:
+                    heappush(heap, (len(nbrs[u]), u))
+            changed.clear()
             degree, v = heappop(heap)
             if nbrs[v] is None or degree != len(nbrs[v]):
                 continue  # stale entry
@@ -160,7 +166,7 @@ def eliminate(form: SymmetricForm, rhs=None) -> Elimination:
             if len(nu) <= 1 < had:
                 leaves.append(u)
             elif len(nu) > 1:
-                heappush(heap, (len(nu), u))
+                changed.append(u)
     if rhs is None:
         return Elimination(tuple(order), tuple(pivots), True)
     det = 1  # the pivots so far multiply to an integer minor, so each step divides exactly

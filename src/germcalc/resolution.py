@@ -5,7 +5,9 @@ codiscrepancy coefficients d solve M d = (2 - a_j): the contracted canonical
 class pulls back with an extra effective divisor sum(d_j E_j), and adjunction
 on each smooth rational E_j gives the right-hand side.  A fiber component
 (always a (-1)-curve here) then meets the contracted surface canonical class
-in -1 + sum of the coefficients of its exceptional neighbours.
+in -1 + sum of the coefficients of its exceptional neighbours.  One scan of
+each component's neighbours sums those coefficients cluster by cluster; the
+degree adds the sums, and the primitivity lines read each one.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
-from .dual_graph import Cluster, ConfigGraph, VertexKind, intersection_matrix
+from .dual_graph import Cluster, ConfigGraph, intersection_matrix
 # re-exported beside codiscrepancy; perfbench/tests checks that tracing wraps this binding
 from .dual_graph import is_negative_definite  # noqa: F401
 from .exactlinalg import SingularMatrixError, solve_exact
@@ -42,11 +45,20 @@ class Codiscrepancy:
         return {v: Fraction(x, self.den) for v, x in self.numerators.items()}
 
 
-@dataclass(frozen=True)
-class KEntry:
+class KEntry(NamedTuple):
+    """K.C on one component, ``numerator / den``; ``by_cluster[i]`` is the sum
+    of the numerators of codiscrepancy i at the component's neighbours, so
+    its share of the value is ``by_cluster[i] / den_i``."""
+
     component: str
-    value: Fraction
+    numerator: int
+    den: int  # the lcm of the codiscrepancy denominators
     k_negative: bool
+    by_cluster: tuple[int, ...]
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.numerator, self.den)
 
 
 @dataclass(frozen=True)
@@ -74,9 +86,9 @@ def codiscrepancy(g: ConfigGraph, cluster: Cluster | tuple[str, ...] | list[str]
             f"cluster ({', '.join(ids)}) is not negative definite and cannot be contracted"
         ) from None
     # effectivity is forced for negative-definite clusters with all a_j >= 2
-    bad = [v for v, x in zip(ids, numerators) if x < 0]
-    if bad:
-        raise AssertionError(f"negative codiscrepancy coefficient at {bad[0]}")
+    if numerators and min(numerators) < 0:
+        bad = next(v for v, x in zip(ids, numerators) if x < 0)
+        raise AssertionError(f"negative codiscrepancy coefficient at {bad}")
     return Codiscrepancy(ids, dict(zip(ids, numerators)), den)
 
 
@@ -89,6 +101,27 @@ def singularity_class(d: Codiscrepancy) -> SingClass:
     return SingClass.NOT_LOG_CANONICAL
 
 
+def adjacent_numerators(g: ConfigGraph, codiscrepancies: list[Codiscrepancy]
+                        ) -> dict[str, tuple[int, ...]]:
+    """``KEntry.by_cluster`` of every component, in input order: the one scan
+    of each component's neighbours.  The codiscrepancies need not cover the
+    graph, as when some cluster does not contract."""
+    at: dict[str, tuple[int, int]] = {}  # vertex -> (codiscrepancy number, numerator)
+    for i, d in enumerate(codiscrepancies):
+        for v, x in d.numerators.items():
+            at[v] = (i, x)
+    adjacency, count = g.adjacency, len(codiscrepancies)
+    out = {}
+    for comp in g.components:
+        sums = [0] * count
+        for nb in adjacency[comp]:
+            hit = at.get(nb)
+            if hit is not None:
+                sums[hit[0]] += hit[1]
+        out[comp] = tuple(sums)
+    return out
+
+
 def k_dot_components(g: ConfigGraph, codiscrepancies: list[Codiscrepancy]) -> KReport:
     """Per-component canonical degrees -1 + sum of adjacent coefficients.
 
@@ -96,17 +129,16 @@ def k_dot_components(g: ConfigGraph, codiscrepancies: list[Codiscrepancy]) -> KR
     a zero value is reported as infeasible (the contraction needs strictly
     negative degrees).
     """
-    den = lcm(*(d.den for d in codiscrepancies))  # every coefficient as coeff[v] / den
-    coeff: dict[str, int] = {}
+    covered: set[str] = set()
     for d in codiscrepancies:
-        coeff.update({v: x * (den // d.den) for v, x in d.numerators.items()})
-    for v in g.exceptional_ids():
-        if v not in coeff:
-            raise ValueError(f"no codiscrepancy supplied for exceptional vertex {v!r}")
+        covered.update(d.numerators)
+    if not covered.issuperset(g.exceptional):
+        v = next(v for v in g.exceptional if v not in covered)
+        raise ValueError(f"no codiscrepancy supplied for exceptional vertex {v!r}")
+    den = lcm(*[d.den for d in codiscrepancies])  # every coefficient as a numerator over den
+    scale = [den // d.den for d in codiscrepancies]
     entries = []
-    for v in g.vertices:
-        if v.kind is not VertexKind.COMPONENT:
-            continue
-        total = sum(coeff[nb] for nb in g.adjacency[v.id] if nb in coeff) - den
-        entries.append(KEntry(v.id, Fraction(total, den), total < 0))
+    for comp, sums in adjacent_numerators(g, codiscrepancies).items():
+        total = sum([x * k for x, k in zip(sums, scale)]) - den
+        entries.append(KEntry(comp, total, den, total < 0, sums))
     return KReport(tuple(entries), all(e.k_negative for e in entries))

@@ -99,7 +99,8 @@ class TestAnalyze:
         assert sum("does not divide the index 4" in n for n in payload["notes"]) == 4
         # an index below 2 stays an input error, not a note
         assert main(["analyze", path, "--point-index", "1", "--assume-generator"]) == 2
-        assert capsys.readouterr().err == "error: index must be >= 2\n"
+        assert capsys.readouterr().err == (
+            "error: --point-index 1 is below 2, the smallest index of a non-Gorenstein point\n")
 
     def test_noncontractible_cluster_text(self, tmp_path, capsys):
         rc = main(["analyze", triangle_path(tmp_path)])
@@ -303,7 +304,8 @@ class TestInputErrors:
         (["quot", "a,b"], "chain 'a,b' is not a comma-separated list of integers"),
         (["tchain", "0", "1"], "order n must be >= 2"),
         (["analyze", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
-        (["analyze", "{graph}", "--point-index", "0"], "index must be >= 2"),
+        (["analyze", "{graph}", "--point-index", "0"],
+         "--point-index 0 is below 2, the smallest index of a non-Gorenstein point"),
         (["classify", "{two_types}"], "line 1: component line needs: component <type>"),
         (["classify", "{two_kinds}"], "line 2: kind line needs: kind f|d|cb"),
         (["classify", "{stray}"],
@@ -316,9 +318,22 @@ class TestInputErrors:
         (["flip", "--index", "4", "--kc=-1/4", "--plus-indices", "2,,3"],
          "--plus-indices '2,,3' is not a comma-separated list of integers"),
         (["quot", "3,,2"], "chain '3,,2' is not a comma-separated list of integers"),
+        # an index below 2 is rejected before the file is read, whatever the graph
+        (["analyze", "{k1a}", "--point-index", "1"],
+         "--point-index 1 is below 2, the smallest index of a non-Gorenstein point"),
+        (["analyze", "{k1a}", "--point-index", "0"],
+         "--point-index 0 is below 2, the smallest index of a non-Gorenstein point"),
+        (["analyze", "{k1a}", "--point-index", "-3", "--assume-generator"],
+         "--point-index -3 is below 2, the smallest index of a non-Gorenstein point"),
+        (["analyze", "{cd3}", "--point-index", "1"],
+         "--point-index 1 is below 2, the smallest index of a non-Gorenstein point"),
+        (["analyze", "/nonexistent.graph", "--point-index", "1"],
+         "--point-index 1 is below 2, the smallest index of a non-Gorenstein point"),
     ])
     def test_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
-        paths = {"dir": str(tmp_path), "graph": data_path("iidual_cb5.graph", tmp_path)}
+        paths = {"dir": str(tmp_path), "graph": data_path("iidual_cb5.graph", tmp_path),
+                 "k1a": data_path("k1a_a_m3.graph", tmp_path),
+                 "cd3": data_path("cd3_a.graph", tmp_path)}
         for name, text in self.DESCRIPTORS.items():
             paths[name] = str(tmp_path / f"{name}.descr")
             (tmp_path / f"{name}.descr").write_text(text, encoding="utf-8")
@@ -419,13 +434,27 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(corpus, "verify_paper", lambda sweep_max: report)
         assert main(["--json", "verify-paper", "--sweep-max", "9"]) == 1
-        assert len(calls) == 12  # the handler renders its lines as well as the JSON
+        assert len(calls) == 10  # the JSON's four, not the lines as well
         assert json.loads(capsys.readouterr().out)["checks"] == [
             {"case": "case", "check": "equal", "ok": True, "expected": "Counted(1)",
              "got": "Counted(1)"},
             {"case": "case", "check": "differ", "ok": False, "expected": "Counted(1)",
              "got": "Counted(2)"},
         ]
+
+    def test_only_the_printed_half_renders_check_values(self, capsys, monkeypatch):
+        # text mode prints no passing check's values; --json prints all of them
+        reads = []
+        for name in ("expected", "got"):
+            read = getattr(corpus.CheckResult, name).fget
+            monkeypatch.setattr(corpus.CheckResult, name, property(
+                lambda check, read=read: reads.append(check) or read(check)))
+        assert main(["verify-paper", "--sweep-max", "9"]) == 0
+        assert "all passed" in capsys.readouterr().out
+        assert len(reads) == 0
+        assert main(["--json", "verify-paper", "--sweep-max", "9"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["checks"]) == 237
+        assert len(reads) == 474
 
     def test_sweep_failure_exits_1_without_traceback(self, capsys, monkeypatch):
         def failing(real):

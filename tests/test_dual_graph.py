@@ -36,8 +36,8 @@ class TestParse:
     def test_star_example_counts(self):
         g = graph_of("iidual_cb5.graph")
         assert len(g.vertices) == 9
-        assert len(g.exceptional_ids()) == 4
-        assert len(g.component_ids()) == 5
+        assert len(g.exceptional) == 4
+        assert len(g.components) == 5
 
     def test_loop_rejected_with_line(self):
         text = "vertex a kind=exc self=-2\nedge a a"
@@ -136,8 +136,11 @@ class TestParse:
         h = ConfigGraph(list(g.vertices), list(g.edges))
         assert (h.vertices, h.edges, h.adjacency) == (g.vertices, g.edges, g.adjacency)
         # a finished graph keeps no builder state
-        assert set(vars(g)) == {"vertices", "edges", "by_id", "adjacency"}
-        assert all(type(x) is tuple for x in (g.vertices, g.edges, *g.adjacency.values()))
+        assert set(vars(g)) == {"vertices", "edges", "by_id", "adjacency", "exceptional",
+                                "components"}
+        assert all(type(x) is tuple for x in (g.vertices, g.edges, g.exceptional,
+                                              g.components, *g.adjacency.values()))
+        assert (h.exceptional, h.components) == (g.exceptional, g.components)
 
 
 def cycle_graph():

@@ -8,6 +8,7 @@ M x = b in Fractions and its integer numerators X into M X = den b in integers.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from fractions import Fraction
@@ -156,6 +157,21 @@ def test_leaf_first_order_on_a_chain():
     # the chain is peeled from its first end; pivot k is -(k + 2)/(k + 1)
     assert result.order == (0, 1, 2, 3, 4, 5)
     assert result.pivots == tuple(Fraction(-(k + 2), k + 1) for k in range(6))
+
+
+def test_only_a_graph_with_a_cycle_builds_the_heap(rng, monkeypatch):
+    from germcalc import exactlinalg
+
+    pushed = []
+    monkeypatch.setattr(exactlinalg, "heappush",
+                        lambda heap, item: pushed.append(item) or heapq.heappush(heap, item))
+    for n in (5, 40):
+        g = big_tree(rng, n)
+        result = eliminate(intersection_matrix(g, [v.id for v in g.vertices]).form)
+        assert result.negative_definite and pushed == []
+    g = cyclic_graph(rng, 8, 3)
+    eliminate(intersection_matrix(g, [v.id for v in g.vertices]).form)
+    assert pushed
 
 
 def test_from_rows_rejects_bad_shapes():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tree_graph
-from germcalc.cli_corpus.corpus import read_data
+from germcalc.cli_corpus.corpus import load_corpus, read_data
 from germcalc.cyclic_quot import HJChain, chain_to_quot
 from germcalc.dual_graph import (
     ConfigGraph,
@@ -20,6 +20,7 @@ from germcalc.resolution import (
     Codiscrepancy,
     ContractibilityError,
     SingClass,
+    adjacent_numerators,
     codiscrepancy,
     k_dot_components,
     singularity_class,
@@ -119,6 +120,24 @@ class TestKReport:
         assert rep.value("v6") == F(-1, 3)
         assert rep.value("v8") == F(-1, 3)
         assert rep.germ_feasible
+
+    def test_by_cluster_is_each_clusters_share_of_the_degree(self):
+        for case in load_corpus()["cases"]:
+            if "graph" not in case:
+                continue
+            g = parse_graph(read_data(case["graph"]))
+            ds = [codiscrepancy(g, c) for c in exceptional_clusters(g)]
+            rep = k_dot_components(g, ds)
+            assert [e.component for e in rep.entries] == list(g.components)
+            for e in rep.entries:
+                shares = [F(x, d.den) for x, d in zip(e.by_cluster, ds)]
+                assert shares == [sum((d.coeffs[nb] for nb in g.adjacency[e.component]
+                                       if nb in d.coeffs), F(0)) for d in ds]
+                assert e.value == -1 + sum(shares) == F(e.numerator, e.den)
+            # the scan alone, as when a cluster does not contract
+            assert adjacent_numerators(g, ds) == {e.component: e.by_cluster for e in rep.entries}
+            assert adjacent_numerators(g, ds[1:]) == {
+                e.component: e.by_cluster[1:] for e in rep.entries}
 
     def test_component_with_no_exceptional_neighbour(self):
         g = ConfigGraph(
