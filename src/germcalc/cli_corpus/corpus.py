@@ -13,6 +13,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from math import gcd
 from typing import NamedTuple
@@ -28,10 +29,11 @@ from ..dual_graph import (
 from ..exactlinalg import fmt
 
 
-# the data directory, resolved once; each read_data still reads its file
+# the data directory, resolved once; read_data reads each file once per process
 _DATA = resources.files("germcalc.cli_corpus") / "data"
 
 
+@cache  # a str is immutable; load_corpus still parses a fresh dict
 def read_data(name: str) -> str:
     return (_DATA / name).read_text(encoding="utf-8")
 
@@ -54,7 +56,11 @@ def _value(leaf):
 def analyze_graph(
     g: ConfigGraph, point_index: int | None = None, assume_generator: bool = False
 ) -> dict:
-    """Full analysis report for one configuration graph, as plain data."""
+    """Full analysis report for one configuration graph, as plain data.
+    ``point_index``, assumed where a cluster has no index, must be at least 2."""
+    if point_index is not None and point_index < 2:
+        raise ValueError(f"point index {point_index} is below 2, the smallest index "
+                         "of a non-Gorenstein point")
     report: dict = {
         "vertices": len(g.vertices),
         "exceptional": len(g.exceptional),
@@ -90,7 +96,7 @@ def analyze_graph(
             entry["quot"] = str(quot)
             entry["du_val"] = cyclic_quot.du_val_A(chain)
             entry["t"] = cert.verdict
-            entry["t_index"] = cyclic_quot.t_index(cert) if cert.verdict else None
+            entry["t_index"] = cert.m  # None on a negative certificate
         index = entry.get("t_index")
         if index is None and point_index is not None:
             index = entry["assumed_index"] = point_index
@@ -138,7 +144,7 @@ def analyze_graph(
                 if not local:
                     continue
                 value, order = fmt(local, den), den // gcd(local, den)
-                if m > 1 and m % order:  # local_primitivity rejects an index below 2
+                if m % order:
                     report["notes"].append(
                         f"{comp} at cluster {number}: local class {value} has denominator "
                         f"{order}, which does not divide the index {m}; no primitivity line")

@@ -34,9 +34,6 @@ class HJChain:
         if any(a < 2 for a in self.entries):
             raise ValueError("chain entries must all be >= 2")
 
-    def reversed(self) -> "HJChain":
-        return HJChain(tuple(reversed(self.entries)))
-
 
 @dataclass(frozen=True)
 class CycQuot:
@@ -201,10 +198,3 @@ def classify_T(s: CycQuot) -> TCertificate:
     if cert.replay() != c.entries:
         raise AssertionError(f"derivation replay failed for {s}")
     return cert
-
-
-def t_index(cert: TCertificate) -> int:
-    """Index of a class-T singularity: the m of its arithmetic data."""
-    if not cert.verdict or cert.m is None:
-        raise ValueError("t_index needs a positive class-T certificate")
-    return cert.m

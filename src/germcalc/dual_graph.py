@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 from .exactlinalg import SymmetricForm, eliminate
@@ -76,20 +75,15 @@ class Cluster:
 class IntersectionMatrix:
     """The intersection form over ``ids``.
 
-    ``form`` holds it in the sparse layout elimination reads; the dense
-    ``rows`` are derived from it on first read, since the analysis never
-    reads them.
+    ``form`` holds it in the sparse layout elimination reads; ``as_lists``
+    builds the dense rows, which the analysis never reads.
     """
 
     ids: tuple[str, ...]
     form: SymmetricForm
 
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.form.rows()
-
     def as_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
+        return [list(r) for r in self.form.rows()]
 
 
 class ConfigGraph:
@@ -294,7 +288,7 @@ def intersection_matrix(g: ConfigGraph, subset: list[str] | tuple[str, ...]) -> 
         if vid in pos:
             raise GraphError(f"vertex id {vid!r} listed twice")
         pos[vid] = i
-    # links in ascending column order, as SymmetricForm.from_rows gives them
+    # links in ascending column order, as a dense row lists them
     form = SymmetricForm(
         tuple([g.by_id[vid].self_int for vid in subset]),
         tuple([tuple(sorted([(pos[nb], 1) for nb in g.adjacency[vid] if nb in pos]))

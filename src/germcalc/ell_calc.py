@@ -209,14 +209,6 @@ def ell_deg(div: EllDivisor) -> Fraction:
     return Fraction(div.component.degree(div.nf, den), den)
 
 
-def h0(div: EllDivisor) -> int:
-    return _h0(div.c)
-
-
-def h1(div: EllDivisor) -> int:
-    return _h1(div.c)
-
-
 def _h0(c: int) -> int:
     return c + 1 if c >= 0 else 0
 
@@ -239,13 +231,6 @@ def node_invariant_dim(g: int, t: int, lam: int, m: int) -> int:
 def glued_h0(d1: EllDivisor, d2: EllDivisor, node: MarkedPoint) -> int:
     """Sections of the divisor with sides d1 and d2, glued at a length-1 node."""
     return _sections(_node_side(d1, node), _node_side(d2, node), node.index)
-
-
-def glued_h1(d1: EllDivisor, d2: EllDivisor, node: MarkedPoint) -> int:
-    x, y = _node_side(d1, node), _node_side(d2, node)
-    invariant = _node_invariant(x[1], y[1], node.index)
-    matched = invariant and (_h0(x[0]) > 0 or _h0(y[0]) > 0)
-    return _h1(x[0]) + _h1(y[0]) + invariant - matched
 
 
 def _sections(x: tuple, y: tuple, index: int) -> int:
@@ -344,17 +329,6 @@ class DisproofTrace:
     steps: tuple[TraceStep, ...] = ()
     rejection: str = ""
     rejection_value: Fraction | None = None
-
-    @property
-    def end(self) -> str:
-        """The name of the final step, "" when there is none."""
-        return self.steps[-1].name if self.steps else ""
-
-    def step(self, name: str) -> TraceStep:
-        for s in self.steps:
-            if s.name == name:
-                return s
-        raise KeyError(f"no step {name!r} in the {self.script} trace")
 
     def render(self) -> list[str]:
         header = f"{self.script} inputs {self.inputs}: {self.status}"

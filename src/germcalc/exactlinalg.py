@@ -1,7 +1,7 @@
 """Exact rational linear algebra on sparse symmetric integer matrices.
 
 Integers throughout, ``fractions.Fraction`` only at the edges (a right-hand side,
-fill-in, the views of a result); no floating point is used anywhere in the package.
+fill-in, a value ``fmt`` renders); no floating point is used anywhere in the package.
 
 ``eliminate`` is the one elimination behind both the definiteness verdict
 and the linear solve.  It removes the row with the fewest remaining
@@ -38,19 +38,6 @@ class SymmetricForm:
     def __len__(self) -> int:
         return len(self.diag)
 
-    @classmethod
-    def from_rows(cls, rows) -> SymmetricForm:
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("expected a square matrix")
-        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
-            raise ValueError("expected a symmetric matrix")
-        return cls(
-            tuple([int(r[i]) for i, r in enumerate(rows)]),
-            tuple([tuple([(j, int(x)) for j, x in enumerate(r) if x and j != i])
-                   for i, r in enumerate(rows)]),
-        )
-
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The dense matrix."""
         n = len(self.diag)
@@ -78,15 +65,6 @@ class Elimination:
     negative_definite: bool
     numerators: tuple[int, ...] | None = None
     den: int | None = None
-
-    @property
-    def pivots(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(d, s) for d, s in self.pivot_pairs])
-
-    @property
-    def solution(self) -> tuple[Fraction, ...] | None:
-        den = self.den
-        return None if den is None else tuple([Fraction(x, den) for x in self.numerators])
 
 
 def eliminate(form: SymmetricForm, rhs=None) -> Elimination:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
@@ -40,10 +39,6 @@ class Codiscrepancy:
     numerators: dict[str, int]  # the coefficient at v is numerators[v] / den
     den: int  # |det M|
 
-    @property
-    def coeffs(self) -> dict[str, Fraction]:
-        return {v: Fraction(x, self.den) for v, x in self.numerators.items()}
-
 
 class KEntry(NamedTuple):
     """K.C on one component, ``numerator / den``; ``by_cluster[i]`` is the sum
@@ -56,18 +51,11 @@ class KEntry(NamedTuple):
     k_negative: bool
     by_cluster: tuple[int, ...]
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.den)
-
 
 @dataclass(frozen=True)
 class KReport:
     entries: tuple[KEntry, ...]
     germ_feasible: bool
-
-    def value(self, component: str) -> Fraction:
-        return next(e.value for e in self.entries if e.component == component)
 
 
 def codiscrepancy(g: ConfigGraph, cluster: Cluster | tuple[str, ...] | list[str]) -> Codiscrepancy:

@@ -1,14 +1,19 @@
-"""Shared test helpers: independent oracles and random generators."""
+"""Shared test helpers: independent oracles, random generators, a dense-form
+builder, and Fraction views of the package's integer results."""
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
 from germcalc import ell_calc
 from germcalc.dual_graph import ConfigGraph, Vertex, VertexKind
+from germcalc.ell_calc import DisproofTrace, TraceStep
+from germcalc.exactlinalg import SymmetricForm
+from germcalc.resolution import Codiscrepancy, KReport
 
 
 def char_poly_coeffs(rows: list[list[int]]) -> list[int]:
@@ -45,6 +50,35 @@ def random_symmetric(rng: random.Random, n: int, lo: int = -6, hi: int = 1):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = rng.randint(lo, hi)
     return rows
+
+
+def from_rows(rows) -> SymmetricForm:
+    """The sparse form of a dense square symmetric matrix."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("expected a square matrix")
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("expected a symmetric matrix")
+    return SymmetricForm(
+        tuple([int(r[i]) for i, r in enumerate(rows)]),
+        tuple([tuple([(j, int(x)) for j, x in enumerate(r) if x and j != i])
+               for i, r in enumerate(rows)]),
+    )
+
+
+def coeffs(d: Codiscrepancy) -> dict[str, Fraction]:
+    """The coefficients of a codiscrepancy as Fractions."""
+    return {v: Fraction(x, d.den) for v, x in d.numerators.items()}
+
+
+def k_value(report: KReport, component: str) -> Fraction:
+    """K.C on ``component`` as a Fraction."""
+    return next(Fraction(e.numerator, e.den) for e in report.entries if e.component == component)
+
+
+def step(trace: DisproofTrace, name: str) -> TraceStep:
+    """The step of ``trace`` named ``name``."""
+    return next(s for s in trace.steps if s.name == name)
 
 
 def random_tree_graph(rng: random.Random, n_exc: int, n_comp: int = 0) -> ConfigGraph:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import coeffs, k_value
 from germcalc.class_group import (
     NonGorPoint,
     global_imprimitivity,
@@ -73,7 +74,7 @@ class TestImprimitiveChainFamily:
     def test_splitting_degree_from_canonical_degree(self):
         # chain family [2k-1, 2^(k-1), 5, k+2, 2^(2k-3)] with a component on
         # the second vertex: index m = 2k(2k-1), degree -1/(2k), splitting 2k-1
-        from germcalc.cyclic_quot import CycQuot, HJChain, chain_to_quot, classify_T, t_index
+        from germcalc.cyclic_quot import CycQuot, HJChain, chain_to_quot, classify_T
         from germcalc.dual_graph import ConfigGraph, Vertex, VertexKind, exceptional_clusters
         from germcalc.resolution import codiscrepancy, k_dot_components
 
@@ -83,7 +84,7 @@ class TestImprimitiveChainFamily:
             s = chain_to_quot(HJChain(entries))
             assert s == CycQuot(m * m, m * (2 * k + 1) - 1)
             cert = classify_T(s)
-            assert cert.verdict and t_index(cert) == m
+            assert cert.verdict and cert.m == m
             vs = [Vertex(f"e{i}", VertexKind.EXCEPTIONAL, -a)
                   for i, a in enumerate(entries, 1)]
             vs.append(Vertex("c1", VertexKind.COMPONENT, -1))
@@ -91,8 +92,8 @@ class TestImprimitiveChainFamily:
             es.append(("c1", "e2"))
             g = ConfigGraph(vs, es)
             d = codiscrepancy(g, exceptional_clusters(g)[0])
-            assert d.coeffs["e2"] == F(2 * k - 1, 2 * k)
-            value = k_dot_components(g, [d]).value("c1")
+            assert coeffs(d)["e2"] == F(2 * k - 1, 2 * k)
+            value = k_value(k_dot_components(g, [d]), "c1")
             assert value == F(-1, 2 * k)
             rep = local_primitivity(value, m)
             assert rep.splitting_degree == 2 * k - 1

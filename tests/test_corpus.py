@@ -1,4 +1,5 @@
 import copy
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -53,6 +54,25 @@ class TestVerify:
         a = verify_paper(sweep_max=9).render()
         b = verify_paper(sweep_max=9).render()
         assert a == b
+
+    def test_two_runs_read_each_data_file_once(self, monkeypatch):
+        reads = Counter()
+        real = corpus._DATA
+
+        class CountingData:
+            def __truediv__(self, name):
+                reads[name] += 1
+                return real / name
+
+        cases = load_corpus()["cases"]
+        named = {"corpus.json", *[c["graph"] for c in cases if "graph" in c],
+                 *[d["file"] for c in cases for d in c.get("descriptors", [])]}
+        corpus.read_data.cache_clear()
+        monkeypatch.setattr(corpus, "_DATA", CountingData())
+        first, second = verify_paper(sweep_max=9), verify_paper(sweep_max=9)
+        assert first.render() == second.render() and first.ok
+        assert reads == Counter(named) and len(named) == 34
+        assert load_corpus() is not load_corpus()  # each caller still gets its own dict
 
     def test_sweep_failure_is_a_fail_line(self, monkeypatch):
         def failing(real):
@@ -138,6 +158,18 @@ class TestAnalyzeReport:
         }
         assert mine[("c1", 2)] == ("1/2", 1)
         assert mine[("c1", 5)] == ("2/5", 1)
+
+    @pytest.mark.parametrize("index", [1, 0, -3])
+    def test_point_index_below_two_is_rejected_on_every_graph(self, index):
+        # every cluster of k1a_a_m3 has a class-T index; cd3_a has a fork
+        errors = []
+        for name in ("k1a_a_m3.graph", "cd3_a.graph"):
+            g = parse_graph(corpus.read_data(name))
+            with pytest.raises(ValueError) as err:
+                analyze_graph(g, point_index=index, assume_generator=True)
+            errors.append(str(err.value))
+        assert errors == [f"point index {index} is below 2, the smallest index "
+                          "of a non-Gorenstein point"] * 2
 
     def test_degrees_match_direct_solve(self):
         g = parse_graph(corpus.read_data("kad_cb4.graph"))

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from conftest import admissible, patch_stage
+from conftest import admissible, patch_stage, step
 from germcalc import ell_calc
 from germcalc.ell_calc import (
     SCRIPTS,
@@ -37,16 +37,16 @@ class TestIcScript:
     def test_small_instance(self):
         trace = ic_disproof(5, 3, 2)
         assert trace.status == "contradiction"
-        assert trace.step("width-2-degree").value == 0
-        assert trace.step("width-2-degree").verdict == "forces_cb"
-        assert trace.step("width-3-degree").value == F(-4, 15)
-        assert trace.step("width-3-degree").verdict == "contradiction"
+        assert step(trace, "width-2-degree").value == 0
+        assert step(trace, "width-2-degree").verdict == "forces_cb"
+        assert step(trace, "width-3-degree").value == F(-4, 15)
+        assert step(trace, "width-3-degree").verdict == "contradiction"
 
     def test_second_instance(self):
         trace = ic_disproof(7, 5, 3)
         assert trace.status == "contradiction"
-        assert trace.step("width-2-degree").value == 0
-        assert trace.step("width-3-degree").value == F(-6, 35)
+        assert step(trace, "width-2-degree").value == 0
+        assert step(trace, "width-3-degree").value == F(-6, 35)
 
     def test_k_negativity_rejection(self):
         trace = ic_disproof(5, 3, 1)
@@ -75,17 +75,9 @@ class TestIcScript:
         # admissible tuple with even m': the width-2 degree is already negative
         trace = ic_disproof(7, 4, 3)
         assert trace.status == "contradiction"
-        assert trace.step("width-2-degree").verdict == "contradiction"
-        assert trace.step("width-2-degree").value == F(4 + 1 - 6, 4)
+        assert step(trace, "width-2-degree").verdict == "contradiction"
+        assert step(trace, "width-2-degree").value == F(4 + 1 - 6, 4)
         assert not any(s.name == "width-3-degree" for s in trace.steps)
-
-    def test_unknown_step_raises_key_error(self):
-        trace = ic_disproof(7, 4, 3)  # ends at the width-2 step
-        with pytest.raises(KeyError, match="no step 'width-3-degree' in the ic trace"):
-            trace.step("width-3-degree")
-        # map would end early on a StopIteration; a KeyError reaches the caller
-        with pytest.raises(KeyError):
-            list(map(trace.step, ("width-2-degree", "width-3-degree")))
 
     def test_replay_is_deterministic(self):
         first = ic_disproof(9, 5, 3)
@@ -111,26 +103,26 @@ class TestIcScript:
         for m, mp, ap in ic_admissible(25):
             trace = ic_disproof(m, mp, ap)
             assert trace.status == "contradiction", (m, mp, ap)
-            assert trace.step("width-2-degree").value == F(mp + 1 - 2 * ap, mp)
+            assert step(trace, "width-2-degree").value == F(mp + 1 - 2 * ap, mp)
 
 
 class TestKadScript:
     def test_k3a_instance(self):
         trace = kad_disproof(3, 5, 3, "k3a")
         assert trace.status == "contradiction"
-        assert trace.step("h1-a2b2-omega").value == 1
-        assert trace.step("h1-b2sq-omega").value == 1
-        assert trace.step("h0-gr1").value == 0
-        assert trace.step("h0-sym2").value == 0
+        assert step(trace, "h1-a2b2-omega").value == 1
+        assert step(trace, "h1-b2sq-omega").value == 1
+        assert step(trace, "h0-gr1").value == 0
+        assert step(trace, "h0-sym2").value == 0
         assert trace.steps[-1].verdict == "contradiction"
 
     def test_kad_instance(self):
         trace = kad_disproof(5, 3, 2, "kad")
         assert trace.status == "contradiction"
-        assert trace.step("degree-table").verdict == "holds"
-        assert trace.step("h1-omega-e-b2").value == 1
-        assert trace.step("h1-omega-e-b2").verdict == "forces_cb"
-        assert trace.step("h0-gr1").value == 1
+        assert step(trace, "degree-table").verdict == "holds"
+        assert step(trace, "h1-omega-e-b2").value == 1
+        assert step(trace, "h1-omega-e-b2").verdict == "forces_cb"
+        assert step(trace, "h0-gr1").value == 1
         assert trace.steps[-1].verdict == "contradiction"
 
     def test_trivial_rejection(self):
@@ -154,17 +146,17 @@ class TestKadScript:
     def test_k3a_values_across_sweep(self):
         for m, mp, ap in kad_admissible("k3a", 49):
             trace = kad_disproof(m, mp, ap, "k3a")
-            assert trace.step("h1-a2b2-omega").value == 1
-            assert trace.step("h1-b2sq-omega").value == 1
-            assert trace.step("h0-gr1").value == 0
-            assert trace.step("h0-sym2").value == 0
+            assert step(trace, "h1-a2b2-omega").value == 1
+            assert step(trace, "h1-b2sq-omega").value == 1
+            assert step(trace, "h0-gr1").value == 0
+            assert step(trace, "h0-sym2").value == 0
 
     def test_kad_split_checks_hold_across_sweep(self):
         for m, mp, ap in kad_admissible("kad", 35):
             trace = kad_disproof(m, mp, ap, "kad")
-            assert trace.step("split-check-c1").value == 0, (m, mp, ap)
-            assert trace.step("split-check-thickening").value == 0
-            assert trace.step("h1-omega-e-b2").value == 1
+            assert step(trace, "split-check-c1").value == 0, (m, mp, ap)
+            assert step(trace, "split-check-thickening").value == 0
+            assert step(trace, "h1-omega-e-b2").value == 1
 
     def test_admissibility_matches_preconditions(self):
         check_admissibility("k3a")
@@ -346,7 +338,7 @@ class TestOneRulePerLevel:
         summary = kad_sweep("kad", 15)
         assert summary.total == 210 and summary.all_contradicted
         assert calls["divisor"] == 0
-        note = kad_disproof(7, 5, 3, "kad").step("split-check-c1").note
+        note = step(kad_disproof(7, 5, 3, "kad"), "split-check-c1").note
         assert note == "splitting obstruction (0 + 3*P[7] + 0*Q[5])"
         assert calls["divisor"] == 1
 
@@ -418,7 +410,6 @@ class TestPerMFormsAndLazyTraces:
                         first = run(m, mp, ap)
                         steps = first.steps
                         again = run(m, mp, ap)
-                        assert again.end == (steps[-1].name if steps else "")
                         for field in ("script", "inputs", "status", "rejection",
                                       "rejection_value"):
                             assert getattr(again, field) == getattr(first, field)
@@ -441,7 +432,7 @@ class TestStagedSweeps:
         traces = [run(*t) for t in admissible(script, 15)]
         assert all(t.status == "contradiction" for t in traces)
         summary = _run_sweep(script, 15)
-        ends = Counter(t.end for t in traces)
+        ends = Counter(t.steps[-1].name for t in traces)
         assert summary.total == len(traces)
         assert summary.ends == dict(sorted(ends.items()))
         assert summary.survivors == ends[SCRIPTS[script].final_step]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import neg_def_by_char_poly, random_symmetric, random_tree_graph
+from conftest import from_rows, neg_def_by_char_poly, random_symmetric, random_tree_graph
 from germcalc.cli_corpus.corpus import load_corpus, read_data
 from germcalc.dual_graph import (
     ClusterShape,
@@ -19,7 +19,7 @@ from germcalc.dual_graph import (
     is_tree,
     parse_graph,
 )
-from germcalc.exactlinalg import SymmetricForm, leading_principal_minors
+from germcalc.exactlinalg import leading_principal_minors
 
 
 def graph_of(name):
@@ -202,12 +202,12 @@ class TestClusters:
 class TestIntersectionMatrix:
     def test_single_vertex(self):
         g = parse_graph("vertex a kind=exc self=-4")
-        assert intersection_matrix(g, ["a"]).rows == ((-4,),)
+        assert intersection_matrix(g, ["a"]).form.rows() == ((-4,),)
 
     def test_star(self):
         g = graph_of("iidual_cb5.graph")
         m = intersection_matrix(g, ["e0", "e1", "e2", "e3"])
-        assert m.rows == (
+        assert m.form.rows() == (
             (-2, 1, 1, 1),
             (1, -4, 0, 0),
             (1, 0, -4, 0),
@@ -218,7 +218,7 @@ class TestIntersectionMatrix:
         g = parse_graph(
             "vertex a kind=exc self=-2\nvertex b kind=exc self=-5\nedge a b"
         )
-        assert intersection_matrix(g, ["a", "b"]).rows == ((-2, 1), (1, -5))
+        assert intersection_matrix(g, ["a", "b"]).form.rows() == ((-2, 1), (1, -5))
 
     def test_unknown_id(self):
         g = parse_graph("vertex a kind=exc self=-4")
@@ -234,21 +234,20 @@ class TestIntersectionMatrix:
         g = graph_of("iidual_cb5.graph")
         ids = ("e3", "e0", "e2", "e1")
         m = intersection_matrix(g, ids)
-        assert "rows" not in vars(m)
-        dense = IntersectionMatrix(ids, SymmetricForm.from_rows(m.rows))
-        assert m.rows == dense.form.rows() == (
+        rows = m.form.rows()
+        dense = IntersectionMatrix(ids, from_rows(rows))
+        assert rows == dense.form.rows() == (
             (-2, 1, 0, 0),
             (1, -2, 1, 1),
             (0, 1, -4, 0),
             (0, 1, 0, -4),
         )
         assert dense == m and hash(dense) == hash(m) and repr(dense) == repr(m)
-        assert m.as_lists() == [list(r) for r in m.rows]
-        assert m != IntersectionMatrix(ids[::-1], SymmetricForm.from_rows(m.rows))
-        assert m != IntersectionMatrix(
-            ids, SymmetricForm.from_rows(((-3, 1, 0, 0),) + m.rows[1:]))
+        assert m.as_lists() == [list(r) for r in rows]
+        assert m != IntersectionMatrix(ids[::-1], from_rows(rows))
+        assert m != IntersectionMatrix(ids, from_rows(((-3, 1, 0, 0),) + rows[1:]))
         with pytest.raises(AttributeError):
-            m.rows = ()
+            m.form = dense.form
 
 
 class TestNegativeDefinite:
@@ -285,6 +284,6 @@ class TestNegativeDefinite:
             n = rng.randint(1, 5)
             rows = random_symmetric(rng, n)
             m = IntersectionMatrix(
-                tuple(str(i) for i in range(n)), SymmetricForm.from_rows(rows)
+                tuple(str(i) for i in range(n)), from_rows(rows)
             )
             assert is_negative_definite(m) == neg_def_by_char_poly(rows)

@@ -18,6 +18,8 @@ import pytest
 
 from conftest import (
     char_poly_coeffs,
+    coeffs,
+    from_rows,
     neg_def_by_char_poly,
     random_symmetric,
     random_tree_graph,
@@ -31,8 +33,8 @@ from germcalc.dual_graph import (
     is_negative_definite,
 )
 from germcalc.exactlinalg import (
+    Elimination,
     SingularMatrixError,
-    SymmetricForm,
     det_bareiss,
     eliminate,
     leading_principal_minors,
@@ -41,32 +43,35 @@ from germcalc.exactlinalg import (
 from germcalc.resolution import codiscrepancy
 
 
+def pivots(result: Elimination) -> tuple[Fraction, ...]:
+    return tuple([Fraction(d, s) for d, s in result.pivot_pairs])
+
+
 def check_against_oracles(rows: list[list[int]], rhs: list) -> bool:
     """Assert every oracle on one form; return its verdict."""
     n = len(rows)
-    form = SymmetricForm.from_rows(rows)
+    form = from_rows(rows)
     result = eliminate(form, rhs)
-    order = list(result.order)
-    assert len(set(order)) == len(order) == len(result.pivots)
-    assert prod(result.pivots) == det_bareiss([[rows[i][j] for j in order] for i in order])
-    assert all(p < 0 for p in result.pivots[:-1])
+    order, ps = list(result.order), pivots(result)
+    assert len(set(order)) == len(order) == len(ps)
+    assert prod(ps) == det_bareiss([[rows[i][j] for j in order] for i in order])
+    assert all(p < 0 for p in ps[:-1])
     verdict = neg_def_by_char_poly(rows)
     assert result.negative_definite == verdict
     if verdict:
         assert sorted(order) == list(range(n))
-        assert prod(result.pivots) == det_bareiss(rows)
-        x = result.solution
+        assert prod(ps) == det_bareiss(rows)
+        numerators, den = result.numerators, result.den
+        x = tuple(Fraction(v, den) for v in numerators)
         for i in range(n):
             assert sum(Fraction(rows[i][j]) * x[j] for j in range(n)) == rhs[i]
-        numerators, den = result.numerators, result.den
         assert den == abs(det_bareiss(rows)) * lcm(*(Fraction(b).denominator for b in rhs))
         assert all(type(v) is int for v in numerators)
         for i in range(n):
             assert sum(rows[i][j] * numerators[j] for j in range(n)) == den * rhs[i]
         assert solve_exact(form, rhs) == (numerators, den)
-        assert x == tuple(Fraction(v, den) for v in numerators)
     else:
-        assert result.pivots[-1] >= 0 and result.solution is None
+        assert ps[-1] >= 0
         assert result.numerators is None and result.den is None
         with pytest.raises(SingularMatrixError):
             solve_exact(form, rhs)
@@ -146,7 +151,7 @@ def test_cycle_of_minus_twos_ends_at_a_zero_pivot(n):
     m = intersection_matrix(g, [v.id for v in vs])
     result = eliminate(m.form)
     assert not result.negative_definite
-    assert len(result.pivots) == n and result.pivots[-1] == 0
+    assert len(result.pivot_pairs) == n and pivots(result)[-1] == 0
     check_against_oracles(m.as_lists(), [0] * n)
 
 
@@ -156,7 +161,7 @@ def test_leaf_first_order_on_a_chain():
     result = eliminate(intersection_matrix(g, [v.id for v in vs]).form)
     # the chain is peeled from its first end; pivot k is -(k + 2)/(k + 1)
     assert result.order == (0, 1, 2, 3, 4, 5)
-    assert result.pivots == tuple(Fraction(-(k + 2), k + 1) for k in range(6))
+    assert pivots(result) == tuple(Fraction(-(k + 2), k + 1) for k in range(6))
 
 
 def test_only_a_graph_with_a_cycle_builds_the_heap(rng, monkeypatch):
@@ -176,11 +181,11 @@ def test_only_a_graph_with_a_cycle_builds_the_heap(rng, monkeypatch):
 
 def test_from_rows_rejects_bad_shapes():
     with pytest.raises(ValueError, match="square"):
-        SymmetricForm.from_rows([[1, 2]])
+        from_rows([[1, 2]])
     with pytest.raises(ValueError, match="symmetric"):
-        SymmetricForm.from_rows([[-2, 1], [0, -2]])
+        from_rows([[-2, 1], [0, -2]])
     with pytest.raises(ValueError, match="right-hand side"):
-        solve_exact(SymmetricForm.from_rows([[-2]]), [1, 2])
+        solve_exact(from_rows([[-2]]), [1, 2])
 
 
 def big_chain(rng: random.Random, n: int) -> ConfigGraph:
@@ -208,7 +213,7 @@ def test_400_vertices_finish_fast(rng, build):
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0  # generous: at most about 0.04 s on a 2-CPU machine
         m = intersection_matrix(g, ids)
-        c = d.coeffs
+        c = coeffs(d)
         for i, v in enumerate(ids):
             lhs = m.form.diag[i] * c[v] + sum(a * c[ids[j]] for j, a in m.form.links[i])
             assert lhs == 2 + m.form.diag[i]
