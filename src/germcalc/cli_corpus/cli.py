@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .. import cyclic_quot, ell_calc, germ_rules
 from ..dual_graph import parse_graph
-from ..exactlinalg import fmt
+from ..exactlinalg import digit_limit_problem, fmt
 from . import corpus
 
 
@@ -72,7 +72,18 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple([int(x) for x in text.split(",")])
     except ValueError:
-        raise ValueError(f"{what} {text!r} is not a comma-separated list of integers") from None
+        raise ValueError(digit_limit_problem(what, text)
+                         or f"{what} {text!r} is not a comma-separated list of integers") from None
+
+
+def _int_arg(text: str) -> int:
+    """An int-valued option's converter: argparse's own message for a bad int
+    would echo the whole token, however long."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(digit_limit_problem("value", text)
+                                         or f"invalid int value: {text!r}") from None
 
 
 def _cmd_quot(args) -> tuple[dict, list[str], int]:
@@ -121,8 +132,8 @@ def _cmd_flip(args) -> tuple[dict, list[str], int]:
     data = germ_rules.FlipGermData(args.index, plus)
     try:
         kc = Fraction(args.kc)
-    except ZeroDivisionError as err:  # a zero denominator, as in "1/0"
-        raise ValueError(err) from None
+    except (ValueError, ZeroDivisionError) as err:  # "1/0" raises ZeroDivisionError
+        raise ValueError(digit_limit_problem("--kc", args.kc) or err) from None
     degree, value = fmt(kc), fmt(germ_rules.flip_transfer(data, kc))
     payload = {
         "index": args.index,
@@ -179,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyze a configuration graph file")
     p.add_argument("file")
-    p.add_argument("--point-index", type=int, default=None,
+    p.add_argument("--point-index", type=_int_arg, default=None,
                    help="index to assume for clusters without a recognised one")
     p.add_argument("--assume-generator", action="store_true",
                    help="enable primitivity lines for clusters with a known index")
@@ -187,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper",
                        help="run the built-in corpus, sweeps, and flip table")
-    p.add_argument("--sweep-max", type=int, default=49)
+    p.add_argument("--sweep-max", type=_int_arg, default=49)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("quot", help="chain -> quotient type, with certificates")
@@ -195,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quot)
 
     p = sub.add_parser("tchain", help="quotient type -> chain, with certificates")
-    p.add_argument("n", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("n", type=_int_arg)
+    p.add_argument("q", type=_int_arg)
     p.set_defaults(func=_cmd_tchain)
 
     p = sub.add_parser("classify", help="match a germ descriptor file against the table")
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("flip", help="transfer a canonical degree through a flip")
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", type=_int_arg, required=True)
     p.add_argument("--kc", required=True, help="canonical degree, e.g. --kc=-1/4")
     p.add_argument("--plus-indices", default="",
                    help="comma-separated indices on the flipped side")
@@ -215,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("kad-disprove", "run the chain-pair exclusion script", ["k3a", "kad"]),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--m", type=int)
-        p.add_argument("--mprime", type=int)
-        p.add_argument("--aprime", type=int)
+        p.add_argument("--m", type=_int_arg)
+        p.add_argument("--mprime", type=_int_arg)
+        p.add_argument("--aprime", type=_int_arg)
         if subcases:
             p.add_argument("--subcase", dest="script", choices=subcases, required=True)
-        p.add_argument("--sweep-max", type=int, default=None)
+        p.add_argument("--sweep-max", type=_int_arg, default=None)
         p.set_defaults(func=_cmd_disprove, script="ic")
 
     parser.add_argument("--json", action="store_true",

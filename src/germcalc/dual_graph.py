@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .exactlinalg import SymmetricForm, eliminate
+from .exactlinalg import SymmetricForm, digit_limit_problem, eliminate
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -230,7 +230,8 @@ def _parse_vertex(tokens: list[str]) -> Vertex:
     try:
         self_int = int(self_text)
     except ValueError:
-        raise GraphError(f"bad self-intersection {self_text!r}") from None
+        raise GraphError(digit_limit_problem("self-intersection", self_text)
+                         or f"bad self-intersection {self_text!r}") from None
     return Vertex(vid, kind, self_int)
 
 

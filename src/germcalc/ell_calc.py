@@ -54,12 +54,8 @@ def _carry(c: int, raw, indices) -> tuple[int, ...]:
     index indices[i]: each weight is reduced into [0, index) and the overflow
     is carried into the integer part.
 
-    Components of two points, which every scripted tuple computes on, take a
-    straight-line path; others take the loop.
+    ``_Component.tensor`` and ``.over`` reduce a two-point form themselves.
     """
-    if len(indices) == 2:
-        (w1, w2), (n1, n2) = raw, indices
-        return (c + w1 // n1 + w2 // n2, w1 % n1, w2 % n2)
     weights = []
     for w, n in zip(raw, indices):
         q, r = divmod(w, n)
@@ -83,30 +79,37 @@ class _Component:
         self.labels = labels
         self.indices = indices
 
-    # every scripted tuple computes on two-point components: tensor, dual, over
-    # and degree spell out two points and keep the generic path for the rest
+    # every scripted tuple computes on two-point components: tensor and over
+    # reduce a two-point form in place, and degree spells out one and two
+    # points; other widths take _carry's loop and the generic sum
 
     def tensor(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if len(a) == 3:
-            return _carry(a[0] + b[0], (a[1] + b[1], a[2] + b[2]), self.indices)
+            (c, w1, w2), (d, v1, v2), (n1, n2) = a, b, self.indices
+            w1 += v1
+            w2 += v2
+            return (c + d + w1 // n1 + w2 // n2, w1 % n1, w2 % n2)
         return _carry(a[0] + b[0], map(add, a[1:], b[1:]), self.indices)
 
     def dual(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if len(a) == 3:
-            return _carry(-a[0], (-a[1], -a[2]), self.indices)
-        return _carry(-a[0], [-w for w in a[1:]], self.indices)
+        return self.over((0,) * len(a), a)
 
     def over(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """a * dual(b) in one carry: the normal form of a - b."""
+        """a * dual(b) in one reduction: the normal form of a - b."""
         if len(a) == 3:
-            return _carry(a[0] - b[0], (a[1] - b[1], a[2] - b[2]), self.indices)
+            (c, w1, w2), (d, v1, v2), (n1, n2) = a, b, self.indices
+            w1 -= v1
+            w2 -= v2
+            return (c - d + w1 // n1 + w2 // n2, w1 % n1, w2 % n2)
         return _carry(a[0] - b[0], map(sub, a[1:], b[1:]), self.indices)
 
     def degree(self, a: tuple[int, ...], den: int) -> int:
         """den * ell_deg(a), for a den divisible by every index."""
         if len(a) == 3:
-            n1, n2 = self.indices
-            return a[0] * den + a[1] * (den // n1) + a[2] * (den // n2)
+            (c, w1, w2), (n1, n2) = a, self.indices
+            return c * den + w1 * (den // n1) + w2 * (den // n2)
+        if len(a) == 2:
+            return a[0] * den + a[1] * (den // self.indices[0])
         return a[0] * den + sum(w * (den // n) for w, n in zip(a[1:], self.indices))
 
     def union(self, other: _Component) -> _Component:
@@ -555,24 +558,26 @@ def _ic_m_stage(m: int) -> tuple:
 
 
 def _ic_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
-    """The forms that do not involve a': (C1, C2, A1, den, deg(A), C2's share
-    of deg(B), the C2 obstruction), the degrees as numerators over den = mm'."""
+    """The forms and records that do not involve a': (C1, C2, A1, (m+1)/2, den,
+    2*den, deg(A), its record, C2's share of deg(B), the C2 obstruction), the
+    degrees as numerators over den = mm'."""
     c2, a2, b2, obstruction2 = m_forms
     # C1 carries the node P and R, C2 carries P; the gluing has length 2
     c1 = _Component(("P", "R"), (m, m_prime))
     a1 = (-1, m - 1, 1)
     den = m * m_prime
-    return (c1, c2, a1, den, c1.degree(a1, den) + c2.degree(a2, den), c2.degree(b2, den),
-            obstruction2)
+    deg_a = c1.degree(a1, den) + c2.degree(a2, den)
+    return (c1, c2, a1, (m + 1) // 2, den, 2 * den, deg_a, ("deg-A", deg_a, den, "holds", ""),
+            c2.degree(b2, den), obstruction2)
 
 
 def _ic_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, ...]:
     """The records of ic on an admissible tuple, all of which are its own."""
-    c1, c2, a1, den, deg_a, deg_b2, obstruction2 = forms
-    b1 = (-1, (m + 1) // 2, m_prime - a_prime)
+    c1, c2, a1, up, den, den2, deg_a, deg_a_record, deg_b2, obstruction2 = forms
+    b1 = (-1, up, m_prime - a_prime)
     deg_b = c1.degree(b1, den) + deg_b2  # degrees are numerators over den
-    steps = [("k-negativity", (m + 1) * m_prime - 2 * m * a_prime, 2 * den, "holds", ""),
-             ("deg-A", deg_a, den, "holds", ""), ("deg-B", deg_b, den, "holds", "")]
+    k_negativity = ("k-negativity", (m + 1) * m_prime - 2 * m * a_prime, den2, "holds", "")
+    deg_b_record = ("deg-B", deg_b, den, "holds", "")
 
     # the width-d degree d*deg(B) + deg(A) has the sign of the width-d test
     width2 = 2 * deg_b + deg_a
@@ -580,11 +585,11 @@ def _ic_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, 
         raise ScriptCheckError("width-2-degree", f"width-2 degree {Fraction(width2, den)} "
                                f"!= {Fraction(m_prime + 1 - 2 * a_prime, m_prime)}")
     if _width_verdict(width2, "unknown") == "contradiction":
-        steps.append(("width-2-degree", width2, den, "contradiction",
-                      "negative width-2 degree"))
-        return tuple(steps)
-    steps.append(("width-2-degree", width2, den, "forces_cb",
-                  "zero degree rules out the birational cases"))
+        return (k_negativity, deg_a_record, deg_b_record,
+                ("width-2-degree", width2, den, "contradiction", "negative width-2 degree"))
+    steps = [k_negativity, deg_a_record, deg_b_record,
+             ("width-2-degree", width2, den, "forces_cb",
+              "zero degree rules out the birational cases")]
 
     _check(_ic_forced(m, m_prime, a_prime), "forced-equality",
            "forced parameter equality failed")

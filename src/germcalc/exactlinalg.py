@@ -2,6 +2,7 @@
 
 Integers throughout, ``fractions.Fraction`` only at the edges (a right-hand side,
 fill-in, a value ``fmt`` renders); no floating point is used anywhere in the package.
+``digit_limit_problem`` words the one way a valid integer's text is refused.
 
 ``eliminate`` is the one elimination behind both the definiteness verdict
 and the linear solve.  It removes the row with the fewest remaining
@@ -14,6 +15,8 @@ iff every pivot is negative, whatever the order.  The dense routines
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -209,3 +212,19 @@ def fmt(value: Fraction | int, den: int = 1) -> str:
         value, den = value.numerator, value.denominator * den
     g = gcd(value, den)
     return str(value // g) if g == den else f"{value // g}/{den // g}"
+
+
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+
+
+def digit_limit_problem(what: str, text: str) -> str | None:
+    """Why ``int`` refuses ``text`` when a run of its digits is longer than the
+    interpreter converts, quoting only a prefix of ``text``; None otherwise,
+    when the caller's own message stands."""
+    # the limit came in 3.10.7; before it, and at 0, there is none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = max((len(run) - run.count("_") for run in _DIGIT_RUN.findall(text)), default=0)
+    if not limit or digits <= limit:
+        return None
+    return (f"{what} {text[:20] + '...'!r} holds a {digits}-digit integer, over this "
+            f"interpreter's limit of {limit} digits for int conversion")

@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .class_group import NonGorPoint
+from .exactlinalg import digit_limit_problem
 
 
 class ComponentType(Enum):
@@ -412,7 +413,8 @@ def parse_descriptor(text: str) -> GermDescriptor:
                 ell = int(fields["ell"]) if "ell" in fields else None
                 points.append(NonGorPoint(int(fields["index"]), fields["tag"], ell))
             except ValueError as err:
-                raise DescriptorError(str(err), lineno) from None
+                raise DescriptorError(digit_limit_problem("point", " ".join(args)) or str(err),
+                                      lineno) from None
         else:
             raise DescriptorError(f"unknown keyword {keyword!r}", lineno)
     if kind is None:

@@ -35,7 +35,6 @@ class SingClass(Enum):
 
 @dataclass(frozen=True)
 class Codiscrepancy:
-    cluster: tuple[str, ...]
     numerators: dict[str, int]  # the coefficient at v is numerators[v] / den
     den: int  # |det M|
 
@@ -77,7 +76,7 @@ def codiscrepancy(g: ConfigGraph, cluster: Cluster | tuple[str, ...] | list[str]
     if numerators and min(numerators) < 0:
         bad = next(v for v, x in zip(ids, numerators) if x < 0)
         raise AssertionError(f"negative codiscrepancy coefficient at {bad}")
-    return Codiscrepancy(ids, dict(zip(ids, numerators)), den)
+    return Codiscrepancy(dict(zip(ids, numerators)), den)
 
 
 def singularity_class(d: Codiscrepancy) -> SingClass:

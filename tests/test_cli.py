@@ -343,6 +343,53 @@ class TestInputErrors:
         assert captured.err == f"error: {message.format(**paths)}\n"
 
 
+
+class TestBigIntegers:
+    """A valid integer longer than the interpreter's digit limit ends in exit 2
+    with a short last line that names the limit, and an ordinary bad value
+    keeps its message."""
+
+    BIG = "9" * 5000
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{graph}"],
+        ["quot", "3,{big}"],
+        ["tchain", "12", "{big}"],
+        ["ic-disprove", "--m", "{big}", "--mprime", "3", "--aprime", "2"],
+        ["flip", "--index", "4", "--kc=-1/{big}"],
+        ["classify", "{descr}"],
+    ], ids=["analyze", "quot", "tchain", "ic-disprove", "flip", "classify"])
+    def test_short_line_naming_the_limit(self, tmp_path, capsys, argv):
+        graph, descr = tmp_path / "big.graph", tmp_path / "big.descr"
+        graph.write_text(f"vertex v kind=exc self=-{self.BIG}\nvertex c kind=comp self=-1\n"
+                         "edge v c\n", encoding="utf-8")
+        descr.write_text(f"component IIA\nkind cb\npoint index={self.BIG} tag=cAx/4\n",
+                         encoding="utf-8")
+        argv = [a.format(big=self.BIG, graph=graph, descr=descr) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:  # argparse's usage errors
+            code = exit_info.code
+        captured = capsys.readouterr()
+        last = captured.err.splitlines()[-1]
+        assert code == 2 and captured.out == ""
+        assert len(last.encode()) <= 200
+        assert "99999999999999...' holds" in last and "bad self-intersection" not in last
+        assert f"holds a 5000-digit integer, over this interpreter's limit of {self.LIMIT} " \
+               "digits" in last
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tchain", "12", "x"], "germcalc tchain: error: argument q: invalid int value: 'x'"),
+        (["ic-disprove", "--m", "1.5"],
+         "germcalc ic-disprove: error: argument --m: invalid int value: '1.5'"),
+    ], ids=["tchain", "ic-disprove"])
+    def test_argparse_keeps_its_message_for_a_bad_int(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+
 class TestDisproveCommands:
     def test_ic_trace(self, capsys):
         rc = main(["ic-disprove", "--m", "5", "--mprime", "3", "--aprime", "2"])

@@ -355,16 +355,21 @@ class TestOneRulePerLevel:
         assert summary.survivors == ends[final]
 
 
+def _on_reductions(monkeypatch, seen):
+    """Pass every normal form the scripts reduce, through ``_Component.tensor``
+    and ``.over``, to ``seen(component, nf)``, which returns the form that
+    stands."""
+    for name in ("tensor", "over"):
+        def reduce(self, a, b, real=getattr(ell_calc._Component, name)):
+            return seen(self, real(self, a, b))
+        monkeypatch.setattr(ell_calc._Component, name, reduce)
+
+
 def _corrupt_carry(monkeypatch, point_indices, good, bad):
-    """Make every carry on the component of ``point_indices`` that yields
+    """Make every reduction on the component of ``point_indices`` that yields
     ``good`` yield ``bad``."""
-    real = ell_calc._carry
-
-    def corrupt(c, raw, indices):
-        nf = real(c, raw, indices)
-        return bad if tuple(indices) == point_indices and nf == good else nf
-
-    monkeypatch.setattr(ell_calc, "_carry", corrupt)
+    _on_reductions(monkeypatch, lambda comp, nf: (
+        bad if comp.indices == point_indices and nf == good else nf))
 
 
 # One corrupted normal form per case; the counts and messages are those the
@@ -424,14 +429,17 @@ class TestPerMFormsAndLazyTraces:
 
 
 class TestStagedSweeps:
-    @pytest.mark.parametrize("script", ["ic", "k3a", "kad"])
-    def test_sweep_counts_match_single_tuple_traces(self, script):
+    # cap 29 is the largest cap that perfbench's paper workload sweeps
+    @pytest.mark.parametrize("script, cap", [
+        pytest.param(script, cap, id=script if cap == 15 else f"{script}-{cap}")
+        for cap in (15, 29) for script in ("ic", "k3a", "kad")])
+    def test_sweep_counts_match_single_tuple_traces(self, script, cap):
         # the sweep reads each tuple's end off its stages' records without
         # joining them; the single-tuple run joins them into a trace
         run = ic_disproof if script == "ic" else partial(kad_disproof, subcase=script)
-        traces = [run(*t) for t in admissible(script, 15)]
+        traces = [run(*t) for t in admissible(script, cap)]
         assert all(t.status == "contradiction" for t in traces)
-        summary = _run_sweep(script, 15)
+        summary = _run_sweep(script, cap)
         ends = Counter(t.steps[-1].name for t in traces)
         assert summary.total == len(traces)
         assert summary.ends == dict(sorted(ends.items()))
@@ -499,7 +507,7 @@ CORRUPTED_PAIR_FORMS = [
 ]
 
 # Corrupted forms that the first tuple of a sweep reads: the first covers
-# _kad_c1_forms, the second _ic_forms and _ic_c2_forms.
+# kad's pair stage, the second ic's m stage.
 CORRUPTED_FIRST_FORMS = [
     ("kad", (5, 3), (0, 0, 2), (0, 0, 1),
      "1 of 210 failed, first (5, 3, 2) at degree-table: B1^2: computed "
@@ -553,20 +561,20 @@ class TestPerPairForms:
         assert _run_sweep(script, 15).failures == 0
 
     def test_carries_per_sweep(self, monkeypatch):
-        # These count work, not time: the carries, one per normal form computed,
+        # These count work, not time: the reductions, one per normal form computed,
         # of each sweep at cap 15.  kad makes 6 per m, 1 per (m, m') (B1^2) and 4
         # per tuple (A1^2, A1*B1 and the two split checks, each an `over`):
         # 6*6 + 78 + 4*210 = 954.  k3a makes 5 for its one m, 1 per (m, m') and 2
         # per tuple: 5 + 13 + 2*35 = 88.  ic makes 2 per m (B2^2 and its `over`)
         # and 2 per tuple that reaches the width-3 step (B1^2 and its `over`):
         # 2*6 + 2*21 = 54.
-        real, calls = ell_calc._carry, []
+        calls = []
 
-        def counting(c, raw, indices):
-            calls.append(indices)
-            return real(c, raw, indices)
+        def counting(comp, nf):
+            calls.append(comp.indices)
+            return nf
 
-        monkeypatch.setattr(ell_calc, "_carry", counting)
+        _on_reductions(monkeypatch, counting)
         counts = {}
         for script in ("kad", "k3a", "ic"):
             calls.clear()

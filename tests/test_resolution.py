@@ -176,11 +176,11 @@ class TestSingClass:
         assert singularity_class(solve_chain(4)) is SingClass.LOG_TERMINAL
 
     def test_strict_log_canonical(self):
-        d = Codiscrepancy(("a", "b"), {"a": 3, "b": 2}, 3)  # 1 and 2/3
+        d = Codiscrepancy({"a": 3, "b": 2}, 3)  # 1 and 2/3
         assert singularity_class(d) is SingClass.LOG_CANONICAL_STRICT
 
     def test_beyond_log_canonical(self):
-        d = Codiscrepancy(("a",), {"a": 3}, 2)  # 3/2
+        d = Codiscrepancy({"a": 3}, 2)  # 3/2
         assert singularity_class(d) is SingClass.NOT_LOG_CANONICAL
 
 
