@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .. import cyclic_quot, ell_calc, germ_rules
 from ..dual_graph import parse_graph
-from ..exactlinalg import digit_limit_problem, fmt
+from ..exactlinalg import digit_limit_problem, excerpt, fmt
 from . import corpus
 
 
@@ -72,8 +73,8 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple([int(x) for x in text.split(",")])
     except ValueError:
-        raise ValueError(digit_limit_problem(what, text)
-                         or f"{what} {text!r} is not a comma-separated list of integers") from None
+        raise ValueError(digit_limit_problem(what, text) or f"{what} {excerpt(text)} is not a "
+                         "comma-separated list of integers") from None
 
 
 def _int_arg(text: str) -> int:
@@ -83,7 +84,7 @@ def _int_arg(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(digit_limit_problem("value", text)
-                                         or f"invalid int value: {text!r}") from None
+                                         or f"invalid int value: {excerpt(text)}") from None
 
 
 def _cmd_quot(args) -> tuple[dict, list[str], int]:
@@ -130,10 +131,13 @@ def _cmd_classify(args) -> tuple[dict, list[str], int]:
 def _cmd_flip(args) -> tuple[dict, list[str], int]:
     plus = _int_list(args.plus_indices, "--plus-indices") if args.plus_indices else ()
     data = germ_rules.FlipGermData(args.index, plus)
+    if re.search(r"[\d.][eE]", args.kc):  # Fraction would expand 1e<n> to n digits
+        raise ValueError(f"--kc {excerpt(args.kc)} is in exponent notation; give p/q or a decimal")
     try:
         kc = Fraction(args.kc)
     except (ValueError, ZeroDivisionError) as err:  # "1/0" raises ZeroDivisionError
-        raise ValueError(digit_limit_problem("--kc", args.kc) or err) from None
+        raise ValueError(digit_limit_problem("--kc", args.kc)
+                         or str(err).replace(repr(args.kc), excerpt(args.kc))) from None
     degree, value = fmt(kc), fmt(germ_rules.flip_transfer(data, kc))
     payload = {
         "index": args.index,

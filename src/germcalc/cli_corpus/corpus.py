@@ -318,11 +318,10 @@ def _check_case(case: dict, report: VerifyReport) -> None:
         report.add(name, f"descriptor {label} row", _value(d["row"]), verdict.row)
 
 
-def verify_paper(sweep_max: int = 49, corpus: dict | None = None) -> VerifyReport:
+def verify_paper(sweep_max: int = 49) -> VerifyReport:
     """Run every corpus case and the scripted sweeps; aggregate pass/fail."""
-    data = corpus if corpus is not None else load_corpus()
     report = VerifyReport()
-    for case in sorted(data["cases"], key=lambda c: c["name"]):
+    for case in sorted(load_corpus()["cases"], key=lambda c: c["name"]):
         _check_case(case, report)
 
     sweeps = (

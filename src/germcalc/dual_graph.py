@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .exactlinalg import SymmetricForm, digit_limit_problem, eliminate
+from .exactlinalg import SymmetricForm, digit_limit_problem, eliminate, excerpt
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -120,16 +120,16 @@ class ConfigGraph:
     def _add_vertex(self, v: Vertex) -> None:
         vid, kind, self_int = v
         if vid in self.by_id:
-            raise GraphError(f"duplicate vertex id {vid!r}")
+            raise GraphError(f"duplicate vertex id {excerpt(vid)}")
         if kind is VertexKind.EXCEPTIONAL:
             if self_int > -2:
-                raise GraphError(
-                    f"exceptional vertex {vid!r} needs self-intersection <= -2, got {self_int}")
+                raise GraphError(f"exceptional vertex {excerpt(vid)} needs self-intersection "
+                                 f"<= -2, got {self_int}")
             self.exceptional.append(vid)
         elif kind is VertexKind.COMPONENT:
             if self_int != -1:
                 raise GraphError(
-                    f"component vertex {vid!r} needs self-intersection -1, got {self_int}")
+                    f"component vertex {excerpt(vid)} needs self-intersection -1, got {self_int}")
             self.components.append(vid)
         self.vertices.append(v)
         self.by_id[vid] = v
@@ -140,12 +140,12 @@ class ConfigGraph:
         adjacency = self.adjacency
         for x in (a, b):
             if x not in adjacency:
-                raise GraphError(f"edge references unknown vertex {x!r}")
+                raise GraphError(f"edge references unknown vertex {excerpt(x)}")
         if a == b:
-            raise GraphError(f"loop at vertex {a!r}")
+            raise GraphError(f"loop at vertex {excerpt(a)}")
         key = (a, b) if a < b else (b, a)
         if b in adjacency[a]:
-            raise GraphError(f"multi-edge between {key[0]!r} and {key[1]!r}")
+            raise GraphError(f"multi-edge between {excerpt(key[0])} and {excerpt(key[1])}")
         self.edges.append(key)
         adjacency[a].add(b)
         adjacency[b].add(a)
@@ -204,7 +204,7 @@ def parse_graph(text: str) -> ConfigGraph:
                     raise GraphError("edge line needs: edge <id> <id>")
                 add_edge(tokens[1], tokens[2])
             else:
-                raise GraphError(f"unknown keyword {tokens[0]!r}")
+                raise GraphError(f"unknown keyword {excerpt(tokens[0])}")
         except GraphError as err:
             raise GraphError(str(err), lineno) from None
     g._finish()
@@ -216,7 +216,7 @@ def _parse_vertex(tokens: list[str]) -> Vertex:
         raise GraphError("vertex line needs: vertex <id> kind=exc|comp self=<int>")
     _, vid, first, second = tokens
     if not _ID_RE.match(vid):
-        raise GraphError(f"bad vertex id {vid!r}")
+        raise GraphError(f"bad vertex id {excerpt(vid)}")
     # the two fields, in either order, each split at its first "="
     if first[:5] == "kind=" and second[:5] == "self=":
         kind_text, self_text = first[5:], second[5:]
@@ -226,12 +226,12 @@ def _parse_vertex(tokens: list[str]) -> Vertex:
         raise GraphError("vertex line needs kind= and self= fields")
     kind = _KINDS.get(kind_text)
     if kind is None:
-        raise GraphError(f"unknown kind {kind_text!r}")
+        raise GraphError(f"unknown kind {excerpt(kind_text)}")
     try:
         self_int = int(self_text)
     except ValueError:
         raise GraphError(digit_limit_problem("self-intersection", self_text)
-                         or f"bad self-intersection {self_text!r}") from None
+                         or f"bad self-intersection {excerpt(self_text)}") from None
     return Vertex(vid, kind, self_int)
 
 
@@ -285,9 +285,9 @@ def intersection_matrix(g: ConfigGraph, subset: list[str] | tuple[str, ...]) -> 
     pos: dict[str, int] = {}
     for i, vid in enumerate(subset):
         if vid not in g.by_id:
-            raise GraphError(f"unknown vertex id {vid!r}")
+            raise GraphError(f"unknown vertex id {excerpt(vid)}")
         if vid in pos:
-            raise GraphError(f"vertex id {vid!r} listed twice")
+            raise GraphError(f"vertex id {excerpt(vid)} listed twice")
         pos[vid] = i
     # links in ascending column order, as a dense row lists them
     form = SymmetricForm(

@@ -273,7 +273,6 @@ def _node_side(div: EllDivisor, node: MarkedPoint) -> tuple[int, int]:
 @dataclass(frozen=True)
 class WidthTestResult:
     value: Fraction  # deg(B) + deg(A)/d
-    scaled: Fraction  # deg(A) + d*deg(B), the same sign
     verdict: str  # "holds" | "contradiction" | "qcb_forced"
 
 
@@ -295,7 +294,7 @@ def thm812_check(
     if kind not in ("birational", "cb", "unknown"):
         raise ValueError(f"unknown contraction kind {kind!r}")
     value = sum(map(ell_deg, b), Fraction(0)) + sum(map(ell_deg, a), Fraction(0)) / d
-    return WidthTestResult(value, d * value, _width_verdict(value, kind))
+    return WidthTestResult(value, _width_verdict(value, kind))
 
 
 def _width_verdict(value, kind: str) -> str:

@@ -2,7 +2,7 @@
 
 Integers throughout, ``fractions.Fraction`` only at the edges (a right-hand side,
 fill-in, a value ``fmt`` renders); no floating point is used anywhere in the package.
-``digit_limit_problem`` words the one way a valid integer's text is refused.
+``excerpt`` and ``digit_limit_problem`` word what an error line quotes of input.
 
 ``eliminate`` is the one elimination behind both the definiteness verdict
 and the linear solve.  It removes the row with the fewest remaining
@@ -214,6 +214,11 @@ def fmt(value: Fraction | int, den: int = 1) -> str:
     return str(value // g) if g == den else f"{value // g}/{den // g}"
 
 
+def excerpt(text: str) -> str:
+    """``repr(text)``, cut to 20 characters and "..." when longer: error lines stay short."""
+    return repr(text if len(text) <= 20 else text[:20] + "...")
+
+
 _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 
@@ -226,5 +231,5 @@ def digit_limit_problem(what: str, text: str) -> str | None:
     digits = max((len(run) - run.count("_") for run in _DIGIT_RUN.findall(text)), default=0)
     if not limit or digits <= limit:
         return None
-    return (f"{what} {text[:20] + '...'!r} holds a {digits}-digit integer, over this "
+    return (f"{what} {excerpt(text)} holds a {digits}-digit integer, over this "
             f"interpreter's limit of {limit} digits for int conversion")

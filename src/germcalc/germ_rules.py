@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .class_group import NonGorPoint
-from .exactlinalg import digit_limit_problem
+from .exactlinalg import digit_limit_problem, excerpt
 
 
 class ComponentType(Enum):
@@ -93,9 +93,7 @@ def parse_quotient_tag(tag: str) -> tuple[int, tuple[int, ...]] | None:
     m = _QUOT_TAG.match(tag.replace(" ", ""))
     if not m:
         return None
-    n = int(m.group(1))
-    weights = tuple(int(w) for w in m.group(2).split(","))
-    return n, weights
+    return int(m.group(1)), tuple([int(w) for w in m.group(2).split(",")])
 
 
 PointCheck = Callable[[NonGorPoint], str | None]
@@ -106,9 +104,9 @@ def _index_tag(pattern: str, unmatched: str) -> PointCheck:
     ``unmatched`` completes the message for a tag that does not match."""
     def check(pt: NonGorPoint) -> str | None:
         if not re.fullmatch(pattern, pt.type_tag):
-            return f"tag {pt.type_tag!r} {unmatched}"
+            return f"tag {excerpt(pt.type_tag)} {unmatched}"
         if int(pt.type_tag.rsplit("/", 1)[1]) != pt.index:
-            return f"tag {pt.type_tag!r} disagrees with index {pt.index}"
+            return f"tag {excerpt(pt.type_tag)} disagrees with index {pt.index}"
         return None
     return check
 
@@ -125,7 +123,7 @@ def _quotient(least: int, shape: str, weights: Callable[[int], tuple[int, ...]])
     def check(pt: NonGorPoint) -> str | None:
         parsed = parse_quotient_tag(pt.type_tag)
         if not parsed:
-            return f"tag {pt.type_tag!r} is not a quotient tag"
+            return f"tag {excerpt(pt.type_tag)} is not a quotient tag"
         m, w = parsed
         if m != pt.index:
             return f"tag order {m} disagrees with index {pt.index}"
@@ -266,7 +264,11 @@ def validate_against_table(g: GermDescriptor) -> Validation:
         return Validation(False, None,
                           "component multiset matches no table row", "Theorem 1")
     citation = f"Theorem 1, row {row.number}"
-    reason = row.rejection(g)
+    try:
+        reason = row.rejection(g)
+    except ValueError as err:  # int refuses a tag's run of digits past the digit limit
+        problems = [digit_limit_problem("tag", pt.type_tag) for pt in g.points]
+        raise ValueError(next(filter(None, problems), err)) from None
     if reason:
         return Validation(False, row.number, reason, citation)
     return Validation(True, row.number, citation=citation, notes=row.notes)
@@ -318,24 +320,17 @@ class Table2Row:
     plus_indices: tuple[int, ...]
 
 
-def table2_rows(m_rigid: int = 5, m_mixed: int = 5) -> tuple[Table2Row, ...]:
-    """The flip table for germ types beyond the chain kinds.
-
-    The rigid and mixed rows carry a free odd parameter; callers pick the
-    instances (defaults give the smallest ones).
-    """
-    if m_rigid < 5 or m_rigid % 2 == 0 or m_mixed < 5 or m_mixed % 2 == 0:
-        raise ValueError("row parameters must be odd and >= 5")
-    return (
-        Table2Row("cD3", "A.1.2.1, A.1.2.2", 3, Fraction(-1, 3), Fraction(1, 2), (2,)),
-        Table2Row("cD3", "A.1.2.3", 3, Fraction(-1, 3), Fraction(1), ()),
-        Table2Row("IIA", "A.2.2.1", 4, Fraction(-1, 4), Fraction(1, 6), (2, 3)),
-        Table2Row("IIA", "A.2.2.2-A.2.2.5", 4, Fraction(-1, 4), Fraction(1, 2), (2,)),
-        Table2Row("IC", "A.3.2.1", m_rigid, Fraction(-1, m_rigid), Fraction(1, 2), (2,)),
-        Table2Row("IC", "A.3.2.2", m_rigid, Fraction(-1, m_rigid), Fraction(1), ()),
-        Table2Row("kAD", "A.4.3.2", 2 * m_mixed, Fraction(-1, 2 * m_mixed),
-                  Fraction(1, 2), (2,)),
-    )
+# The flip table for germ types beyond the chain kinds.  The rigid (IC) and
+# mixed (kAD) rows carry a free odd parameter m >= 5; these are their m = 5 rows.
+TABLE2_ROWS = (
+    Table2Row("cD3", "A.1.2.1, A.1.2.2", 3, Fraction(-1, 3), Fraction(1, 2), (2,)),
+    Table2Row("cD3", "A.1.2.3", 3, Fraction(-1, 3), Fraction(1), ()),
+    Table2Row("IIA", "A.2.2.1", 4, Fraction(-1, 4), Fraction(1, 6), (2, 3)),
+    Table2Row("IIA", "A.2.2.2-A.2.2.5", 4, Fraction(-1, 4), Fraction(1, 2), (2,)),
+    Table2Row("IC", "A.3.2.1", 5, Fraction(-1, 5), Fraction(1, 2), (2,)),
+    Table2Row("IC", "A.3.2.2", 5, Fraction(-1, 5), Fraction(1), ()),
+    Table2Row("kAD", "A.4.3.2", 10, Fraction(-1, 10), Fraction(1, 2), (2,)),
+)
 
 
 @dataclass(frozen=True)
@@ -355,17 +350,13 @@ class Table2Report:
         return all(c.consistent and c.unit_pairing for c in self.checks)
 
 
-def check_table2(rows: tuple[Table2Row, ...] | None = None) -> Table2Report:
+def check_table2() -> Table2Report:
     """Recompute every flip-table row through flip_transfer and flag mismatches."""
     checks = []
-    for row in rows if rows is not None else table2_rows():
-        data = FlipGermData(row.index_x, row.plus_indices)
-        got = flip_transfer(data, row.k_dot_c)
-        checks.append(Table2Check(
-            row, got,
-            unit_pairing=(row.index_x * abs(row.k_dot_c) == 1),
-            consistent=(got == row.k_plus),
-        ))
+    for row in TABLE2_ROWS:
+        got = flip_transfer(FlipGermData(row.index_x, row.plus_indices), row.k_dot_c)
+        unit_pairing = row.index_x * abs(row.k_dot_c) == 1
+        checks.append(Table2Check(row, got, unit_pairing, got == row.k_plus))
     return Table2Report(tuple(checks))
 
 
@@ -395,14 +386,15 @@ def parse_descriptor(text: str) -> GermDescriptor:
             try:
                 components.append(ComponentType(args[0]))
             except ValueError:
-                raise DescriptorError(f"unknown component type {args[0]!r}", lineno) from None
+                raise DescriptorError(f"unknown component type {excerpt(args[0])}",
+                                      lineno) from None
         elif keyword == "kind":
             if len(args) != 1:
                 raise DescriptorError("kind line needs: kind f|d|cb", lineno)
             try:
                 kind = GermKind(args[0])
             except ValueError:
-                raise DescriptorError(f"unknown kind {args[0]!r}", lineno) from None
+                raise DescriptorError(f"unknown kind {excerpt(args[0])}", lineno) from None
         elif keyword == "point":
             fields = dict(t.split("=", 1) for t in args if "=" in t)
             if len(fields) != len(args) or not (
@@ -416,7 +408,7 @@ def parse_descriptor(text: str) -> GermDescriptor:
                 raise DescriptorError(digit_limit_problem("point", " ".join(args)) or str(err),
                                       lineno) from None
         else:
-            raise DescriptorError(f"unknown keyword {keyword!r}", lineno)
+            raise DescriptorError(f"unknown keyword {excerpt(keyword)}", lineno)
     if kind is None:
         raise DescriptorError("descriptor needs a kind line")
     return GermDescriptor(tuple(components), kind, tuple(points))

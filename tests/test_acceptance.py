@@ -84,7 +84,7 @@ def test_criterion_4_fork_with_detached_cluster():
     ok &= fork["codiscrepancy"] == {"v3": "2/3", "v4": "1", "v5": "2/3", "v7": "2/3"}
     degrees = {e["id"]: F(e["k"]) for e in rep["k"]}
     ok &= degrees == {"v2": F(-1, 3), "v6": F(-1, 3), "v8": F(-1, 3)}
-    flip_row = next(r for r in germ_rules.table2_rows() if r.germ_type == "cD3")
+    flip_row = next(r for r in germ_rules.TABLE2_ROWS if r.germ_type == "cD3")
     ok &= flip_row.k_dot_c == F(-1, 3)
     ok &= any("detached Du Val" in n for n in rep["notes"])
     report(4, ok, "fork coefficients (1,2/3,2/3,2/3), three degrees -1/3 matching "

@@ -223,9 +223,10 @@ class TestFlipCommand:
 
     def test_prints_the_parsed_degree(self, capsys):
         argv = ["flip", "--index", "4", "--kc= -1/4", "--plus-indices", "2,3"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (
-            "index 4, degree -1/4, flipped index 6 -> flipped degree 1/6\n")
+        for kc in ("--kc= -1/4", "--kc=-0.25"):  # a fraction or a decimal
+            assert main([*argv[:3], kc, *argv[4:]]) == 0
+            assert capsys.readouterr().out == (
+                "index 4, degree -1/4, flipped index 6 -> flipped degree 1/6\n")
         assert main(["--json", *argv]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "index": 4, "kc": "-1/4", "plus_indices": [2, 3], "index_plus": 6, "kc_plus": "1/6"}
@@ -329,6 +330,13 @@ class TestInputErrors:
          "--point-index 1 is below 2, the smallest index of a non-Gorenstein point"),
         (["analyze", "/nonexistent.graph", "--point-index", "1"],
          "--point-index 1 is below 2, the smallest index of a non-Gorenstein point"),
+        # exponent notation is refused before Fraction expands 1e<n> to n digits
+        (["flip", "--index", "4", "--kc=-1e5000"],
+         "--kc '-1e5000' is in exponent notation; give p/q or a decimal"),
+        (["flip", "--index", "4", "--kc=-1e10000000"],
+         "--kc '-1e10000000' is in exponent notation; give p/q or a decimal"),
+        (["flip", "--index", "4", "--kc=-2.5E-1"],
+         "--kc '-2.5E-1' is in exponent notation; give p/q or a decimal"),
     ])
     def test_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"dir": str(tmp_path), "graph": data_path("iidual_cb5.graph", tmp_path),
@@ -347,10 +355,23 @@ class TestInputErrors:
 class TestBigIntegers:
     """A valid integer longer than the interpreter's digit limit ends in exit 2
     with a short last line that names the limit, and an ordinary bad value
-    keeps its message."""
+    keeps its message, quoting at most 20 characters of a long token."""
 
     BIG = "9" * 5000
     LIMIT = sys.get_int_max_str_digits()
+    FILES = {  # name -> text, {big} standing for BIG
+        "graph": "vertex v kind=exc self=-{big}\nvertex c kind=comp self=-1\nedge v c\n",
+        "descr": "component IIA\nkind cb\npoint index={big} tag=cAx/4\n",
+        "quotient_tag":
+            "component IC\ncomponent k1A\nkind f\npoint index=5 tag=1/{big}(2,3,1)\n",
+        "index_tag": "component k1A\ncomponent k1A\nkind f\npoint index=3 tag=cA/{big}\n",
+        "cd3_tag": "component cD3\ncomponent cD3\nkind f\npoint index=3 tag=cD/{big}\n",
+    }
+
+    def paths(self, tmp_path) -> dict:
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text.format(big=self.BIG), encoding="utf-8")
+        return {name: tmp_path / name for name in self.FILES}
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "{graph}"],
@@ -359,14 +380,12 @@ class TestBigIntegers:
         ["ic-disprove", "--m", "{big}", "--mprime", "3", "--aprime", "2"],
         ["flip", "--index", "4", "--kc=-1/{big}"],
         ["classify", "{descr}"],
-    ], ids=["analyze", "quot", "tchain", "ic-disprove", "flip", "classify"])
+        ["classify", "{quotient_tag}"],
+        ["classify", "{index_tag}"],
+    ], ids=["analyze", "quot", "tchain", "ic-disprove", "flip", "classify",
+            "classify-quotient-tag", "classify-index-tag"])
     def test_short_line_naming_the_limit(self, tmp_path, capsys, argv):
-        graph, descr = tmp_path / "big.graph", tmp_path / "big.descr"
-        graph.write_text(f"vertex v kind=exc self=-{self.BIG}\nvertex c kind=comp self=-1\n"
-                         "edge v c\n", encoding="utf-8")
-        descr.write_text(f"component IIA\nkind cb\npoint index={self.BIG} tag=cAx/4\n",
-                         encoding="utf-8")
-        argv = [a.format(big=self.BIG, graph=graph, descr=descr) for a in argv]
+        argv = [a.format(big=self.BIG, **self.paths(tmp_path)) for a in argv]
         try:
             code = main(argv)
         except SystemExit as exit_info:  # argparse's usage errors
@@ -383,12 +402,32 @@ class TestBigIntegers:
         (["tchain", "12", "x"], "germcalc tchain: error: argument q: invalid int value: 'x'"),
         (["ic-disprove", "--m", "1.5"],
          "germcalc ic-disprove: error: argument --m: invalid int value: '1.5'"),
-    ], ids=["tchain", "ic-disprove"])
+        (["tchain", "12", "{x}"],
+         "germcalc tchain: error: argument q: invalid int value: 'xxxxxxxxxxxxxxxxxxxx...'"),
+    ], ids=["tchain", "ic-disprove", "tchain-long"])
     def test_argparse_keeps_its_message_for_a_bad_int(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            main([a.format(x="x" * 5000) for a in argv])
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == message
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["quot", "3,{x}"], 2,
+         "error: chain '3,xxxxxxxxxxxxxxxxxx...' is not a comma-separated list of integers"),
+        (["flip", "--index", "4", "--kc={x}"], 2,
+         "error: Invalid literal for Fraction: 'xxxxxxxxxxxxxxxxxxxx...'"),
+        (["analyze", "{graph}"], 2,
+         "error: line 2: edge references unknown vertex 'xxxxxxxxxxxxxxxxxxxx...'"),
+        (["classify", "{cd3_tag}"], 1,
+         "rejected: tag 'cD/99999999999999999...' not among ('cD/3',) [Theorem 1, row 3]"),
+    ], ids=["quot-long", "flip-long", "analyze-long", "classify-long"])
+    def test_an_error_line_quotes_a_long_token_cut_short(self, tmp_path, capsys, argv, code, line):
+        paths = self.paths(tmp_path)
+        paths["graph"].write_text("vertex v kind=exc self=-2\nedge v " + "x" * 5000 + "\n",
+                                  encoding="utf-8")
+        assert main([a.format(x="x" * 5000, **paths) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert (captured.err or captured.out).splitlines() == [line]
 
 class TestDisproveCommands:
     def test_ic_trace(self, capsys):

@@ -131,11 +131,12 @@ class TestVerify:
         assert bad[0].line().endswith(
             f"{under_7} of 39 failed, first (7, 3, 2) ends holds at h0-gr2)")
 
-    def test_mutated_expectation_fails_with_diff(self):
+    def test_mutated_expectation_fails_with_diff(self, monkeypatch):
         data = copy.deepcopy(load_corpus())
         case = next(c for c in data["cases"] if c["name"] == "iidual")
         case["clusters"][0]["codiscrepancy"]["e1"] = ["2/3", "cited"]
-        report = verify_paper(sweep_max=9, corpus=data)
+        monkeypatch.setattr(corpus, "load_corpus", lambda: data)
+        report = verify_paper(sweep_max=9)
         assert not report.ok
         bad = [c for c in report.checks if not c.ok]
         assert len(bad) == 1

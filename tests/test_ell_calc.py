@@ -311,7 +311,7 @@ class TestWidthInequality:
         a, b = self.section_data()
         res = thm812_check(a, b, 3, kind="cb")
         assert res.verdict == "contradiction"
-        assert res.scaled == F(-4, 15)
+        assert 3 * res.value == F(-4, 15)  # deg(A) + 3 deg(B), of the same sign
         assert res.value == F(-4, 45)
 
     def test_positive_value_holds(self):

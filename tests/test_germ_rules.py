@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germcalc import germ_rules
 from germcalc.class_group import NonGorPoint
 from germcalc.germ_rules import (
     ComponentType as T,
@@ -15,7 +16,6 @@ from germcalc.germ_rules import (
     flip_transfer,
     parse_descriptor,
     parse_quotient_tag,
-    table2_rows,
     validate_against_table,
 )
 
@@ -297,20 +297,23 @@ class TestTable2:
         assert {c.transferred for c in report.checks} == {F(1, 2), F(1), F(1, 6)}
 
     def test_unit_pairing_in_every_row(self):
-        for row in table2_rows():
+        for row in germ_rules.TABLE2_ROWS:
             assert row.index_x * abs(row.k_dot_c) == 1
 
     def test_symbolic_rows_hold_for_larger_orders(self):
+        # the rigid (IC) and mixed (kAD) rows at every odd m; the table holds m = 5
         for m in range(5, 50, 2):
-            assert check_table2(table2_rows(m_rigid=m, m_mixed=m)).all_consistent
+            for index, plus, k_plus in ((m, (2,), F(1, 2)), (m, (), F(1)), (2 * m, (2,), F(1, 2))):
+                assert flip_transfer(FlipGermData(index, plus), F(-1, index)) == k_plus
 
-    def test_mutated_row_flagged(self):
-        rows = list(table2_rows())
+    def test_mutated_row_flagged(self, monkeypatch):
+        rows = list(germ_rules.TABLE2_ROWS)
         bad = rows[2].__class__(
             rows[2].germ_type, rows[2].source_label, rows[2].index_x,
             rows[2].k_dot_c, F(1, 5), rows[2].plus_indices,
         )
-        report = check_table2(tuple(rows[:2] + [bad] + rows[3:]))
+        monkeypatch.setattr(germ_rules, "TABLE2_ROWS", tuple(rows[:2] + [bad] + rows[3:]))
+        report = check_table2()
         assert not report.all_consistent
         flagged = [c for c in report.checks if not c.consistent]
         assert len(flagged) == 1 and flagged[0].row.k_plus == F(1, 5)

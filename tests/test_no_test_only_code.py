@@ -1,150 +1,180 @@
-"""Every module-level function and class in the package, and every method and
-property of its classes, has a caller outside the tests.
+"""The package keeps only what an entry point reaches.
 
-The scan reads ``src/germcalc`` and perfbench's own code as source and imports
-nothing.  A reference to a module-level definition counts only when it is one
-of these:
+The scan reads ``src/germcalc`` and perfbench as source and imports nothing.
+It is rapid type analysis by name (Bacon and Sweeney 1996; Tip et al. 2002),
+iterated to a fixpoint from ``cli.main``, each package module's module-level
+code, perfbench's code outside its tests, and the names in its ``LAYERS``.
 
-- a load of the bare name, in the defining module outside the definition, or
-  in a module that imports the name from the defining module;
-- an attribute on the defining module (``cyclic_quot.x``,
-  ``layers.cyclic_quot.x``);
-- a string under the defining module in ``perfbench/tracing.py`` ``LAYERS``
-  (perfbench binds the functions it times with ``getattr``).
-
-A local variable, a dict key or a string that happens to share the name does
-not count.
-
-A method or property of a package class (any name but a dunder) counts as
-reached when a load of ``.name`` appears in package code outside the member's
-own body, or in perfbench's code outside its tests.  The scan does not know
-the type of the object the attribute is read on, so any load of the same name
-counts: ``.value`` on an Enum member would hide a ``value`` member of another
-class, and ``.end`` on perfbench's tracer arrays an ``end`` member.  The member
-check can therefore miss dead code, never report live code as dead.
+- A module-level function or class is reached when reached code loads its name
+  where it resolves to it, or as an attribute of its module (``corpus.x``).
+- A method or property of a reached class is reached when reached code loads
+  ``.name``; dunders come with the class.  Annotations count as loads.
+- A dataclass field is read when reached code loads ``.name``, or hands
+  ``asdict`` an instance made by a callee annotated to return the class.
+  NamedTuple fields are exempt: unpacking reads them.
+- A defaulted parameter is used when a reached call of its function's name
+  passes it (by position, keyword or ``*``/``**``), or reached code loads a
+  function (not a class: ``isinstance``) of that name as a value.
+- Names, not types, are matched: a collision keeps dead code (any ``.value``
+  load reads every ``value``), and a class called through a variable or a
+  ``getattr`` by string is missed, so what it alone reaches is reported.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "germcalc"
-PERFBENCH = ROOT / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "germcalc"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
-# Members kept although only tests read them, as "module.Class.member": reason.
-MEMBERS_ONLY_TESTS_READ = {
+# kept though unreached, as "module.name", "module.Class.member" or "module.f(param)": why
+ALLOWED = {
     "dual_graph.IntersectionMatrix.as_lists":
         "perfbench/tests reads it; perfbench changes only in a [benchmark] change",
+    "exactlinalg.SymmetricForm.rows": "as_lists reads it, for perfbench/tests",
+    "exactlinalg.Elimination.order": "test_exactlinalg's leading-minor oracle reads it",
+    "exactlinalg.Elimination.pivot_pairs": "test_exactlinalg's leading-minor oracle reads it",
+    "ell_calc.EllDivisor.__init__(weights)": "goes with the divisor calculus (ROADMAP item 3)",
+    "ell_calc.thm812_check(kind)": "goes with thm812_check (ROADMAP item 3)",
 }
 
 
-def _module(path: Path) -> str:
-    """The dotted name of a package file relative to germcalc, such as
-    "cli_corpus.corpus" or "cli_corpus.__init__"."""
-    return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+def _name(node):
+    """The name that a callee, an annotation or an attribute's owner ends in."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "value", None)
 
 
-def _sources() -> tuple[dict[str, ast.Module], tuple[ast.Module, ...]]:
-    """The package's modules by dotted name, and perfbench's modules outside its tests."""
-    package = {_module(p): ast.parse(p.read_text(), str(p))
-               for p in sorted(PACKAGE.rglob("*.py"))}
-    perfbench = tuple(ast.parse(p.read_text(), str(p)) for p in sorted(PERFBENCH.rglob("*.py"))
-                      if "tests" not in p.relative_to(PERFBENCH).parts)
-    return package, perfbench
+def _imports(tree: ast.AST, own: str) -> dict[str, tuple[str, str]]:
+    """Local name -> (module, name) of what ``tree``, module ``own``, imports from the package."""
+    return {a.asname or a.name: (".".join([*own.split(".")[:-n.level or 0], (n.module or "")
+                                           .removeprefix("germcalc.")]).strip("."), a.name)
+            for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            and (n.level or (n.module or "").startswith("germcalc.")) for a in n.names}
 
 
-def _layers() -> dict[str, tuple[str, ...]]:
-    for node in ast.parse(TRACING.read_text(), str(TRACING)).body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracing.py defines no LAYERS")
+class _Facts:
+    """What code loads: (module, name) definitions, attributes, calls (callee, positional
+    count, keywords; None for ``**``), values, and callees whose results ``asdict`` gets."""
+
+    def __init__(self, nodes, own: str, imports: dict, stems: dict):
+        self.defs, self.attrs, self.calls, self.values, self.made = set(), set(), [], set(), set()
+        every = [n for node in nodes for n in ast.walk(node)]
+        callees = {id(n.func) for n in every if isinstance(n, ast.Call)}
+        made_by = {n.targets[0].id: _name(n.value.func) for n in every if isinstance(n, ast.Assign)
+                   and isinstance(n.targets[0], ast.Name) and isinstance(n.value, ast.Call)}
+        for n in every:
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+                if id(n) not in callees:
+                    self.values.add(_name(n))
+                if isinstance(n, ast.Name):
+                    self.defs.add(imports.get(n.id, (own, n.id)))
+                else:
+                    self.attrs.add(n.attr)
+                    if _name(n.value) in stems:
+                        self.defs.add((stems[_name(n.value)], n.attr))
+            elif isinstance(n, ast.Call):
+                starred = any(isinstance(a, ast.Starred) for a in n.args)  # passes every position
+                self.calls.append((_name(n.func), len(n.args) + 999 * starred,
+                                   {k.arg for k in n.keywords}))
+                if _name(n.func) == "asdict" and n.args:
+                    arg = n.args[0]  # asdict(make()), or x = make() and asdict(x)
+                    self.made.add(_name(getattr(arg, "func", None)) or made_by.get(_name(arg)))
 
 
-def _imports(tree: ast.AST, own: str | None) -> dict[str, tuple[str, str]]:
-    """Local name -> (module, name) for each name that ``tree`` imports from a
-    germcalc module; ``own`` is the module ``tree`` is, None outside the package."""
-    imports = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        if node.level == 0:
-            if not (node.module or "").startswith("germcalc."):
-                continue
-            module = node.module.removeprefix("germcalc.")
-        else:
-            package = own.split(".")[:-1]
-            parts = package[:len(package) - node.level + 1] + [node.module or ""]
-            module = ".".join(p for p in parts if p)
-        for alias in node.names:
-            imports[alias.asname or alias.name] = (module, alias.name)
-    return imports
-
-
-def _references(tree: ast.AST, own: str | None, imports: dict, stems: dict) -> Counter:
-    """(module, name) -> the references in ``tree`` that count."""
-    refs: Counter = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            key = imports.get(node.id, None if own is None else (own, node.id))
-            if key is not None:
-                refs[key] += 1
-        elif isinstance(node, ast.Attribute):
-            owner = node.value
-            stem = (owner.id if isinstance(owner, ast.Name)
-                    else owner.attr if isinstance(owner, ast.Attribute) else None)
-            if stem in stems:
-                refs[(stems[stem], node.attr)] += 1
-    return refs
-
-
-def _attribute_loads(tree: ast.AST) -> Counter:
-    """Attribute name -> the loads of ``.name`` in ``tree``."""
-    return Counter(node.attr for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
-
-
-def test_every_definition_has_a_caller_outside_the_tests():
-    package, perfbench = _sources()
-    stems = {m.rsplit(".", 1)[-1]: m for m in package if not m.endswith("__init__")}
-    assert len(stems) == len(package) - sum(m.endswith("__init__") for m in package)
-
-    refs: Counter = Counter((module, name) for module, names in _layers().items()
-                            for name in names)
-    definitions = []
-    for own, tree in package.items():
+def _scan(package: Path, entries, outside=(), allowed=()) -> list[str]:
+    """What no entry point ((module, name) pairs, and ``outside`` sources whole)
+    reaches in ``package`` and ``allowed`` does not name; then stale entries."""
+    trees = {".".join(p.relative_to(package).with_suffix("").parts):
+             ast.parse(p.read_text(), str(p)) for p in sorted(package.rglob("*.py"))}
+    stems = {m.rsplit(".", 1)[-1]: m for m in trees if not m.endswith("__init__")}
+    bodies: dict[tuple, _Facts] = {}  # (module, name) or (module, Class, member)
+    fields = []  # (class key, field) of each dataclass
+    functions = []  # (body key, "module.qualified name", name it is called by, self count, node)
+    pending = [_Facts([t], "", _imports(t, ""), stems) for t in map(ast.parse, outside)]
+    for own, tree in trees.items():
         imports = _imports(tree, own)
-        refs.update(_references(tree, own, imports, stems))
-        definitions += [
-            (own, node.name, _references(node, own, imports, stems)[(own, node.name)])
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-    for tree in perfbench:
-        refs.update(_references(tree, None, _imports(tree, None), stems))
+        defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        pending.append(_Facts([n for n in tree.body if n not in defs], own, imports, stems))
+        for node in defs:
+            key = (own, node.name)
+            if isinstance(node, ast.FunctionDef):
+                bodies[key] = _Facts([node], own, imports, stems)
+                functions.append((key, f"{own}.{node.name}", node.name, 0, node))
+                continue
+            methods = [s for s in node.body if isinstance(s, ast.FunctionDef)]
+            dunders = [s for s in methods if s.name[:2] == s.name[-2:] == "__"]
+            bodies[key] = _Facts([*node.bases, *node.decorator_list, *[
+                s for s in node.body if s not in methods or s in dunders]], own, imports, stems)
+            if any(_name(getattr(d, "func", d)) == "dataclass" for d in node.decorator_list):
+                fields += [(key, s.target.id) for s in node.body if isinstance(s, ast.AnnAssign)]
+            for s in methods:
+                member = key if s in dunders else (*key, s.name)
+                bodies.setdefault(member, _Facts([s], own, imports, stems))
+                called = node.name if s.name == "__init__" else s.name
+                functions.append((member, f"{own}.{node.name}.{s.name}", called, 1, s))
+    reached = set(entries)
+    pending += [bodies[key] for key in entries]
+    attrs, calls, values, made = set(), [], set(), set()
+    while pending:
+        for f in pending:
+            attrs, values, made = attrs | f.attrs, values | f.values, made | f.made
+            calls += f.calls
+        new = {k for f in pending for k in f.defs if k in bodies}
+        new |= {k for k in bodies if len(k) == 3 and k[:2] in reached and k[2] in attrs}
+        pending = [bodies[k] for k in new - reached]
+        reached |= new
+    found = {".".join(k) for k in bodies if k not in reached and (len(k) == 2 or k[:2] in reached)}
+    serialised = {_name(fn.returns) for *_, called, _, fn in functions if called in made}
+    found |= {f"{own}.{cls}.{field}" for (own, cls), field in fields
+              if (own, cls) in reached and cls not in serialised and field not in attrs}
+    for key, name, called, skip, fn in functions:
+        if key not in reached or called in values and fn.name != "__init__":
+            continue
+        positional = [a.arg for a in [*fn.args.posonlyargs, *fn.args.args]]
+        params = {a: i - skip for i, a in enumerate(positional)
+                  if i >= len(positional) - len(fn.args.defaults)}
+        params.update((a.arg, -1) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d)
+        found |= {f"{name}({p})" for p, at in params.items() if not any(
+            c == called and (p in keywords or None in keywords or 0 <= at < count)
+            for c, count, keywords in calls)}
+    return ([f"reached only from tests: {k}" for k in sorted(found - set(allowed))]
+            + [f"stale allow-list entry: {k}" for k in sorted(set(allowed) - found)])
 
-    unused = [f"{own}: {name}" for own, name, inside in definitions
-              if refs[(own, name)] == inside]
-    assert not unused, "called only from tests: " + ", ".join(unused)
+
+def test_every_definition_is_reached_from_an_entry_point():
+    tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
+    layers = next(ast.literal_eval(n.value) for n in tracing.body
+                  if isinstance(n, ast.Assign) and _name(n.targets[0]) == "LAYERS")
+    outside = [p.read_text() for p in PERFBENCH.rglob("*.py") if p.parent.name != "tests"]
+    entries = {("cli_corpus.cli", "main"), *((m, f) for m, fs in layers.items() for f in fs)}
+    assert not _scan(PACKAGE, entries, outside, ALLOWED)
 
 
-def test_every_member_has_a_caller_outside_the_tests():
-    package, perfbench = _sources()
-    loads: Counter = Counter()
-    for tree in (*package.values(), *perfbench):
-        loads.update(_attribute_loads(tree))
-    unused = {f"{own}.{cls.name}.{node.name}"
-              for own, tree in package.items()
-              for cls in tree.body if isinstance(cls, ast.ClassDef)
-              for node in cls.body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-              and not (node.name.startswith("__") and node.name.endswith("__"))
-              and loads[node.name] == _attribute_loads(node)[node.name]}
-    assert unused <= MEMBERS_ONLY_TESTS_READ.keys(), (
-        "read only from tests: " + ", ".join(sorted(unused - MEMBERS_ONLY_TESTS_READ.keys())))
-    # an entry whose member is gone, or now has a caller, is stale
-    assert unused == MEMBERS_ONLY_TESTS_READ.keys(), (
-        "stale entries: " + ", ".join(sorted(MEMBERS_ONLY_TESTS_READ.keys() - unused)))
+TOY = """
+from dataclasses import asdict, dataclass
+@dataclass
+class Shown:
+    read: int
+    unread: int
+@dataclass
+class Dumped:
+    field: int
+class Tool:
+    def used(self): return 1
+    def only_dead_code_calls(self): return 2
+def make() -> Dumped: return Dumped(1)
+def dead(tool): return tool.only_dead_code_calls()
+def main(verbose=False, only_tests_pass=None):
+    dumped = make()
+    return Shown(Tool().used(), 0).read, asdict(dumped), verbose
+main(True)
+"""
+
+
+def test_the_scan_reports_what_no_entry_point_reaches(tmp_path):
+    (tmp_path / "toy.py").write_text(TOY)
+    found = [f"reached only from tests: toy.{x}" for x in (
+        "Shown.unread", "Tool.only_dead_code_calls", "dead", "main(only_tests_pass)")]
+    assert _scan(tmp_path, {("toy", "main")}, allowed={"toy.gone": ""}) == found + [
+        "stale allow-list entry: toy.gone"]
