@@ -23,6 +23,7 @@ code, perfbench's code outside its tests, and the names in its ``LAYERS``.
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "germcalc"
@@ -142,13 +143,31 @@ def _scan(package: Path, entries, outside=(), allowed=()) -> list[str]:
             + [f"stale allow-list entry: {k}" for k in sorted(set(allowed) - found)])
 
 
-def test_every_definition_is_reached_from_an_entry_point():
+@functools.cache
+def _report() -> tuple[str, ...]:
+    """The package's scan, from ``cli.main``, perfbench's code outside its tests and ``LAYERS``."""
     tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
     layers = next(ast.literal_eval(n.value) for n in tracing.body
                   if isinstance(n, ast.Assign) and _name(n.targets[0]) == "LAYERS")
     outside = [p.read_text() for p in PERFBENCH.rglob("*.py") if p.parent.name != "tests"]
     entries = {("cli_corpus.cli", "main"), *((m, f) for m, fs in layers.items() for f in fs)}
-    assert not _scan(PACKAGE, entries, outside, ALLOWED)
+    return tuple(_scan(PACKAGE, entries, outside, ALLOWED))
+
+
+def _is_definition(line: str) -> bool:
+    """Whether a report line names a module-level function or class, "module.name"."""
+    entry = line.rsplit(": ", 1)[1]
+    modules = {".".join(p.relative_to(PACKAGE).with_suffix("").parts) for p in PACKAGE.rglob("*.py")}
+    return "(" not in entry and entry.rsplit(".", 1)[0] in modules
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    assert [line for line in _report() if _is_definition(line)] == []
+
+
+def test_every_member_has_a_caller_outside_the_tests():
+    """Members, dataclass fields and defaulted parameters (a stale entry goes by its kind)."""
+    assert [line for line in _report() if not _is_definition(line)] == []
 
 
 TOY = """
