@@ -93,7 +93,9 @@ def parse_quotient_tag(tag: str) -> tuple[int, tuple[int, ...]] | None:
     m = _QUOT_TAG.match(tag.replace(" ", ""))
     if not m:
         return None
-    return int(m.group(1)), tuple([int(w) for w in m.group(2).split(",")])
+    n = int(m.group(1))
+    weights = tuple(int(w) for w in m.group(2).split(","))
+    return n, weights
 
 
 PointCheck = Callable[[NonGorPoint], str | None]
@@ -354,9 +356,13 @@ def check_table2() -> Table2Report:
     """Recompute every flip-table row through flip_transfer and flag mismatches."""
     checks = []
     for row in TABLE2_ROWS:
-        got = flip_transfer(FlipGermData(row.index_x, row.plus_indices), row.k_dot_c)
-        unit_pairing = row.index_x * abs(row.k_dot_c) == 1
-        checks.append(Table2Check(row, got, unit_pairing, got == row.k_plus))
+        data = FlipGermData(row.index_x, row.plus_indices)
+        got = flip_transfer(data, row.k_dot_c)
+        checks.append(Table2Check(
+            row, got,
+            unit_pairing=(row.index_x * abs(row.k_dot_c) == 1),
+            consistent=(got == row.k_plus),
+        ))
     return Table2Report(tuple(checks))
 
 

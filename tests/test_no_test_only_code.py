@@ -4,9 +4,11 @@ The scan reads ``src/germcalc`` and perfbench as source and imports nothing.
 It is rapid type analysis by name (Bacon and Sweeney 1996; Tip et al. 2002),
 iterated to a fixpoint from ``cli.main``, each package module's module-level
 code, perfbench's code outside its tests, and the names in its ``LAYERS``.
+Functions and methods count whether ``def`` or ``async def``.
 
 - A module-level function or class is reached when reached code loads its name
-  where it resolves to it, or as an attribute of its module (``corpus.x``).
+  where it resolves to it, or as an attribute of its module (``corpus.x``; no
+  two modules may share a name).
 - A method or property of a reached class is reached when reached code loads
   ``.name``; dunders come with the class.  Annotations count as loads.
 - A dataclass field is read when reached code loads ``.name``, or hands
@@ -26,8 +28,12 @@ import ast
 import functools
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "germcalc"
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITION = "function or class"  # the kind the first test checks; the second checks the rest
 
 # kept though unreached, as "module.name", "module.Class.member" or "module.f(param)": why
 ALLOWED = {
@@ -41,29 +47,46 @@ ALLOWED = {
 }
 
 
-def _name(node):
+def _name(node) -> str | None:
     """The name that a callee, an annotation or an attribute's owner ends in."""
-    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "value", None)
+    match node:
+        case ast.Name(id=name) | ast.Attribute(attr=name) | ast.Constant(value=str(name)):
+            return name
+    return None
 
 
 def _imports(tree: ast.AST, own: str) -> dict[str, tuple[str, str]]:
     """Local name -> (module, name) of what ``tree``, module ``own``, imports from the package."""
-    return {a.asname or a.name: (".".join([*own.split(".")[:-n.level or 0], (n.module or "")
-                                           .removeprefix("germcalc.")]).strip("."), a.name)
-            for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-            and (n.level or (n.module or "").startswith("germcalc.")) for a in n.names}
+    imports = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            parts = [*own.split(".")[:-node.level], node.module or ""]
+        elif (node.module or "").startswith("germcalc."):
+            parts = [node.module.removeprefix("germcalc.")]
+        else:
+            continue
+        for alias in node.names:
+            imports[alias.asname or alias.name] = (".".join(p for p in parts if p), alias.name)
+    return imports
 
 
 class _Facts:
-    """What code loads: (module, name) definitions, attributes, calls (callee, positional
-    count, keywords; None for ``**``), values, and callees whose results ``asdict`` gets."""
+    """What a piece of code loads and calls, which is reached once the code is."""
 
     def __init__(self, nodes, own: str, imports: dict, stems: dict):
-        self.defs, self.attrs, self.calls, self.values, self.made = set(), set(), [], set(), set()
+        self.defs = set()  # (module, name) of each module-level definition it loads
+        self.attrs = set()  # each name it loads as ``.name``
+        self.values = set()  # each name it loads other than to call it
+        self.passed = set()  # (callee, position or keyword, or "*"/"**" for all) of each call
+        self.serialised = set()  # each callee whose result it hands to ``asdict``
         every = [n for node in nodes for n in ast.walk(node)]
         callees = {id(n.func) for n in every if isinstance(n, ast.Call)}
-        made_by = {n.targets[0].id: _name(n.value.func) for n in every if isinstance(n, ast.Assign)
-                   and isinstance(n.targets[0], ast.Name) and isinstance(n.value, ast.Call)}
+        made_by = {}  # x -> f for each ``x = f(...)``, so that ``asdict(x)`` names f
+        for n in every:
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call):
+                made_by[_name(n.targets[0])] = _name(n.value.func)
         for n in every:
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
                 if id(n) not in callees:
@@ -72,79 +95,105 @@ class _Facts:
                     self.defs.add(imports.get(n.id, (own, n.id)))
                 else:
                     self.attrs.add(n.attr)
-                    if _name(n.value) in stems:
+                    if _name(n.value) in stems:  # module.name
                         self.defs.add((stems[_name(n.value)], n.attr))
             elif isinstance(n, ast.Call):
-                starred = any(isinstance(a, ast.Starred) for a in n.args)  # passes every position
-                self.calls.append((_name(n.func), len(n.args) + 999 * starred,
-                                   {k.arg for k in n.keywords}))
-                if _name(n.func) == "asdict" and n.args:
-                    arg = n.args[0]  # asdict(make()), or x = make() and asdict(x)
-                    self.made.add(_name(getattr(arg, "func", None)) or made_by.get(_name(arg)))
+                callee = _name(n.func)
+                for position, arg in enumerate(n.args):
+                    self.passed.add((callee, "*" if isinstance(arg, ast.Starred) else position))
+                self.passed |= {(callee, k.arg or "**") for k in n.keywords}
+                if callee == "asdict" and n.args:  # asdict(f()), or x = f(); asdict(x)
+                    arg = n.args[0]
+                    made = _name(arg.func) if isinstance(arg, ast.Call) else made_by.get(_name(arg))
+                    self.serialised.add(made)
 
 
-def _scan(package: Path, entries, outside=(), allowed=()) -> list[str]:
-    """What no entry point ((module, name) pairs, and ``outside`` sources whole)
-    reaches in ``package`` and ``allowed`` does not name; then stale entries."""
+def _defaulted(node, skip: int):
+    """(parameter, position at the call or None) of each of ``node``'s parameters with a
+    default; the call does not pass the first ``skip`` positions (``self``)."""
+    positional = [a.arg for a in [*node.args.posonlyargs, *node.args.args]]
+    first = len(positional) - len(node.args.defaults)
+    for position, param in enumerate(positional[first:], first - skip):
+        yield param, position
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _scan(package: Path, entries, outside=(), allowed=()) -> list[tuple[str, str]]:
+    """(kind, what) of each definition in ``package`` that no entry point reaches and
+    ``allowed`` does not name, then of each stale entry.  The entry points are
+    ``entries``, (module, name) pairs, and the ``outside`` sources whole."""
     trees = {".".join(p.relative_to(package).with_suffix("").parts):
              ast.parse(p.read_text(), str(p)) for p in sorted(package.rglob("*.py"))}
-    stems = {m.rsplit(".", 1)[-1]: m for m in trees if not m.endswith("__init__")}
-    bodies: dict[tuple, _Facts] = {}  # (module, name) or (module, Class, member)
-    fields = []  # (class key, field) of each dataclass
-    functions = []  # (body key, "module.qualified name", name it is called by, self count, node)
-    pending = [_Facts([t], "", _imports(t, ""), stems) for t in map(ast.parse, outside)]
+    modules = [m for m in trees if not m.endswith("__init__")]
+    stems = {m.rsplit(".", 1)[-1]: m for m in modules}
+    assert len(stems) == len(modules), "two modules share a name, so module.x is ambiguous"
+    bodies = {}  # (module, name) or (module, Class, member) -> _Facts of its code
+    fields = []  # (module, Class, field) of each dataclass field
+    functions = []  # (body key, what, name its calls use, positions its calls skip, node)
+    pending = []
+    for source in outside:
+        tree = ast.parse(source)
+        pending.append(_Facts([tree], "", _imports(tree, ""), stems))
     for own, tree in trees.items():
-        imports = _imports(tree, own)
-        defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-        pending.append(_Facts([n for n in tree.body if n not in defs], own, imports, stems))
+        facts = functools.partial(_Facts, own=own, imports=_imports(tree, own), stems=stems)
+        defs = [n for n in tree.body if isinstance(n, (*FUNCTION, ast.ClassDef))]
+        pending.append(facts([n for n in tree.body if n not in defs]))
         for node in defs:
             key = (own, node.name)
-            if isinstance(node, ast.FunctionDef):
-                bodies[key] = _Facts([node], own, imports, stems)
+            if isinstance(node, FUNCTION):
+                bodies[key] = facts([node])
                 functions.append((key, f"{own}.{node.name}", node.name, 0, node))
                 continue
-            methods = [s for s in node.body if isinstance(s, ast.FunctionDef)]
-            dunders = [s for s in methods if s.name[:2] == s.name[-2:] == "__"]
-            bodies[key] = _Facts([*node.bases, *node.decorator_list, *[
-                s for s in node.body if s not in methods or s in dunders]], own, imports, stems)
+            methods = [s for s in node.body if isinstance(s, FUNCTION)]
+            dunders = [s for s in methods if s.name.startswith("__") and s.name.endswith("__")]
+            bodies[key] = facts([*node.bases, *node.decorator_list,
+                                 *[s for s in node.body if s not in methods or s in dunders]])
             if any(_name(getattr(d, "func", d)) == "dataclass" for d in node.decorator_list):
-                fields += [(key, s.target.id) for s in node.body if isinstance(s, ast.AnnAssign)]
+                fields += [(*key, s.target.id) for s in node.body if isinstance(s, ast.AnnAssign)]
             for s in methods:
                 member = key if s in dunders else (*key, s.name)
-                bodies.setdefault(member, _Facts([s], own, imports, stems))
+                if s not in dunders:  # a property's getter and setter are one member
+                    bodies[member] = facts([t for t in methods if t.name == s.name])
                 called = node.name if s.name == "__init__" else s.name
                 functions.append((member, f"{own}.{node.name}.{s.name}", called, 1, s))
     reached = set(entries)
     pending += [bodies[key] for key in entries]
-    attrs, calls, values, made = set(), [], set(), set()
+    attrs, values, serialised, passed = set(), set(), set(), set()
     while pending:
-        for f in pending:
-            attrs, values, made = attrs | f.attrs, values | f.values, made | f.made
-            calls += f.calls
-        new = {k for f in pending for k in f.defs if k in bodies}
+        new = set()
+        for facts in pending:
+            attrs |= facts.attrs
+            values |= facts.values
+            serialised |= facts.serialised
+            passed |= facts.passed
+            new |= facts.defs & bodies.keys()
         new |= {k for k in bodies if len(k) == 3 and k[:2] in reached and k[2] in attrs}
         pending = [bodies[k] for k in new - reached]
         reached |= new
-    found = {".".join(k) for k in bodies if k not in reached and (len(k) == 2 or k[:2] in reached)}
-    serialised = {_name(fn.returns) for *_, called, _, fn in functions if called in made}
-    found |= {f"{own}.{cls}.{field}" for (own, cls), field in fields
-              if (own, cls) in reached and cls not in serialised and field not in attrs}
-    for key, name, called, skip, fn in functions:
-        if key not in reached or called in values and fn.name != "__init__":
-            continue
-        positional = [a.arg for a in [*fn.args.posonlyargs, *fn.args.args]]
-        params = {a: i - skip for i, a in enumerate(positional)
-                  if i >= len(positional) - len(fn.args.defaults)}
-        params.update((a.arg, -1) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d)
-        found |= {f"{name}({p})" for p, at in params.items() if not any(
-            c == called and (p in keywords or None in keywords or 0 <= at < count)
-            for c, count, keywords in calls)}
-    return ([f"reached only from tests: {k}" for k in sorted(found - set(allowed))]
-            + [f"stale allow-list entry: {k}" for k in sorted(set(allowed) - found)])
+    found = {}  # what -> kind
+    for key in bodies.keys() - reached:
+        if len(key) == 2:
+            found[".".join(key)] = DEFINITION
+        elif key[:2] in reached:  # a dead class's members go with it
+            found[".".join(key)] = "member"
+    dumped = {_name(node.returns) for *_, called, _, node in functions if called in serialised}
+    for own, cls, field in fields:
+        if (own, cls) in reached and cls not in dumped and field not in attrs:
+            found[f"{own}.{cls}.{field}"] = "dataclass field"
+    for key, what, called, skip, node in functions:
+        if key in reached and (called not in values or node.name == "__init__"):
+            for param, position in _defaulted(node, skip):
+                ways = [param, "**"] if position is None else [param, "**", position, "*"]
+                if not any((called, way) in passed for way in ways):
+                    found[f"{what}({param})"] = "parameter"
+    report = [(kind, what) for what, kind in sorted(found.items()) if what not in allowed]
+    return report + [("stale allow-list entry", what) for what in sorted(set(allowed) - found.keys())]
 
 
 @functools.cache
-def _report() -> tuple[str, ...]:
+def _report() -> tuple[tuple[str, str], ...]:
     """The package's scan, from ``cli.main``, perfbench's code outside its tests and ``LAYERS``."""
     tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
     layers = next(ast.literal_eval(n.value) for n in tracing.body
@@ -154,20 +203,13 @@ def _report() -> tuple[str, ...]:
     return tuple(_scan(PACKAGE, entries, outside, ALLOWED))
 
 
-def _is_definition(line: str) -> bool:
-    """Whether a report line names a module-level function or class, "module.name"."""
-    entry = line.rsplit(": ", 1)[1]
-    modules = {".".join(p.relative_to(PACKAGE).with_suffix("").parts) for p in PACKAGE.rglob("*.py")}
-    return "(" not in entry and entry.rsplit(".", 1)[0] in modules
-
-
 def test_every_definition_has_a_caller_outside_the_tests():
-    assert [line for line in _report() if _is_definition(line)] == []
+    assert [what for kind, what in _report() if kind == DEFINITION] == []
 
 
 def test_every_member_has_a_caller_outside_the_tests():
-    """Members, dataclass fields and defaulted parameters (a stale entry goes by its kind)."""
-    assert [line for line in _report() if not _is_definition(line)] == []
+    """Members, dataclass fields and defaulted parameters, and the allow-list of them."""
+    assert [(kind, what) for kind, what in _report() if kind != DEFINITION] == []
 
 
 TOY = """
@@ -181,9 +223,10 @@ class Dumped:
     field: int
 class Tool:
     def used(self): return 1
-    def only_dead_code_calls(self): return 2
+    async def only_dead_code_awaits(self): return 2
 def make() -> Dumped: return Dumped(1)
-def dead(tool): return tool.only_dead_code_calls()
+def dead(tool): return tool.only_dead_code_awaits()
+async def never_awaited(): return 3
 def main(verbose=False, only_tests_pass=None):
     dumped = make()
     return Shown(Tool().used(), 0).read, asdict(dumped), verbose
@@ -193,7 +236,18 @@ main(True)
 
 def test_the_scan_reports_what_no_entry_point_reaches(tmp_path):
     (tmp_path / "toy.py").write_text(TOY)
-    found = [f"reached only from tests: toy.{x}" for x in (
-        "Shown.unread", "Tool.only_dead_code_calls", "dead", "main(only_tests_pass)")]
-    assert _scan(tmp_path, {("toy", "main")}, allowed={"toy.gone": ""}) == found + [
-        "stale allow-list entry: toy.gone"]
+    assert _scan(tmp_path, {("toy", "main")}, allowed={"toy.gone": ""}) == [
+        ("dataclass field", "toy.Shown.unread"),
+        ("member", "toy.Tool.only_dead_code_awaits"),
+        (DEFINITION, "toy.dead"),
+        ("parameter", "toy.main(only_tests_pass)"),
+        (DEFINITION, "toy.never_awaited"),
+        ("stale allow-list entry", "toy.gone")]
+
+
+def test_the_scan_refuses_two_modules_of_one_name(tmp_path):
+    for package in ("a", "b"):
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "same.py").write_text("")
+    with pytest.raises(AssertionError, match="share a name"):
+        _scan(tmp_path, set())
