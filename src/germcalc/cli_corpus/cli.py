@@ -138,7 +138,12 @@ def _cmd_flip(args) -> tuple[dict, list[str], int]:
     except (ValueError, ZeroDivisionError) as err:  # "1/0" raises ZeroDivisionError
         raise ValueError(digit_limit_problem("--kc", args.kc)
                          or str(err).replace(repr(args.kc), excerpt(args.kc))) from None
-    degree, value = fmt(kc), fmt(germ_rules.flip_transfer(data, kc))
+    try:
+        value = germ_rules.flip_transfer(data, kc)
+    except ValueError as err:
+        raise ValueError(f"--index {excerpt(str(args.index))} --kc {excerpt(args.kc)}: "
+                         f"{err}") from None
+    degree, value = fmt(kc), fmt(value)
     payload = {
         "index": args.index,
         "kc": degree,

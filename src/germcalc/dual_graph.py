@@ -167,7 +167,12 @@ class ConfigGraph:
         reached = _reach(self.adjacency, self.vertices[0].id)
         if len(reached) != len(self.vertices):
             missing = sorted(set(self.by_id) - reached)
-            raise GraphError(f"graph is disconnected (unreached: {', '.join(missing)})")
+            listed = ", ".join(missing)
+            if len(listed) > 120:  # the first three, cut short, and a count of the rest
+                more = len(missing) - 3
+                listed = ", ".join(map(excerpt, missing[:3])) + (
+                    f" and {more} more" if more > 0 else "")
+            raise GraphError(f"graph is disconnected (unreached: {listed})")
 
 
 def _reach(adjacency: dict[str, tuple[str, ...] | list[str]], start: str) -> set[str]:

@@ -79,9 +79,9 @@ class _Component:
         self.labels = labels
         self.indices = indices
 
-    # every scripted tuple computes on two-point components: tensor and over
-    # reduce a two-point form in place, and degree spells out one and two
-    # points; other widths take _carry's loop and the generic sum
+    # the scripts compute on one- and two-point components: tensor, over and
+    # degree spell out one and two points; other widths take _carry's loop and
+    # the generic sum
 
     def tensor(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if len(a) == 3:
@@ -89,6 +89,10 @@ class _Component:
             w1 += v1
             w2 += v2
             return (c + d + w1 // n1 + w2 // n2, w1 % n1, w2 % n2)
+        if len(a) == 2:
+            (c, w), (d, v), (n,) = a, b, self.indices
+            w += v
+            return (c + d + w // n, w % n)
         return _carry(a[0] + b[0], map(add, a[1:], b[1:]), self.indices)
 
     def dual(self, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -101,6 +105,10 @@ class _Component:
             w1 -= v1
             w2 -= v2
             return (c - d + w1 // n1 + w2 // n2, w1 % n1, w2 % n2)
+        if len(a) == 2:
+            (c, w), (d, v), (n,) = a, b, self.indices
+            w -= v
+            return (c - d + w // n, w % n)
         return _carry(a[0] - b[0], map(sub, a[1:], b[1:]), self.indices)
 
     def degree(self, a: tuple[int, ...], den: int) -> int:
@@ -399,18 +407,23 @@ def _raised(err: Exception) -> str:
 
 @dataclass(frozen=True)
 class Script:
-    """A scripted run as data: its admissibility rule and its three stages.
+    """A scripted run as data: its admissibility rule and its stages.
 
     The rule: ``index_rule(m)``, the chain-point rule on (m', a'), and a' at
     least ``min_a_prime(m, m')``, else ``a_prime_rejection``.  Each stage runs
     the checks that read its parameters: ``m_stage(m)`` returns (head, tail,
     forms), the records before and after the tuple's own; ``pair_stage(m, m',
-    forms)`` the forms of (m, m'); ``tuple_stage(m, m', a', forms)`` the
-    tuple's own records.  A record is (name, num, den, verdict, note), valued
-    num/den or None, its note a string or a (format, component, normal form)
-    that formats the EllDivisor view.  head + own + tail must end in a
-    contradiction, at ``final_step`` for exactly the tuples that
-    ``reaches_final`` names (all when it is None).
+    forms)`` the forms of (m, m'); ``chain_stage(m', a')``, when set, the forms
+    of the chain point (m', a'), which follow the pair stage's; ``tuple_stage(m,
+    m', a', forms)`` the tuple's own records.  A record is (name, num, den,
+    verdict, note), valued num/den or None, its note a string or a (format,
+    component, normal form) that formats the EllDivisor view.  head + own +
+    tail must end in a contradiction, at ``final_step`` for exactly the tuples
+    that ``reaches_final`` names (all when it is None).
+
+    A script with a chain stage ends every tuple on its m stage's tail and
+    keeps its checks in its m and chain stages: its pair and tuple stages only
+    join records, so a sweep runs neither.
     """
 
     name: str
@@ -423,6 +436,7 @@ class Script:
     tuple_stage: Callable[[int, int, int, tuple], tuple]
     final_step: str
     reaches_final: Callable[[int, int, int], bool] | None = None
+    chain_stage: Callable[[int, int], tuple] | None = None
 
     def rejection(self, m: int, m_prime: int, a_prime: int):
         """Why the run rejects (m, m', a'); None for an admissible tuple."""
@@ -434,13 +448,16 @@ class Script:
         return rejection
 
     def disproof(self, m: int, m_prime: int, a_prime: int) -> DisproofTrace:
-        """The trace on one tuple: the three stages in turn, or its rejection."""
+        """The trace on one tuple: the stages in turn, or its rejection."""
         inputs = (m, m_prime, a_prime)
         rejection = self.rejection(*inputs)
         if rejection is not None:
             return DisproofTrace(self.name, inputs, "rejected", (), *rejection)
         head, tail, forms = self.m_stage(m)
-        own = self.tuple_stage(m, m_prime, a_prime, self.pair_stage(m, m_prime, forms))
+        forms = self.pair_stage(m, m_prime, forms)
+        if self.chain_stage is not None:
+            forms += self.chain_stage(m_prime, a_prime)
+        own = self.tuple_stage(m, m_prime, a_prime, forms)
         return DisproofTrace(self.name, inputs, "contradiction", tuple([
             TraceStep(name, None if num is None else Fraction(num, den), verdict,
                       note if isinstance(note, str) else note[0].format(note[1].divisor(note[2])))
@@ -466,59 +483,81 @@ class Script:
 
     def sweep(self, sweep_max: int = 49) -> SweepSummary:
         """Every admissible tuple up to the cap: m, then m', then a', each stage
-        given the forms of the one above.  A stage that raises in an internal
-        check fails every tuple under it; a tuple also fails when its records
-        are empty or end other than as the class docstring says.  Under an m
-        whose m stage returns a tail every tuple ends on that tail, so each
-        (m, m') tallies the tuples that did not raise at once."""
-        tuple_stage, final, reaches = self.tuple_stage, self.final_step, self.reaches_final
+        given the forms of the one above, and a chain stage run once per (m', a').
+        A stage that raises in an internal check fails every tuple under it; a
+        tuple also fails when its records are empty or end other than as the
+        class docstring says.  A script with a chain stage ends every tuple on
+        its m's tail, so each (m, m') tallies at once the tuples whose chain
+        point did not raise."""
+        tuple_stage, chain_stage = self.tuple_stage, self.chain_stage
+        final, reaches = self.final_step, self.reaches_final
         total, ends, failed = 0, Counter(), []  # failed: (tuples, first tuple, problem)
+        chains = {}  # m' -> [least a' run, {a': problem} of its raises], this sweep's alone
         for m, pairs in self.levels(sweep_max):
             under = sum(len(admitted) for _, admitted in pairs)
             total += under
+            least = (m, pairs[0][0], pairs[0][1][0])
             try:
                 head, tail, m_forms = self.m_stage(m)
             except (AssertionError, ValueError) as err:
-                failed.append((under, (m, pairs[0][0], pairs[0][1][0]), _raised(err)))
+                failed.append((under, least, _raised(err)))
+                continue
+            if chain_stage is not None and not tail:
+                failed.append((under, least, "returned no tail"))
                 continue
             for m_prime, admitted in pairs:
-                try:
-                    forms = self.pair_stage(m, m_prime, m_forms)
-                except (AssertionError, ValueError) as err:
-                    failed.append((len(admitted), (m, m_prime, admitted[0]), _raised(err)))
-                    continue
-                raised = []
-                for a_prime in admitted:
+                if chain_stage is None:
                     try:
-                        own = tuple_stage(m, m_prime, a_prime, forms)
+                        forms = self.pair_stage(m, m_prime, m_forms)
                     except (AssertionError, ValueError) as err:
-                        failed.append((1, (m, m_prime, a_prime), _raised(err)))
-                        raised.append(a_prime)
+                        failed.append((len(admitted), (m, m_prime, admitted[0]), _raised(err)))
                         continue
-                    if tail:
-                        continue
-                    records = own or head
-                    if not records:
-                        failed.append((1, (m, m_prime, a_prime), "returned no records"))
-                        continue
-                    end, verdict = records[-1][0], records[-1][3]
-                    ends[end] += 1
-                    if verdict != "contradiction" or (end == final) != (
-                            reaches is None or reaches(m, m_prime, a_prime)):
-                        failed.append((1, (m, m_prime, a_prime), f"ends {verdict} at {end}"))
-                if tail and len(raised) < len(admitted):
-                    # the tuples that did not raise all end on the tail: one tally
-                    read = [a for a in admitted if a not in raised] if raised else admitted
-                    end, verdict = tail[-1][0], tail[-1][3]
-                    ends[end] += len(read)
-                    if reaches is None:
-                        wrong = read if verdict != "contradiction" or end != final else ()
-                    else:
-                        wrong = [a for a in read if verdict != "contradiction"
-                                 or (end == final) != reaches(m, m_prime, a)]
-                    if wrong:
-                        failed.append((len(wrong), (m, m_prime, wrong[0]),
-                                       f"ends {verdict} at {end}"))
+                    for a_prime in admitted:
+                        try:
+                            own = tuple_stage(m, m_prime, a_prime, forms)
+                        except (AssertionError, ValueError) as err:
+                            failed.append((1, (m, m_prime, a_prime), _raised(err)))
+                            continue
+                        records = tail or own or head
+                        if not records:
+                            failed.append((1, (m, m_prime, a_prime), "returned no records"))
+                            continue
+                        end, verdict = records[-1][0], records[-1][3]
+                        ends[end] += 1
+                        if verdict != "contradiction" or (end == final) != (
+                                reaches is None or reaches(m, m_prime, a_prime)):
+                            failed.append((1, (m, m_prime, a_prime), f"ends {verdict} at {end}"))
+                    continue
+                run = chains.setdefault(m_prime, [m_prime, {}])
+                if admitted[0] < run[0]:
+                    # every admitted list of m' is a suffix of one list: run the
+                    # a' below the least run so far
+                    for a_prime in admitted:
+                        if a_prime >= run[0]:
+                            break
+                        try:
+                            chain_stage(m_prime, a_prime)
+                        except (AssertionError, ValueError) as err:
+                            run[1][a_prime] = _raised(err)
+                    run[0] = admitted[0]
+                read = admitted
+                if run[1]:
+                    raised = sorted(a for a in run[1] if a >= admitted[0])
+                    if raised:
+                        failed.append((len(raised), (m, m_prime, raised[0]), run[1][raised[0]]))
+                        read = [a for a in admitted if a not in run[1]]
+                if not read:
+                    continue
+                # the tuples whose chain point did not raise all end on the tail: one tally
+                end, verdict = tail[-1][0], tail[-1][3]
+                ends[end] += len(read)
+                if reaches is None:
+                    wrong = read if verdict != "contradiction" or end != final else ()
+                else:
+                    wrong = [a for a in read if verdict != "contradiction"
+                             or (end == final) != reaches(m, m_prime, a)]
+                if wrong:
+                    failed.append((len(wrong), (m, m_prime, wrong[0]), f"ends {verdict} at {end}"))
         failures = sum(tuples for tuples, _, _ in failed)
         failure = "no admissible tuples" if total == 0 else ""
         if failed:
@@ -629,12 +668,44 @@ def _kad_a_prime_rejection(m: int, m_prime: int, a_prime: int):
     return f"m'-a' = {m_prime - a_prime} >= m'/2", Fraction(m_prime - a_prime)
 
 
+# C1 carries the node P (index m) and the chain point Q (index m'); A1 = (-1,
+# (m+1)/2, m'-a') and B1 = (0, 0, 1).  Each of its forms below has the integer
+# part c0 + carry_P + carry_Q, where c0 is its entry here and each carry comes
+# from one point alone, so the forms are computed and pinned one point at a time
+_C1_FORMS = (("degree-table", "B1^2", 0), ("degree-table", "A1^2", -2),
+             ("degree-table", "A1*B1", -1), ("split-check-c1", "B1^2/A1", 1),
+             ("split-check-thickening", "E1*B1/D1", -1))
+# the carries at P that the m stage pins, which the chain stage's h1 values read
+_C1_CARRIES_P = (0, 1, 0, -1, 0)
+
+
+def _c1_side(comp: _Component, a1: tuple, b1: tuple, split: bool) -> tuple:
+    """One point's side of C1's forms: B1^2, A1^2 and A1*B1, and with
+    ``split`` B1^2/A1 and E1*B1/D1 (E1 = A1, D1 = B1^2), on the one-point
+    component of that point, from that point's weights of A1 and B1."""
+    b1b1, a1a1, a1b1 = comp.tensor(b1, b1), comp.tensor(a1, a1), comp.tensor(a1, b1)
+    if not split:
+        return b1b1, a1a1, a1b1
+    return b1b1, a1a1, a1b1, comp.over(b1b1, a1), comp.over(a1b1, b1b1)
+
+
+def _c1_whole(i: int, p: tuple, q: tuple) -> tuple:
+    """Form ``i`` of _C1_FORMS on C1, from its sides ``p`` and ``q``."""
+    return (_C1_FORMS[i][2] + p[0] + q[0], p[1], q[1])
+
+
+def _pin_side(comp: _Component, sides: tuple, want: tuple) -> None:
+    for (step, name, _), got, nf in zip(_C1_FORMS, sides, want):
+        _expect(step, name, comp, got, nf)
+
+
 def _kad_m_stage(subcase: str, m: int) -> tuple:
-    """The checks that read m and the subcase alone: C2's pinned forms, the
-    canonical and vanishing checks, kad's key twist and every section count,
-    which reads only (c, node weight) of each side, fixed on C1 by the build
-    of A1 and the later pins.  Their records are split around the two split
-    checks, which k3a lacks; the forms are (m+1)/2 and whether those run."""
+    """The checks that read m and the subcase alone: C2's pinned forms, the P
+    side of C1's, the canonical and vanishing checks, kad's key twist and
+    every section count, which reads only (c, node weight) of each side, fixed
+    on C1 by the build of A1 and the pins.  kad's records are split around the
+    two split checks, which k3a lacks, so k3a's are all tail; kad's forms are
+    the P side of B1^2/A1, which the split-check note joins."""
     c2 = _Component(("P", "R"), (m, 2))
     up, down = (m + 1) // 2, (m - 1) // 2
     # graded-sheaf normal forms; om2 is the canonical restriction
@@ -649,34 +720,37 @@ def _kad_m_stage(subcase: str, m: int) -> tuple:
     _expect(step, "B2^2", c2, b2b2, (-1, 0, 0))
     _expect(step, "A2^2", c2, a2a2, (1, m - 1, 0) if subcase == "kad" else (-1, 2, 0))
     _expect(step, "A2*B2", c2, a2b2, (0, down, 0) if subcase == "kad" else (-1, 1, 0))
-    head = [(step, None, 1, "holds", "graded normal forms verified")]
+    p1 = _Component(("P",), (m,))
+    sides = _c1_side(p1, (0, up), (0, 0), subcase == "kad")
+    _pin_side(p1, sides, tuple(zip(_C1_CARRIES_P, (0, 1, up, down, up))))
+    records = [(step, None, 1, "holds", "graded normal forms verified")]
 
     step = "canonical-restrictions"
     for label, om in (("C1", a1), ("C2", om2)):
         if _h0(om[0]) or _h1(om[0]):
             raise ScriptCheckError(step, f"canonical restriction to {label} has sections")
-    head.append((step, 0, 1, "holds", "h0 = h1 = 0 on both components"))
+    records.append((step, 0, 1, "holds", "h0 = h1 = 0 on both components"))
 
     if subcase == "k3a":
         twist1, twist2 = c2.tensor(a2b2, om2), c2.tensor(b2b2, om2)
         _expect("h1-a2b2-omega", "A2*B2*om", c2, twist1, (-2, 2, 1))
-        head.append(("h1-a2b2-omega", _h1(twist1[0]), 1, "holds", ""))
+        records.append(("h1-a2b2-omega", _h1(twist1[0]), 1, "holds", ""))
         _expect("h1-b2sq-omega", "B2^2*om", c2, twist2, (-2, 1, 1))
-        head.append(("h1-b2sq-omega", _h1(twist2[0]), 1, "holds", ""))
+        records.append(("h1-b2sq-omega", _h1(twist2[0]), 1, "holds", ""))
         _check(_h1(twist1[0]) == 1 and _h1(twist2[0]) == 1, "forces-conic-bundle",
                "expected h1 = 1 twice")
-        head.append(("forces-conic-bundle", None, 1, "forces_cb",
-                     "h1 of the twisted square is >= 2"))
+        records.append(("forces-conic-bundle", None, 1, "forces_cb",
+                        "h1 of the twisted square is >= 2"))
         h_gr1 = _sections(a1, a2, m) + _sections(b1, b2, m)
-        head.append(("h0-gr1", h_gr1, 1, "holds", ""))
+        records.append(("h0-gr1", h_gr1, 1, "holds", ""))
         h_sym = _sections(a1a1, a2a2, m) + _sections(a1b1, a2b2, m) + _sections(b1, b2b2, m)
-        head.append(("h0-sym2", h_sym, 1, "holds", ""))
+        records.append(("h0-sym2", h_sym, 1, "holds", ""))
         _check(h_gr1 == 0 and h_sym == 0, "section-count-conflict",
                "expected no sections in weights 1 and 2")
-        head.append(("section-count-conflict", None, 1, "contradiction",
-                     "two independent width-2 sections cannot fit in "
-                     "h0 <= h0(sym2) + 1 = 1"))
-        return tuple(head), (), (up, False)
+        records.append(("section-count-conflict", None, 1, "contradiction",
+                        "two independent width-2 sections cannot fit in "
+                        "h0 <= h0(sym2) + 1 = 1"))
+        return (), tuple(records), ()
 
     # kad, m >= 5; on C2 D2 = 0 and E2 = om2, on C1 om*B1 = A1*B1 and om*E1 = A1^2
     step = "gr1-omega-vanishing"
@@ -686,7 +760,7 @@ def _kad_m_stage(subcase: str, m: int) -> tuple:
     # vanishing covers; C1's share reads a'
     if _h0(a1b1[0]) or _h1(a1b1[0]) or _h0(om_b2[0]) or _h1(om_b2[0]):
         raise ScriptCheckError(step, "twisted weight-1 piece has sections")
-    head.append((step, 0, 1, "holds", ""))
+    records.append((step, 0, 1, "holds", ""))
 
     step = "omega-e-vanishing"
     oe2 = c2.tensor(om2, om2)
@@ -715,42 +789,47 @@ def _kad_m_stage(subcase: str, m: int) -> tuple:
     tail.append(("multiplicity-conflict", None, 1, "contradiction",
                  "a second base section must vanish to order 3 along "
                  "C1, against the length-4 budget"))
-    return tuple(head), tuple(tail), (up, True)
+    return tuple(records), tuple(tail), (sides[3],)
 
 
 def _kad_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
-    """The forms on C1 that do not involve A1, which read (m, m') alone, with
-    B1^2 = D1 pinned: those of the m stage, then C1 and B1^2."""
-    # C1 carries the node P and Q, a length-1 gluing; B1 is (0, 0, 1)
-    c1 = _Component(("P", "Q"), (m, m_prime))
-    b1b1 = c1.tensor((0, 0, 1), (0, 0, 1))
-    _expect("degree-table", "B1^2", c1, b1b1, (0, 0, 2))
-    return (*m_forms, c1, b1b1)
+    """kad and k3a read no form of (m, m') jointly: the m stage's forms pass on."""
+    return m_forms
+
+
+def _kad_chain_stage(subcase: str, m_prime: int, a_prime: int) -> tuple:
+    """The checks that read (m', a') alone, through gap = m' - a': the Q side
+    of C1's forms, pinned, and for kad the two split checks' h1 values, each
+    of a whole form whose P carry the m stage pins.  kad's forms are the Q side
+    of B1^2/A1 and the two h1 values."""
+    gap = m_prime - a_prime
+    q1 = _Component(("Q",), (m_prime,))
+    sides = _c1_side(q1, (0, gap), (0, 1), subcase == "kad")
+    # B1^2/A1 reduces 2 - gap at Q, which borrows from c once gap > 2
+    _pin_side(q1, sides, ((0, 2), (0, 2 * gap), (0, gap + 1),
+                          (0, 2 - gap) if gap <= 2 else (-1, m_prime + 2 - gap), (0, gap - 1)))
+    if subcase == "k3a":
+        return ()
+    # a whole form's integer part: its c0, the P carry that the m stage pins
+    # and the Q carry; C2's share of the thickening check is 0 by _kad_m_stage
+    obstruction1, obstruction2 = (_h1(_C1_FORMS[i][2] + _C1_CARRIES_P[i] + sides[i][0])
+                                  for i in (3, 4))
+    _check(not (obstruction1 or obstruction2), "split-check-thickening",
+           "splitting obstruction does not vanish")
+    return sides[3], obstruction1, obstruction2
 
 
 def _kad_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, ...]:
-    """A kad tuple's own records: it computes the forms that involve A1 only,
-    pins them, and for kad adds the two split checks, the only ones reading a'."""
-    up, split, c1, b1b1 = forms
-    gap = m_prime - a_prime
-    # graded-sheaf normal form; the canonical restriction om1 and E1 equal a1
-    a1 = (-1, up, gap)
-    a1a1, a1b1 = c1.tensor(a1, a1), c1.tensor(a1, (0, 0, 1))
-    _expect("degree-table", "A1^2", c1, a1a1, (-1, 1, 2 * gap))
-    _expect("degree-table", "A1*B1", c1, a1b1, (-1, up, gap + 1))
-    if not split:
+    """A kad tuple's own records, the two split checks, joined from the sides
+    of its m and chain stages; k3a's stages hand on no forms and it has none.
+    The note rebuilds B1^2/A1 as a two-point form on C1."""
+    if not forms:
         return ()
-
-    split1 = c1.over(b1b1, a1)
-    obstruction1 = _h1(split1[0])
-    step = "split-check-thickening"
-    mm1 = c1.over(a1b1, b1b1)
-    _expect(step, "E1*B1/D1", c1, mm1, (-1, up, gap - 1))
-    obstruction2 = _h1(mm1[0])  # C2's share is checked to be 0 by _kad_m_stage
-    _check(not (obstruction1 or obstruction2), step, "splitting obstruction does not vanish")
+    split_p, split_q, obstruction1, obstruction2 = forms
+    c1 = _Component(("P", "Q"), (m, m_prime))
     return (("split-check-c1", obstruction1, 1, "holds",
-             ("splitting obstruction {!r}", c1, split1)),
-            (step, obstruction2, 1, "holds", ""))
+             ("splitting obstruction {!r}", c1, _c1_whole(3, split_p, split_q))),
+            ("split-check-thickening", obstruction2, 1, "holds", ""))
 
 
 # the scripts by the name the CLI gives them
@@ -760,10 +839,12 @@ SCRIPTS = {
                  "width-3-degree", _ic_forced),
     "k3a": Script("kad/k3a", lambda m: m == 3, "subcase k3a forces m = 3", _kad_min_a_prime,
                   _kad_a_prime_rejection, partial(_kad_m_stage, "k3a"), _kad_pair_stage,
-                  _kad_steps, "section-count-conflict"),
+                  _kad_steps, "section-count-conflict",
+                  chain_stage=partial(_kad_chain_stage, "k3a")),
     "kad": Script("kad/kad", _odd_from_5, "subcase kad needs odd m >= 5", _kad_min_a_prime,
                   _kad_a_prime_rejection, partial(_kad_m_stage, "kad"), _kad_pair_stage,
-                  _kad_steps, "multiplicity-conflict"),
+                  _kad_steps, "multiplicity-conflict",
+                  chain_stage=partial(_kad_chain_stage, "kad")),
 }
 
 

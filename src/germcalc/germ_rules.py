@@ -306,9 +306,8 @@ def flip_transfer(data: FlipGermData, k_dot_c: Fraction) -> Fraction:
     if k_dot_c >= 0:
         raise ValueError("flipping needs a negative canonical degree")
     if (data.index_x * k_dot_c).denominator != 1:
-        raise ValueError(
-            f"index {data.index_x} times degree {k_dot_c} must be an integer"
-        )
+        # no value in the message: the caller quotes its inputs, which may be long
+        raise ValueError("index times degree must be an integer")
     return Fraction(-data.index_x * k_dot_c, data.index_plus)
 
 
@@ -377,6 +376,13 @@ class DescriptorError(ValueError):
         super().__init__(prefix + message)
 
 
+def _int_field(fields: dict[str, str], key: str) -> int:
+    try:
+        return int(fields[key])
+    except ValueError:
+        raise ValueError(f"point {key} {excerpt(fields[key])} is not an integer") from None
+
+
 def parse_descriptor(text: str) -> GermDescriptor:
     components: list[ComponentType] = []
     kind: GermKind | None = None
@@ -408,8 +414,8 @@ def parse_descriptor(text: str) -> GermDescriptor:
                 raise DescriptorError(
                     "point line needs: point index=<m> tag=<string> [ell=<r>]", lineno)
             try:
-                ell = int(fields["ell"]) if "ell" in fields else None
-                points.append(NonGorPoint(int(fields["index"]), fields["tag"], ell))
+                ell = _int_field(fields, "ell") if "ell" in fields else None
+                points.append(NonGorPoint(_int_field(fields, "index"), fields["tag"], ell))
             except ValueError as err:
                 raise DescriptorError(digit_limit_problem("point", " ".join(args)) or str(err),
                                       lineno) from None

@@ -366,11 +366,13 @@ class TestBigIntegers:
             "component IC\ncomponent k1A\nkind f\npoint index=5 tag=1/{big}(2,3,1)\n",
         "index_tag": "component k1A\ncomponent k1A\nkind f\npoint index=3 tag=cA/{big}\n",
         "cd3_tag": "component cD3\ncomponent cD3\nkind f\npoint index=3 tag=cD/{big}\n",
+        "point_field": "component IIA\nkind cb\npoint index={x} tag=cAx/4\n",
     }
 
     def paths(self, tmp_path) -> dict:
         for name, text in self.FILES.items():
-            (tmp_path / name).write_text(text.format(big=self.BIG), encoding="utf-8")
+            (tmp_path / name).write_text(text.format(big=self.BIG, x="x" * 5000),
+                                         encoding="utf-8")
         return {name: tmp_path / name for name in self.FILES}
 
     @pytest.mark.parametrize("argv", [
@@ -420,14 +422,26 @@ class TestBigIntegers:
          "error: line 2: edge references unknown vertex 'xxxxxxxxxxxxxxxxxxxx...'"),
         (["classify", "{cd3_tag}"], 1,
          "rejected: tag 'cD/99999999999999999...' not among ('cD/3',) [Theorem 1, row 3]"),
-    ], ids=["quot-long", "flip-long", "analyze-long", "classify-long"])
+        (["classify", "{point_field}"], 2,
+         "error: line 3: point index 'xxxxxxxxxxxxxxxxxxxx...' is not an integer"),
+        # valid degrees: 4,200 digits print whole, 4,300 make a denominator with
+        # one digit more than the interpreter formats
+        (["flip", "--index", "4", "--kc=-0.{ones:.4200}"], 2,
+         "error: --index '4' --kc '-0.11111111111111111...': index times degree must be "
+         "an integer"),
+        (["flip", "--index", "4", "--kc=-0.{ones}"], 2,
+         "error: --index '4' --kc '-0.11111111111111111...': index times degree must be "
+         "an integer"),
+    ], ids=["quot-long", "flip-long", "analyze-long", "classify-long", "point-field-long",
+            "flip-4200-digits", "flip-4300-digits"])
     def test_an_error_line_quotes_a_long_token_cut_short(self, tmp_path, capsys, argv, code, line):
         paths = self.paths(tmp_path)
         paths["graph"].write_text("vertex v kind=exc self=-2\nedge v " + "x" * 5000 + "\n",
                                   encoding="utf-8")
-        assert main([a.format(x="x" * 5000, **paths) for a in argv]) == code
+        assert main([a.format(x="x" * 5000, ones="1" * 4300, **paths) for a in argv]) == code
         captured = capsys.readouterr()
         assert (captured.err or captured.out).splitlines() == [line]
+        assert len(line.encode()) <= 200
 
 class TestDisproveCommands:
     def test_ic_trace(self, capsys):

@@ -75,21 +75,23 @@ class TestVerify:
         assert load_corpus() is not load_corpus()  # each caller still gets its own dict
 
     def test_sweep_failure_is_a_fail_line(self, monkeypatch):
+        # kad's chain stage runs once per (m', a'): a raise there fails the
+        # tuples (5, 5, 4), (7, 5, 4) and (9, 5, 4)
         def failing(real):
-            def stage(m, mp, ap, forms):
-                if (m, mp, ap) == (7, 5, 4):
+            def stage(mp, ap):
+                if (mp, ap) == (5, 4):
                     raise AssertionError("injected")
-                return real(m, mp, ap, forms)
+                return real(mp, ap)
             return stage
 
-        patch_stage(monkeypatch, "kad", "tuple_stage", failing)
+        patch_stage(monkeypatch, "kad", "chain_stage", failing)
         report = verify_paper(sweep_max=9)
         assert not report.ok
         assert len(report.checks) == 237
         bad = [c.line() for c in report.checks if not c.ok]
         assert bad == ["FAIL sweep: kad exclusion (expected all tuples contradicted, got "
-                       "1 of 39 failed, first (7, 5, 4) raised AssertionError: injected)"]
-        assert "sweep kad/kad (max 9): 39 tuples, FAILURE: 1 of 39 failed" in (
+                       "3 of 39 failed, first (5, 5, 4) raised AssertionError: injected)"]
+        assert "sweep kad/kad (max 9): 39 tuples, FAILURE: 3 of 39 failed" in (
             "\n".join(report.render()))
 
     @pytest.mark.parametrize("body, inputs, check, last, problem", [

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction as F
 from functools import partial
@@ -9,6 +10,7 @@ from conftest import admissible, patch_stage, step
 from germcalc import ell_calc
 from germcalc.ell_calc import (
     SCRIPTS,
+    _Component,
     ic_disproof,
     ic_sweep,
     kad_disproof,
@@ -243,20 +245,18 @@ class TestSweepVerdicts:
             "at node-invariants: node invariants unexpectedly nonzero")
 
     def test_trace_that_does_not_contradict_is_a_failure(self, monkeypatch):
-        # k3a's tuple stage records nothing of its own; one that ends its tuple's
-        # records on a step that holds fails that tuple alone
-        def rejecting(real):
-            def stage(m, mp, ap, forms):
-                own = real(m, mp, ap, forms)
-                if (m, mp, ap) == (3, 5, 3):
-                    return (*own, ("h0-sym2", 0, 1, "holds", ""))
-                return own
+        # k3a records nothing of its own: its records are its one m's tail, and a
+        # tail that ends on a step that holds fails every tuple of that m
+        def holding(real):
+            def stage(m):
+                head, tail, forms = real(m)
+                return head, (*tail, ("h0-sym2", 0, 1, "holds", "")), forms
             return stage
 
-        patch_stage(monkeypatch, "k3a", "tuple_stage", rejecting)
+        patch_stage(monkeypatch, "k3a", "m_stage", holding)
         summary = kad_sweep("k3a", 9)
-        assert summary.failures == 1
-        assert summary.failure.endswith("first (3, 5, 3) ends holds at h0-sym2")
+        assert summary.failures == summary.total == 13
+        assert summary.failure.endswith("first (3, 3, 2) ends holds at h0-sym2")
 
 
 def _conditions(script):
@@ -284,11 +284,13 @@ class TestOneRulePerLevel:
         # These count work, not time: at cap 15 a sweep judges the index rule once
         # per m and the chain-point rule once per (m', a') from the least a' bound
         # of any m up, runs each stage once per parameter it reads, and builds no
-        # trace.  kad runs each check once per parameter it reads: the 5 section
-        # counts and C2's 6 pins (5 for k3a) per m, the B1^2 pin per (m, m') (78
-        # pairs, 13 for k3a), and only A1^2, A1*B1 and, for kad, E1*B1/D1 per
-        # tuple.  Run on every tuple, they were 1050 and 175 section counts and
-        # 2730 and 280 pins.
+        # trace.  kad and k3a run each check once per parameter it reads: per m
+        # the 5 section counts, C2's 6 pins (5 for k3a) and the P sides of C1's 5
+        # forms (3 for k3a); per admitted (m', a'), 35 of them for either, their Q
+        # sides, whatever the number of m: 6*(6 + 5) + 35*5 = 241 pins for kad,
+        # 5 + 3 + 35*3 = 113 for k3a.  Their pair and tuple stages only join a
+        # trace's records, so a sweep runs neither.  Run on every tuple, they were
+        # 1050 and 175 section counts and 2730 and 280 pins.
         calls = Counter()
 
         def counting(name):
@@ -306,8 +308,9 @@ class TestOneRulePerLevel:
             monkeypatch.setattr(ell_calc.Script, name,
                                 counting(name)(getattr(ell_calc.Script, name)))
         for script in SCRIPTS:
-            for stage in ("index_rule", "m_stage", "pair_stage", "tuple_stage"):
-                patch_stage(monkeypatch, script, stage, counting(stage))
+            for stage in ("index_rule", "m_stage", "pair_stage", "tuple_stage", "chain_stage"):
+                if getattr(SCRIPTS[script], stage) is not None:
+                    patch_stage(monkeypatch, script, stage, counting(stage))
         counts = {}
         for script in ("ic", "k3a", "kad"):
             calls.clear()
@@ -318,11 +321,10 @@ class TestOneRulePerLevel:
             "ic": (188, {"index_rule": 15, "_chain_point_rejection": 48, "m_stage": 6,
                          "pair_stage": 78, "tuple_stage": 188, "_expect": 42}),
             "k3a": (35, {"index_rule": 15, "_chain_point_rejection": 49, "m_stage": 1,
-                         "pair_stage": 13, "tuple_stage": 35, "_sections": 5,
-                         "_expect": 5 + 13 + 2 * 35}),
+                         "chain_stage": 35, "_sections": 5, "_expect": 5 + 3 + 35 * 3}),
             "kad": (210, {"index_rule": 15, "_chain_point_rejection": 49, "m_stage": 6,
-                          "pair_stage": 78, "tuple_stage": 210, "_sections": 6 * 5,
-                          "_expect": 6 * 6 + 78 + 3 * 210}),
+                          "chain_stage": 35, "_sections": 6 * 5,
+                          "_expect": 6 * (6 + 5) + 35 * 5}),
         }
 
     def test_kad_sweep_builds_no_divisor_view(self, monkeypatch):
@@ -365,11 +367,12 @@ def _on_reductions(monkeypatch, seen):
         monkeypatch.setattr(ell_calc._Component, name, reduce)
 
 
-def _corrupt_carry(monkeypatch, point_indices, good, bad):
-    """Make every reduction on the component of ``point_indices`` that yields
-    ``good`` yield ``bad``."""
+def _corrupt_carry(monkeypatch, point_indices, good, bad, labels=None):
+    """Make every reduction on the component of ``point_indices``, and of the
+    point ``labels`` if given, that yields ``good`` yield ``bad``."""
     _on_reductions(monkeypatch, lambda comp, nf: (
-        bad if comp.indices == point_indices and nf == good else nf))
+        bad if comp.indices == point_indices and labels in (None, comp.labels)
+        and nf == good else nf))
 
 
 # One corrupted normal form per case; the counts and messages are those the
@@ -429,10 +432,12 @@ class TestPerMFormsAndLazyTraces:
 
 
 class TestStagedSweeps:
-    # cap 29 is the largest cap that perfbench's paper workload sweeps
+    # cap 29 is the largest cap that perfbench's paper workload sweeps, cap 49
+    # the default
     @pytest.mark.parametrize("script, cap", [
         pytest.param(script, cap, id=script if cap == 15 else f"{script}-{cap}")
-        for cap in (15, 29) for script in ("ic", "k3a", "kad")])
+        for cap in (15, 29, 49) for script in ("ic", "k3a", "kad")
+        if cap < 49 or script != "ic"])
     def test_sweep_counts_match_single_tuple_traces(self, script, cap):
         # the sweep reads each tuple's end off its stages' records without
         # joining them; the single-tuple run joins them into a trace
@@ -446,33 +451,48 @@ class TestStagedSweeps:
         assert summary.survivors == ends[SCRIPTS[script].final_step]
 
     @pytest.mark.parametrize("raising, first", [
-        ((7, 5, 4), "(7, 3, 2) ends holds at h0-gr2"),
-        ((7, 3, 2), "(7, 3, 2) raised AssertionError: injected"),
+        ((5, 4), "(5, 3, 2) ends holds at h0-gr2"),
+        ((3, 2), "(5, 3, 2) raised AssertionError: injected"),
     ])
     def test_tail_tally_keeps_each_raise_and_the_least_first(self, monkeypatch, raising,
                                                              first):
         # kad's tuples end on their m's tail, tallied once per (m, m') over the
-        # tuples that did not raise; a raise stays its own tuple's failure
+        # tuples whose chain point did not raise; a chain point that raises fails
+        # its tuple under every m (5, 7 and 9), the one under m = 5 with them
         def cut(real):
             def stage(m):
                 head, tail, forms = real(m)
-                return (head, tail[:-1] if m == 7 else tail, forms)
+                return (head, tail[:-1] if m == 5 else tail, forms)
             return stage
 
         def failing(real):
-            def stage(m, mp, ap, forms):
-                if (m, mp, ap) == raising:
+            def stage(mp, ap):
+                if (mp, ap) == raising:
                     raise AssertionError("injected")
-                return real(m, mp, ap, forms)
+                return real(mp, ap)
             return stage
 
         patch_stage(monkeypatch, "kad", "m_stage", cut)
-        patch_stage(monkeypatch, "kad", "tuple_stage", failing)
+        patch_stage(monkeypatch, "kad", "chain_stage", failing)
+        summary = kad_sweep("kad", 9)
+        under_5 = sum(1 for t in kad_admissible("kad", 9) if t[0] == 5)
+        assert summary.failure == f"{under_5 + 2} of 39 failed, first {first}"
+        assert summary.ends == {"h0-gr2": under_5 - 1,
+                                "multiplicity-conflict": 39 - under_5 - 2}
+
+    def test_chain_script_without_a_tail_fails_its_m(self, monkeypatch):
+        # a sweep reads a kad tuple's end off its m's tail alone: an m stage that
+        # returns none fails every tuple of its m
+        def untailed(real):
+            def stage(m):
+                head, tail, forms = real(m)
+                return ((*head, *tail), (), forms) if m == 7 else (head, tail, forms)
+            return stage
+
+        patch_stage(monkeypatch, "kad", "m_stage", untailed)
         summary = kad_sweep("kad", 9)
         under_7 = sum(1 for t in kad_admissible("kad", 9) if t[0] == 7)
-        assert summary.failure == f"{under_7} of 39 failed, first {first}"
-        assert summary.ends == {"h0-gr2": under_7 - 1,
-                                "multiplicity-conflict": 39 - under_7}
+        assert summary.failure == f"{under_7} of 39 failed, first (7, 3, 2) returned no tail"
 
     def test_tail_tally_reads_the_final_step_predicate_per_tuple(self, monkeypatch):
         patch_stage(monkeypatch, "kad", "reaches_final",
@@ -491,54 +511,98 @@ def _run_sweep(script, cap):
     return ic_sweep(cap) if script == "ic" else kad_sweep(script, cap)
 
 
-# One corrupted form per case on the component of the given point indices: B1^2
-# depends on (m, m'), ic's obstruction on C2 on m alone.  The counts and messages
-# are those the scripts gave while they recomputed every form on every tuple.
+# One corrupted form per case on the component of the given point indices: the
+# Q side of B1^2 depends on m' alone, and every chain point (m', a') reduces it
+# first; ic's obstruction on C2 depends on m alone.  An even m' keeps kad's Q
+# sides off the components of its P sides, which have odd indices.
 CORRUPTED_PAIR_FORMS = [
-    ("kad", (7, 5), (0, 0, 2), (0, 0, 1),
-     "2 of 210 failed, first (7, 5, 3) at degree-table: B1^2: computed "
-     "(0 + 0*P[7] + 1*Q[5]), expected (0 + 0*P[7] + 2*Q[5])"),
-    ("k3a", (3, 7), (0, 0, 2), (0, 1, 2),
+    ("kad", (8,), (0, 2), (0, 1),
+     "12 of 210 failed, first (5, 8, 5) at degree-table: B1^2: computed "
+     "(0 + 1*Q[8]), expected (0 + 2*Q[8])"),
+    ("k3a", (7,), (0, 2), (1, 2),
      "3 of 35 failed, first (3, 7, 4) at degree-table: B1^2: computed "
-     "(0 + 1*P[3] + 2*Q[7]), expected (0 + 0*P[3] + 2*Q[7])"),
+     "(1 + 2*Q[7]), expected (0 + 2*Q[7])"),
     ("ic", (9,), (-1, 5), (-1, 4),
      "3 of 188 failed, first (9, 3, 2) at split-obstruction-h1: obstruction on C2: "
      "computed (-1 + 4*P[9]), expected (-1 + 5*P[9])"),
 ]
 
 # Corrupted forms that the first tuple of a sweep reads: the first covers
-# kad's pair stage, the second ic's m stage.
+# kad's chain stage, the second ic's m stage.
 CORRUPTED_FIRST_FORMS = [
-    ("kad", (5, 3), (0, 0, 2), (0, 0, 1),
-     "1 of 210 failed, first (5, 3, 2) at degree-table: B1^2: computed "
-     "(0 + 0*P[5] + 1*Q[3]), expected (0 + 0*P[5] + 2*Q[3])"),
+    ("kad", (3,), (0, 2), (0, 1),
+     "6 of 210 failed, first (5, 3, 2) at degree-table: B1^2: computed "
+     "(0 + 1*Q[3]), expected (0 + 2*Q[3])"),
     ("ic", (5,), (-1, 1), (-1, 2),
      "1 of 188 failed, first (5, 3, 2) at split-obstruction-h1: obstruction on C2: "
      "computed (-1 + 2*P[5]), expected (-1 + 1*P[5])"),
 ]
 
 
-# Corrupted forms on C1 that one tuple reads: A1*B1 and E1*B1/D1 depend on a'.
-# The messages are those the script gave while it pinned every form on every tuple.
+# Corrupted Q sides on C1 that one chain point reads: A1*B1 and E1*B1/D1 depend
+# on a'.  At (m', a') = (12, 7), gap 5, no other form on the component of Q[12]
+# is (0, 6) or (0, 4), and the six tuples under it are (m, 12, 7), m = 5..15.
+CORRUPTED_CHAIN_FORMS = [
+    ("A1*B1", (0, 6), (0, 7),
+     "6 of 210 failed, first (5, 12, 7) at degree-table: A1*B1: computed "
+     "(0 + 7*Q[12]), expected (0 + 6*Q[12])"),
+    ("E1*B1/D1", (0, 4), (0, 5),
+     "6 of 210 failed, first (5, 12, 7) at split-check-thickening: E1*B1/D1: computed "
+     "(0 + 5*Q[12]), expected (0 + 4*Q[12])"),
+]
+
+# Corrupted Q sides on C1 that one tuple reads: up to cap 6, kad's one m is 5,
+# so each chain point (m', a') has one tuple under it.  A1*B1 is (0, 3) on Q[5]
+# at (5, 3) alone, and on P[5] too, hence the labels; E1*B1/D1 is (0, 0) on
+# Q[6], which (6, 5) alone reduces.
 CORRUPTED_TUPLE_FORMS = [
-    ("A1*B1", (-1, 4, 3), (-1, 4, 4),
-     "1 of 210 failed, first (7, 5, 3) at degree-table: A1*B1: computed "
-     "(-1 + 4*P[7] + 4*Q[5]), expected (-1 + 4*P[7] + 3*Q[5])"),
-    ("E1*B1/D1", (-1, 4, 1), (-1, 4, 2),
-     "1 of 210 failed, first (7, 5, 3) at split-check-thickening: E1*B1/D1: computed "
-     "(-1 + 4*P[7] + 2*Q[5]), expected (-1 + 4*P[7] + 1*Q[5])"),
+    ("A1*B1", (5,), (0, 3), (0, 4),
+     "1 of 5 failed, first (5, 5, 3) at degree-table: A1*B1: computed "
+     "(0 + 4*Q[5]), expected (0 + 3*Q[5])"),
+    ("E1*B1/D1", (6,), (0, 0), (0, 1),
+     "1 of 5 failed, first (5, 6, 5) at split-check-thickening: E1*B1/D1: computed "
+     "(0 + 1*Q[6]), expected (0 + 0*Q[6])"),
+]
+
+# Corrupted P sides on C1, which every tuple of their m reads.  No Q side on the
+# component of P[7] (m' = 7) has carry 1 or is (-1, 3).
+CORRUPTED_P_SIDES = [
+    ("A1^2", (1, 1), (1, 2),
+     "35 of 210 failed, first (7, 3, 2) at degree-table: A1^2: computed "
+     "(1 + 2*P[7]), expected (1 + 1*P[7])"),
+    ("B1^2/A1", (-1, 3), (0, 3),
+     "35 of 210 failed, first (7, 3, 2) at split-check-c1: B1^2/A1: computed "
+     "(0 + 3*P[7]), expected (-1 + 3*P[7])"),
 ]
 
 
 class TestPerPairForms:
-    @pytest.mark.parametrize("form, good, bad, message", CORRUPTED_TUPLE_FORMS,
+    @pytest.mark.parametrize("form, indices, good, bad, message", CORRUPTED_TUPLE_FORMS,
                              ids=[case[0] for case in CORRUPTED_TUPLE_FORMS])
-    def test_corrupt_tuple_form_fails_only_its_tuple(self, monkeypatch, form, good, bad,
-                                                     message):
-        _corrupt_carry(monkeypatch, (7, 5), good, bad)
-        summary = kad_sweep("kad", 15)
+    def test_corrupt_tuple_form_fails_only_its_tuple(self, monkeypatch, form, indices,
+                                                     good, bad, message):
+        _corrupt_carry(monkeypatch, indices, good, bad, labels=("Q",))
+        summary = kad_sweep("kad", 6)
         assert summary.failure == message
         assert summary.survivors == summary.total - 1
+
+    @pytest.mark.parametrize("form, good, bad, message", CORRUPTED_CHAIN_FORMS,
+                             ids=[case[0] for case in CORRUPTED_CHAIN_FORMS])
+    def test_corrupt_chain_form_fails_every_tuple_of_its_chain_point(
+            self, monkeypatch, form, good, bad, message):
+        _corrupt_carry(monkeypatch, (12,), good, bad)
+        summary = kad_sweep("kad", 15)
+        assert summary.failure == message
+        assert summary.survivors == summary.total - 6
+
+    @pytest.mark.parametrize("form, good, bad, message", CORRUPTED_P_SIDES,
+                             ids=[case[0] for case in CORRUPTED_P_SIDES])
+    def test_corrupt_p_side_fails_every_tuple_of_its_m(self, monkeypatch, form, good, bad,
+                                                       message):
+        _corrupt_carry(monkeypatch, (7,), good, bad)
+        summary = kad_sweep("kad", 15)
+        assert summary.failure == message
+        assert summary.survivors == summary.total - 35
 
     @pytest.mark.parametrize("script, indices, good, bad, message", CORRUPTED_PAIR_FORMS,
                              ids=[case[0] for case in CORRUPTED_PAIR_FORMS])
@@ -562,10 +626,13 @@ class TestPerPairForms:
 
     def test_carries_per_sweep(self, monkeypatch):
         # These count work, not time: the reductions, one per normal form computed,
-        # of each sweep at cap 15.  kad makes 6 per m, 1 per (m, m') (B1^2) and 4
-        # per tuple (A1^2, A1*B1 and the two split checks, each an `over`):
-        # 6*6 + 78 + 4*210 = 954.  k3a makes 5 for its one m, 1 per (m, m') and 2
-        # per tuple: 5 + 13 + 2*35 = 88.  ic makes 2 per m (B2^2 and its `over`)
+        # of each sweep at cap 15.  kad makes 6 on C2 and the 5 P sides of C1's
+        # forms (B1^2, A1^2, A1*B1 and the two split checks, each an `over`) per
+        # m, and their 5 Q sides once per admitted (m', a'), 35 of them, whatever
+        # the number of m: 6*(6 + 5) + 35*5 = 241, where reducing every form on
+        # every tuple made 954.  k3a makes 5 on C2 and 3 P sides for its one m and
+        # 3 Q sides per (m', a'): 5 + 3 + 35*3 = 113, where it made 88 (B1^2 once
+        # per (m, m') and 2 per tuple).  ic makes 2 per m (B2^2 and its `over`)
         # and 2 per tuple that reaches the width-3 step (B1^2 and its `over`):
         # 2*6 + 2*21 = 54.
         calls = []
@@ -580,4 +647,36 @@ class TestPerPairForms:
             calls.clear()
             assert _run_sweep(script, 15).all_contradicted
             counts[script] = len(calls)
-        assert counts == {"kad": 954, "k3a": 88, "ic": 54}
+        assert counts == {"kad": 241, "k3a": 113, "ic": 54}
+
+
+class TestSidesOfC1:
+    def test_sides_recombine_to_the_two_point_forms(self):
+        # kad and k3a reduce C1's forms one point at a time: the P side from m,
+        # the Q side from (m', a').  Recombined, the sides are the forms that C1's
+        # own tensor and over give, for admissible tuples up to 10^6, with gaps
+        # m' - a' on both sides of 2, where B1^2/A1's Q side starts to borrow
+        rng = random.Random(28)
+        for _ in range(500):
+            subcase = rng.choice(("k3a", "kad"))
+            m = 3 if subcase == "k3a" else rng.randrange(5, 10**6, 2)
+            while True:
+                mp = rng.randrange(3, 10**6 + 1)
+                ap = mp - rng.choice((1, 2, 3)) if rng.random() < 0.3 else rng.randrange(1, mp)
+                if _kad_conditions(subcase, m, mp, ap):
+                    break
+            up, gap = (m + 1) // 2, mp - ap
+            p = ell_calc._c1_side(_Component(("P",), (m,)), (0, up), (0, 0), True)
+            q = ell_calc._c1_side(_Component(("Q",), (mp,)), (0, gap), (0, 1), True)
+            c1 = _Component(("P", "Q"), (m, mp))
+            a1, b1 = (-1, up, gap), (0, 0, 1)
+            b1b1, a1b1 = c1.tensor(b1, b1), c1.tensor(a1, b1)
+            whole = (b1b1, c1.tensor(a1, a1), a1b1, c1.over(b1b1, a1), c1.over(a1b1, b1b1))
+            assert tuple(ell_calc._c1_whole(i, *sides)
+                         for i, sides in enumerate(zip(p, q))) == whole, (m, mp, ap)
+            # the stages pin these sides and join the split-check note from them
+            trace = SCRIPTS[subcase].disproof(m, mp, ap)
+            assert trace.status == "contradiction"
+            if subcase == "kad":
+                assert step(trace, "split-check-c1").note == (
+                    f"splitting obstruction {c1.divisor(whole[3])!r}")

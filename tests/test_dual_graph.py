@@ -74,6 +74,21 @@ class TestParse:
         with pytest.raises(GraphError, match="disconnected"):
             parse_graph(text)
 
+    @pytest.mark.parametrize("ids, listed", [
+        ([f"e{i}" for i in range(5000)], "'e0', 'e1', 'e10' and 4997 more"),
+        (["a" * 5000, "b" * 5000], "'aaaaaaaaaaaaaaaaaaaa...', 'bbbbbbbbbbbbbbbbbbbb...'"),
+        ([f"e{i}" for i in range(9)], "e0, e1, e2, e3, e4, e5, e6, e7, e8"),
+    ], ids=["5000-vertices", "long-ids", "short-list"])
+    def test_disconnected_line_stays_short(self, ids, listed):
+        # a short list of unreached ids is given whole; a long one is cut to
+        # three ids, each quoted cut short, and a count of the rest
+        text = "\n".join(["vertex c kind=comp self=-1"]
+                         + [f"vertex {vid} kind=exc self=-2" for vid in ids])
+        with pytest.raises(GraphError) as err:
+            parse_graph(text)
+        assert str(err.value) == f"graph is disconnected (unreached: {listed})"
+        assert len(str(err.value).encode()) <= 200
+
     def test_edge_to_unknown_vertex(self):
         with pytest.raises(GraphError, match="unknown vertex"):
             parse_graph("vertex a kind=exc self=-2\nedge a b")
