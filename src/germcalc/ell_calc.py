@@ -27,7 +27,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import count
+from itertools import count, islice
 from math import gcd, lcm
 from operator import add, sub
 
@@ -413,17 +413,20 @@ class Script:
     least ``min_a_prime(m, m')``, else ``a_prime_rejection``.  Each stage runs
     the checks that read its parameters: ``m_stage(m)`` returns (head, tail,
     forms), the records before and after the tuple's own; ``pair_stage(m, m',
-    forms)`` the forms of (m, m'); ``chain_stage(m', a')``, when set, the forms
-    of the chain point (m', a'), which follow the pair stage's; ``tuple_stage(m,
-    m', a', forms)`` the tuple's own records.  A record is (name, num, den,
-    verdict, note), valued num/den or None, its note a string or a (format,
-    component, normal form) that formats the EllDivisor view.  head + own +
-    tail must end in a contradiction, at ``final_step`` for exactly the tuples
-    that ``reaches_final`` names (all when it is None).
+    forms)`` the forms of (m, m'); ``m_prime_stage(m')`` and ``chain_stage(m',
+    a', forms)``, when set, the forms of m' and, given those, of the chain point
+    (m', a'), which follow the pair stage's; ``tuple_stage(m, m', a', forms)``
+    the tuple's own records.  A record is (name, num, den, verdict, note),
+    valued num/den or None, its note a string or a (format, component, normal
+    form) that formats the EllDivisor view.  head + own + tail must end in a
+    contradiction, at ``final_step`` for exactly the tuples that
+    ``reaches_final`` names (all when it is None).
 
     A script with a chain stage ends every tuple on its m stage's tail and
-    keeps its checks in its m and chain stages: its pair and tuple stages only
-    join records, so a sweep runs neither.
+    keeps its checks in its m, m' and chain stages: its pair and tuple stages
+    only join records, so a sweep runs neither.  ``shared_end(m, m', a')``,
+    when set, names the (step, verdict) on which every admitted tuple of (m,
+    m') from a' up ends once the pair stage has passed, or None.
     """
 
     name: str
@@ -436,7 +439,9 @@ class Script:
     tuple_stage: Callable[[int, int, int, tuple], tuple]
     final_step: str
     reaches_final: Callable[[int, int, int], bool] | None = None
-    chain_stage: Callable[[int, int], tuple] | None = None
+    m_prime_stage: Callable[[int], tuple] | None = None
+    chain_stage: Callable[[int, int, tuple], tuple] | None = None
+    shared_end: Callable[[int, int, int], tuple | None] | None = None
 
     def rejection(self, m: int, m_prime: int, a_prime: int):
         """Why the run rejects (m, m', a'); None for an admissible tuple."""
@@ -456,7 +461,7 @@ class Script:
         head, tail, forms = self.m_stage(m)
         forms = self.pair_stage(m, m_prime, forms)
         if self.chain_stage is not None:
-            forms += self.chain_stage(m_prime, a_prime)
+            forms += self.chain_stage(m_prime, a_prime, self.m_prime_stage(m_prime))
         own = self.tuple_stage(m, m_prime, a_prime, forms)
         return DisproofTrace(self.name, inputs, "contradiction", tuple([
             TraceStep(name, None if num is None else Fraction(num, den), verdict,
@@ -465,9 +470,11 @@ class Script:
         ]))
 
     def levels(self, sweep_max: int):
-        """The admissible tuples with m, m' <= sweep_max as (m, [(m', [a', ...]),
-        ...]), ascending, no list empty: the index rule judged once per m, the
-        chain-point rule once per (m', a'), and each (m, m') bisected at its a'."""
+        """The admissible tuples with m, m' <= sweep_max as (m, [(m', a's,
+        start), ...]), ascending, where the a' of (m, m') are a's[start:], none
+        empty: the index rule judged once per m, the chain-point rule once per
+        (m', a') into one list per m' that every m shares, and each (m, m')
+        bisected at its a'."""
         ms = [m for m in range(1, sweep_max + 1) if self.index_rule(m)]
         if not ms:
             return
@@ -475,28 +482,48 @@ class Script:
                      if _chain_point_rejection(m_prime, a) is None]
                     for m_prime in range(1, sweep_max + 1)]
         for m in ms:
-            pairs = [(m_prime, admitted[bisect_left(admitted, self.min_a_prime(m, m_prime)):])
-                     for m_prime, admitted in enumerate(a_primes, 1)]
-            pairs = [pair for pair in pairs if pair[1]]
+            pairs = [(m_prime, admitted, start) for m_prime, admitted in enumerate(a_primes, 1)
+                     if (start := bisect_left(admitted, self.min_a_prime(m, m_prime)))
+                     < len(admitted)]
             if pairs:
                 yield m, pairs
 
     def sweep(self, sweep_max: int = 49) -> SweepSummary:
         """Every admissible tuple up to the cap: m, then m', then a', each stage
-        given the forms of the one above, and a chain stage run once per (m', a').
-        A stage that raises in an internal check fails every tuple under it; a
-        tuple also fails when its records are empty or end other than as the
-        class docstring says.  A script with a chain stage ends every tuple on
-        its m's tail, so each (m, m') tallies at once the tuples whose chain
-        point did not raise."""
-        tuple_stage, chain_stage = self.tuple_stage, self.chain_stage
+        given the forms of the one above, and the m' and chain stages run once
+        per m' and once per (m', a').  A stage that raises in an internal check
+        fails every tuple under it; a tuple also fails when its records are
+        empty or end other than as the class docstring says.  A script with a
+        chain stage ends every tuple on its m's tail, so each (m, m') tallies at
+        once the tuples whose chain point did not raise; one with a shared end
+        runs the tuple stage on a pair's a' in turn until ``shared_end`` names
+        the end of the rest, and tallies those at once."""
+        tuple_stage, chain_stage, shared_end = self.tuple_stage, self.chain_stage, self.shared_end
         final, reaches = self.final_step, self.reaches_final
         total, ends, failed = 0, Counter(), []  # failed: (tuples, first tuple, problem)
-        chains = {}  # m' -> [least a' run, {a': problem} of its raises], this sweep's alone
+        # m' -> [least index run into its a' list, {a': problem} of its raises,
+        # (m' forms, problem)], this sweep's alone
+        chains = {}
+
+        def tally(m, m_prime, a_primes, start, end, verdict):
+            """The tuples (m, m', a') of a_primes[start:], all ending at ``end``."""
+            ends[end] += len(a_primes) - start
+            if verdict != "contradiction":
+                wrong = a_primes[start:]
+            elif reaches is None:
+                wrong = a_primes[start:] if end != final else ()
+            else:
+                at_final = end == final
+                wrong = [a for a in islice(a_primes, start, None)
+                         if reaches(m, m_prime, a) != at_final]
+            if wrong:
+                failed.append((len(wrong), (m, m_prime, wrong[0]), f"ends {verdict} at {end}"))
+
         for m, pairs in self.levels(sweep_max):
-            under = sum(len(admitted) for _, admitted in pairs)
+            under = sum(len(admitted) - start for _, admitted, start in pairs)
             total += under
-            least = (m, pairs[0][0], pairs[0][1][0])
+            m_prime, admitted, start = pairs[0]
+            least = (m, m_prime, admitted[start])
             try:
                 head, tail, m_forms = self.m_stage(m)
             except (AssertionError, ValueError) as err:
@@ -505,14 +532,20 @@ class Script:
             if chain_stage is not None and not tail:
                 failed.append((under, least, "returned no tail"))
                 continue
-            for m_prime, admitted in pairs:
+            for m_prime, admitted, start in pairs:
                 if chain_stage is None:
                     try:
                         forms = self.pair_stage(m, m_prime, m_forms)
                     except (AssertionError, ValueError) as err:
-                        failed.append((len(admitted), (m, m_prime, admitted[0]), _raised(err)))
+                        failed.append((len(admitted) - start, (m, m_prime, admitted[start]),
+                                       _raised(err)))
                         continue
-                    for a_prime in admitted:
+                    for i in range(start, len(admitted)):
+                        a_prime = admitted[i]
+                        shared = shared_end is not None and shared_end(m, m_prime, a_prime)
+                        if shared:
+                            tally(m, m_prime, admitted, i, *shared)
+                            break
                         try:
                             own = tuple_stage(m, m_prime, a_prime, forms)
                         except (AssertionError, ValueError) as err:
@@ -522,42 +555,37 @@ class Script:
                         if not records:
                             failed.append((1, (m, m_prime, a_prime), "returned no records"))
                             continue
-                        end, verdict = records[-1][0], records[-1][3]
-                        ends[end] += 1
-                        if verdict != "contradiction" or (end == final) != (
-                                reaches is None or reaches(m, m_prime, a_prime)):
-                            failed.append((1, (m, m_prime, a_prime), f"ends {verdict} at {end}"))
+                        tally(m, m_prime, (a_prime,), 0, records[-1][0], records[-1][3])
                     continue
-                run = chains.setdefault(m_prime, [m_prime, {}])
-                if admitted[0] < run[0]:
-                    # every admitted list of m' is a suffix of one list: run the
-                    # a' below the least run so far
-                    for a_prime in admitted:
-                        if a_prime >= run[0]:
-                            break
+                run = chains.get(m_prime)
+                if run is None:
+                    try:
+                        point = self.m_prime_stage(m_prime), ""
+                    except (AssertionError, ValueError) as err:
+                        point = None, _raised(err)
+                    run = chains[m_prime] = [len(admitted), {}, point]
+                if start < run[0]:
+                    # every pair of m' reads a suffix of its one a' list: run
+                    # the a' below the least run so far
+                    point_forms, problem = run[2]
+                    for a_prime in islice(admitted, start, run[0]):
+                        if problem:
+                            run[1][a_prime] = problem
+                            continue
                         try:
-                            chain_stage(m_prime, a_prime)
+                            chain_stage(m_prime, a_prime, point_forms)
                         except (AssertionError, ValueError) as err:
                             run[1][a_prime] = _raised(err)
-                    run[0] = admitted[0]
-                read = admitted
+                    run[0] = start
                 if run[1]:
-                    raised = sorted(a for a in run[1] if a >= admitted[0])
+                    raised = sorted(a for a in run[1] if a >= admitted[start])
                     if raised:
                         failed.append((len(raised), (m, m_prime, raised[0]), run[1][raised[0]]))
-                        read = [a for a in admitted if a not in run[1]]
-                if not read:
-                    continue
-                # the tuples whose chain point did not raise all end on the tail: one tally
-                end, verdict = tail[-1][0], tail[-1][3]
-                ends[end] += len(read)
-                if reaches is None:
-                    wrong = read if verdict != "contradiction" or end != final else ()
-                else:
-                    wrong = [a for a in read if verdict != "contradiction"
-                             or (end == final) != reaches(m, m_prime, a)]
-                if wrong:
-                    failed.append((len(wrong), (m, m_prime, wrong[0]), f"ends {verdict} at {end}"))
+                        admitted = [a for a in islice(admitted, start, None) if a not in run[1]]
+                        start = 0
+                # the tuples whose chain point did not raise all end on the tail
+                if start < len(admitted):
+                    tally(m, m_prime, admitted, start, tail[-1][0], tail[-1][3])
         failures = sum(tuples for tuples, _, _ in failed)
         failure = "no admissible tuples" if total == 0 else ""
         if failed:
@@ -588,40 +616,63 @@ def _ic_forced(m: int, m_prime: int, a_prime: int) -> bool:
 
 
 def _ic_m_stage(m: int) -> tuple:
-    """No records; (C2, A2, B2, B2^2*dual(A2)), the last C2's splitting
-    obstruction."""
+    """No records; (C2, deg(A2) and deg(B2) as numerators over m, B2^2*dual(A2)),
+    the last C2's splitting obstruction."""
     c2 = _Component(("P",), (m,))
     a2, b2 = (0, 2), (-1, m - 1)
-    return (), (), (c2, a2, b2, c2.over(c2.tensor(b2, b2), a2))
+    return (), (), (c2, c2.degree(a2, m), c2.degree(b2, m), c2.over(c2.tensor(b2, b2), a2))
 
 
 def _ic_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
-    """The forms and records that do not involve a': (C1, C2, A1, (m+1)/2, den,
-    2*den, deg(A), its record, C2's share of deg(B), the C2 obstruction), the
-    degrees as numerators over den = mm'."""
-    c2, a2, b2, obstruction2 = m_forms
+    """The forms that do not involve a': (C1, C2, A1, (m+1)/2, den, deg(A),
+    C2's share of deg(B), the C2 obstruction), the degrees as numerators over
+    den = mm'.  Checks the width-2 degree of every a' of the pair."""
+    c2, deg_a2, deg_b2, obstruction2 = m_forms
     # C1 carries the node P and R, C2 carries P; the gluing has length 2
     c1 = _Component(("P", "R"), (m, m_prime))
     a1 = (-1, m - 1, 1)
     den = m * m_prime
-    deg_a = c1.degree(a1, den) + c2.degree(a2, den)
-    return (c1, c2, a1, (m + 1) // 2, den, 2 * den, deg_a, ("deg-A", deg_a, den, "holds", ""),
-            c2.degree(b2, den), obstruction2)
+    # C2 carries P alone, so its degrees over den are m' times those over m
+    forms = (c1, c2, a1, (m + 1) // 2, den, c1.degree(a1, den) + deg_a2 * m_prime,
+             deg_b2 * m_prime, obstruction2)
+    # only B1's weight m'-a' at R reads a', and a degree is linear in each
+    # weight, so both sides of the width-2 identity are affine in a': equal at
+    # the pair's least and greatest a', they are equal at every a' between
+    _ic_width2(m_prime, _ic_min_a_prime(m, m_prime), forms)
+    _ic_width2(m_prime, m_prime - 1, forms)
+    return forms
+
+
+def _ic_width2(m_prime: int, a_prime: int, forms: tuple) -> tuple[int, int]:
+    """deg(B) and the width-2 degree 2*deg(B) + deg(A) of a' on the pair of
+    ``forms``, as numerators over den, the latter checked to be (m'+1-2a')/m'."""
+    c1, _, _, up, den, deg_a, deg_b2, _ = forms
+    deg_b = c1.degree((-1, up, m_prime - a_prime), den) + deg_b2
+    width2 = 2 * deg_b + deg_a
+    paper = m_prime + 1 - 2 * a_prime  # over m'
+    if width2 * m_prime != paper * den:
+        raise ScriptCheckError("width-2-degree", f"width-2 degree {Fraction(width2, den)} "
+                               f"!= {Fraction(paper, m_prime)} at a' = {a_prime}")
+    return deg_b, width2
+
+
+def _ic_shared_end(m: int, m_prime: int, a_prime: int):
+    """Where every tuple of (m, m') from a' up ends, once 2a' > m'+1: the pair
+    stage checked that each of its a' has the width-2 degree (m'+1-2a')/m',
+    negative from there on.  None at a zero degree, which only the forced
+    tuple has."""
+    return ("width-2-degree", "contradiction") if 2 * a_prime > m_prime + 1 else None
 
 
 def _ic_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, ...]:
     """The records of ic on an admissible tuple, all of which are its own."""
-    c1, c2, a1, up, den, den2, deg_a, deg_a_record, deg_b2, obstruction2 = forms
-    b1 = (-1, up, m_prime - a_prime)
-    deg_b = c1.degree(b1, den) + deg_b2  # degrees are numerators over den
-    k_negativity = ("k-negativity", (m + 1) * m_prime - 2 * m * a_prime, den2, "holds", "")
+    c1, c2, a1, up, den, deg_a, _, obstruction2 = forms
+    # the width-d degree d*deg(B) + deg(A) has the sign of the width-d test
+    deg_b, width2 = _ic_width2(m_prime, a_prime, forms)  # numerators over den
+    k_negativity = ("k-negativity", (m + 1) * m_prime - 2 * m * a_prime, 2 * den, "holds", "")
+    deg_a_record = ("deg-A", deg_a, den, "holds", "")
     deg_b_record = ("deg-B", deg_b, den, "holds", "")
 
-    # the width-d degree d*deg(B) + deg(A) has the sign of the width-d test
-    width2 = 2 * deg_b + deg_a
-    if width2 * m_prime != (m_prime + 1 - 2 * a_prime) * den:
-        raise ScriptCheckError("width-2-degree", f"width-2 degree {Fraction(width2, den)} "
-                               f"!= {Fraction(m_prime + 1 - 2 * a_prime, m_prime)}")
     if _width_verdict(width2, "unknown") == "contradiction":
         return (k_negativity, deg_a_record, deg_b_record,
                 ("width-2-degree", width2, den, "contradiction", "negative width-2 degree"))
@@ -634,6 +685,7 @@ def _ic_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, 
     steps.append(("forced-equality", None, 1, "holds", "2a' = m'+1 and m > m'"))
 
     step = "split-obstruction-h1"
+    b1 = (-1, up, m_prime - a_prime)
     obstruction1 = c1.over(c1.tensor(b1, b1), a1)
     _expect(step, "obstruction on C1", c1, obstruction1, (-1, 2, m_prime - 2))
     _expect(step, "obstruction on C2", c2, obstruction2, (-1, m - 4))
@@ -679,11 +731,11 @@ _C1_FORMS = (("degree-table", "B1^2", 0), ("degree-table", "A1^2", -2),
 _C1_CARRIES_P = (0, 1, 0, -1, 0)
 
 
-def _c1_side(comp: _Component, a1: tuple, b1: tuple, split: bool) -> tuple:
-    """One point's side of C1's forms: B1^2, A1^2 and A1*B1, and with
-    ``split`` B1^2/A1 and E1*B1/D1 (E1 = A1, D1 = B1^2), on the one-point
-    component of that point, from that point's weights of A1 and B1."""
-    b1b1, a1a1, a1b1 = comp.tensor(b1, b1), comp.tensor(a1, a1), comp.tensor(a1, b1)
+def _c1_side(comp: _Component, a1: tuple, b1: tuple, b1b1: tuple, split: bool) -> tuple:
+    """One point's side of C1's forms: B1^2, given as ``b1b1``, A1^2 and A1*B1,
+    and with ``split`` B1^2/A1 and E1*B1/D1 (E1 = A1, D1 = B1^2), on the
+    one-point component of that point, from that point's weights of A1 and B1."""
+    a1a1, a1b1 = comp.tensor(a1, a1), comp.tensor(a1, b1)
     if not split:
         return b1b1, a1a1, a1b1
     return b1b1, a1a1, a1b1, comp.over(b1b1, a1), comp.over(a1b1, b1b1)
@@ -694,8 +746,9 @@ def _c1_whole(i: int, p: tuple, q: tuple) -> tuple:
     return (_C1_FORMS[i][2] + p[0] + q[0], p[1], q[1])
 
 
-def _pin_side(comp: _Component, sides: tuple, want: tuple) -> None:
-    for (step, name, _), got, nf in zip(_C1_FORMS, sides, want):
+def _pin_side(comp: _Component, sides: tuple, want: tuple, first: int = 0) -> None:
+    """Pin the forms of _C1_FORMS from ``first`` on, ``sides[first:]``, to ``want``."""
+    for (step, name, _), got, nf in zip(_C1_FORMS[first:], sides[first:], want):
         _expect(step, name, comp, got, nf)
 
 
@@ -721,7 +774,7 @@ def _kad_m_stage(subcase: str, m: int) -> tuple:
     _expect(step, "A2^2", c2, a2a2, (1, m - 1, 0) if subcase == "kad" else (-1, 2, 0))
     _expect(step, "A2*B2", c2, a2b2, (0, down, 0) if subcase == "kad" else (-1, 1, 0))
     p1 = _Component(("P",), (m,))
-    sides = _c1_side(p1, (0, up), (0, 0), subcase == "kad")
+    sides = _c1_side(p1, (0, up), (0, 0), p1.tensor((0, 0), (0, 0)), subcase == "kad")
     _pin_side(p1, sides, tuple(zip(_C1_CARRIES_P, (0, 1, up, down, up))))
     records = [(step, None, 1, "holds", "graded normal forms verified")]
 
@@ -797,17 +850,27 @@ def _kad_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
     return m_forms
 
 
-def _kad_chain_stage(subcase: str, m_prime: int, a_prime: int) -> tuple:
-    """The checks that read (m', a') alone, through gap = m' - a': the Q side
-    of C1's forms, pinned, and for kad the two split checks' h1 values, each
-    of a whole form whose P carry the m stage pins.  kad's forms are the Q side
-    of B1^2/A1 and the two h1 values."""
-    gap = m_prime - a_prime
+def _kad_m_prime_stage(m_prime: int) -> tuple:
+    """The one form of C1 whose Q side reads m' alone, B1^2, pinned: (Q[m'], its
+    Q side)."""
     q1 = _Component(("Q",), (m_prime,))
-    sides = _c1_side(q1, (0, gap), (0, 1), subcase == "kad")
+    b1b1 = q1.tensor((0, 1), (0, 1))
+    _expect("degree-table", "B1^2", q1, b1b1, (0, 2))
+    return q1, b1b1
+
+
+def _kad_chain_stage(subcase: str, m_prime: int, a_prime: int, m_prime_forms: tuple) -> tuple:
+    """The checks that read (m', a') alone, through gap = m' - a': the Q side
+    of C1's other forms, from the m' stage's B1^2, pinned, and for kad the two
+    split checks' h1 values, each of a whole form whose P carry the m stage
+    pins.  kad's forms are the Q side of B1^2/A1 and the two h1 values."""
+    gap = m_prime - a_prime
+    q1, b1b1 = m_prime_forms
+    sides = _c1_side(q1, (0, gap), (0, 1), b1b1, subcase == "kad")
     # B1^2/A1 reduces 2 - gap at Q, which borrows from c once gap > 2
-    _pin_side(q1, sides, ((0, 2), (0, 2 * gap), (0, gap + 1),
-                          (0, 2 - gap) if gap <= 2 else (-1, m_prime + 2 - gap), (0, gap - 1)))
+    _pin_side(q1, sides, ((0, 2 * gap), (0, gap + 1),
+                          (0, 2 - gap) if gap <= 2 else (-1, m_prime + 2 - gap), (0, gap - 1)),
+              first=1)
     if subcase == "k3a":
         return ()
     # a whole form's integer part: its c0, the P carry that the m stage pins
@@ -836,14 +899,14 @@ def _kad_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple,
 SCRIPTS = {
     "ic": Script("ic", _odd_from_5, "m must be odd and >= 5", _ic_min_a_prime,
                  _ic_a_prime_rejection, _ic_m_stage, _ic_pair_stage, _ic_steps,
-                 "width-3-degree", _ic_forced),
+                 "width-3-degree", _ic_forced, shared_end=_ic_shared_end),
     "k3a": Script("kad/k3a", lambda m: m == 3, "subcase k3a forces m = 3", _kad_min_a_prime,
                   _kad_a_prime_rejection, partial(_kad_m_stage, "k3a"), _kad_pair_stage,
-                  _kad_steps, "section-count-conflict",
+                  _kad_steps, "section-count-conflict", m_prime_stage=_kad_m_prime_stage,
                   chain_stage=partial(_kad_chain_stage, "k3a")),
     "kad": Script("kad/kad", _odd_from_5, "subcase kad needs odd m >= 5", _kad_min_a_prime,
                   _kad_a_prime_rejection, partial(_kad_m_stage, "kad"), _kad_pair_stage,
-                  _kad_steps, "multiplicity-conflict",
+                  _kad_steps, "multiplicity-conflict", m_prime_stage=_kad_m_prime_stage,
                   chain_stage=partial(_kad_chain_stage, "kad")),
 }
 

@@ -107,7 +107,7 @@ def admissible(script: str, sweep_max: int = 49):
     """The admissible tuples of ``ell_calc.SCRIPTS[script]`` up to the cap, in
     the order m, m', a'."""
     return ((m, mp, ap) for m, pairs in ell_calc.SCRIPTS[script].levels(sweep_max)
-            for mp, admitted in pairs for ap in admitted)
+            for mp, admitted, start in pairs for ap in admitted[start:])
 
 
 @pytest.fixture

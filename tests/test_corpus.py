@@ -78,10 +78,10 @@ class TestVerify:
         # kad's chain stage runs once per (m', a'): a raise there fails the
         # tuples (5, 5, 4), (7, 5, 4) and (9, 5, 4)
         def failing(real):
-            def stage(mp, ap):
+            def stage(mp, ap, forms):
                 if (mp, ap) == (5, 4):
                     raise AssertionError("injected")
-                return real(mp, ap)
+                return real(mp, ap, forms)
             return stage
 
         patch_stage(monkeypatch, "kad", "chain_stage", failing)

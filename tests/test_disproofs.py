@@ -286,11 +286,17 @@ class TestOneRulePerLevel:
         # of any m up, runs each stage once per parameter it reads, and builds no
         # trace.  kad and k3a run each check once per parameter it reads: per m
         # the 5 section counts, C2's 6 pins (5 for k3a) and the P sides of C1's 5
-        # forms (3 for k3a); per admitted (m', a'), 35 of them for either, their Q
-        # sides, whatever the number of m: 6*(6 + 5) + 35*5 = 241 pins for kad,
-        # 5 + 3 + 35*3 = 113 for k3a.  Their pair and tuple stages only join a
-        # trace's records, so a sweep runs neither.  Run on every tuple, they were
-        # 1050 and 175 section counts and 2730 and 280 pins.
+        # forms (3 for k3a); per m', 13 of them, B1^2's Q side; per admitted (m',
+        # a'), 35 of them for either, the other Q sides, whatever the number of
+        # m: 6*(6 + 5) + 13 + 35*4 = 219 pins for kad, 5 + 3 + 13 + 35*2 = 91 for
+        # k3a.  Their pair and tuple stages only join a trace's records, so a
+        # sweep runs neither.  Run on every tuple, they were 1050 and 175 section
+        # counts and 2730 and 280 pins.  ic checks its width-2 line once per (m,
+        # m'), 78 pairs, and runs its tuple stage on the 21 forced tuples alone;
+        # its shared end, the sign check that starts a pair's tally, reads each
+        # pair's least a' and the a' after each forced one, but for the 6 at m' =
+        # 3, where a' = 2 stands alone: 78 + 21 - 6 = 93.  Run on every tuple,
+        # its tuple stage ran 188 times.
         calls = Counter()
 
         def counting(name):
@@ -308,7 +314,8 @@ class TestOneRulePerLevel:
             monkeypatch.setattr(ell_calc.Script, name,
                                 counting(name)(getattr(ell_calc.Script, name)))
         for script in SCRIPTS:
-            for stage in ("index_rule", "m_stage", "pair_stage", "tuple_stage", "chain_stage"):
+            for stage in ("index_rule", "m_stage", "pair_stage", "tuple_stage", "m_prime_stage",
+                          "chain_stage", "shared_end"):
                 if getattr(SCRIPTS[script], stage) is not None:
                     patch_stage(monkeypatch, script, stage, counting(stage))
         counts = {}
@@ -319,12 +326,14 @@ class TestOneRulePerLevel:
             counts[script] = (summary.total, dict(calls))
         assert counts == {
             "ic": (188, {"index_rule": 15, "_chain_point_rejection": 48, "m_stage": 6,
-                         "pair_stage": 78, "tuple_stage": 188, "_expect": 42}),
+                         "pair_stage": 78, "shared_end": 78 + 21 - 6, "tuple_stage": 21,
+                         "_expect": 42}),
             "k3a": (35, {"index_rule": 15, "_chain_point_rejection": 49, "m_stage": 1,
-                         "chain_stage": 35, "_sections": 5, "_expect": 5 + 3 + 35 * 3}),
+                         "m_prime_stage": 13, "chain_stage": 35, "_sections": 5,
+                         "_expect": 5 + 3 + 13 + 35 * 2}),
             "kad": (210, {"index_rule": 15, "_chain_point_rejection": 49, "m_stage": 6,
-                          "chain_stage": 35, "_sections": 6 * 5,
-                          "_expect": 6 * (6 + 5) + 35 * 5}),
+                          "m_prime_stage": 13, "chain_stage": 35, "_sections": 6 * 5,
+                          "_expect": 6 * (6 + 5) + 13 + 35 * 4}),
         }
 
     def test_kad_sweep_builds_no_divisor_view(self, monkeypatch):
@@ -436,8 +445,7 @@ class TestStagedSweeps:
     # the default
     @pytest.mark.parametrize("script, cap", [
         pytest.param(script, cap, id=script if cap == 15 else f"{script}-{cap}")
-        for cap in (15, 29, 49) for script in ("ic", "k3a", "kad")
-        if cap < 49 or script != "ic"])
+        for cap in (15, 29, 49) for script in ("ic", "k3a", "kad")])
     def test_sweep_counts_match_single_tuple_traces(self, script, cap):
         # the sweep reads each tuple's end off its stages' records without
         # joining them; the single-tuple run joins them into a trace
@@ -466,10 +474,10 @@ class TestStagedSweeps:
             return stage
 
         def failing(real):
-            def stage(mp, ap):
+            def stage(mp, ap, forms):
                 if (mp, ap) == raising:
                     raise AssertionError("injected")
-                return real(mp, ap)
+                return real(mp, ap, forms)
             return stage
 
         patch_stage(monkeypatch, "kad", "m_stage", cut)
@@ -502,6 +510,34 @@ class TestStagedSweeps:
         assert summary.failure == ("2 of 39 failed, first (7, 5, 4) ends contradiction "
                                    "at multiplicity-conflict")
 
+    def test_ic_tally_reads_the_final_step_predicate_per_tuple(self, monkeypatch):
+        # ic tallies each pair's tuples from its least negative width-2 degree
+        # on: (7, 4, 3) heads its pair's tally, (9, 5, 4) follows the forced
+        # (9, 5, 3), whose own stage ends it at the final step
+        flipped = {(7, 4, 3), (9, 5, 4), (9, 5, 3)}
+        patch_stage(monkeypatch, "ic", "reaches_final",
+                    lambda real: lambda m, mp, ap: real(m, mp, ap) != ((m, mp, ap) in flipped))
+        summary = ic_sweep(9)
+        assert summary.failures == 3
+        assert summary.failure == ("3 of 33 failed, first (7, 4, 3) ends contradiction "
+                                   "at width-2-degree")
+
+    def test_ic_runs_its_tuple_stage_on_forced_tuples_alone(self, monkeypatch):
+        # every other tuple ends on its negative width-2 degree, tallied per pair
+        seen = []
+
+        def recording(real):
+            def stage(m, mp, ap, forms):
+                seen.append((m, mp, ap))
+                return real(m, mp, ap, forms)
+            return stage
+
+        patch_stage(monkeypatch, "ic", "tuple_stage", recording)
+        summary = ic_sweep(49)
+        assert summary.all_contradicted and summary.total == 8227
+        assert seen == [t for t in ic_admissible(49) if 2 * t[2] == t[1] + 1 and t[0] > t[1]]
+        assert len(seen) == summary.survivors == 276
+
     def test_ell_calc_holds_no_cache(self):
         assert [name for name, value in vars(ell_calc).items()
                 if hasattr(value, "cache_clear")] == []
@@ -512,9 +548,10 @@ def _run_sweep(script, cap):
 
 
 # One corrupted form per case on the component of the given point indices: the
-# Q side of B1^2 depends on m' alone, and every chain point (m', a') reduces it
-# first; ic's obstruction on C2 depends on m alone.  An even m' keeps kad's Q
-# sides off the components of its P sides, which have odd indices.
+# Q side of B1^2 depends on m' alone, and the m' stage reduces it once for every
+# chain point (m', a') of that m'; ic's obstruction on C2 depends on m alone.
+# An even m' keeps kad's Q sides off the components of its P sides, which have
+# odd indices.
 CORRUPTED_PAIR_FORMS = [
     ("kad", (8,), (0, 2), (0, 1),
      "12 of 210 failed, first (5, 8, 5) at degree-table: B1^2: computed "
@@ -528,7 +565,7 @@ CORRUPTED_PAIR_FORMS = [
 ]
 
 # Corrupted forms that the first tuple of a sweep reads: the first covers
-# kad's chain stage, the second ic's m stage.
+# kad's m' stage, the second ic's m stage.
 CORRUPTED_FIRST_FORMS = [
     ("kad", (3,), (0, 2), (0, 1),
      "6 of 210 failed, first (5, 3, 2) at degree-table: B1^2: computed "
@@ -628,13 +665,14 @@ class TestPerPairForms:
         # These count work, not time: the reductions, one per normal form computed,
         # of each sweep at cap 15.  kad makes 6 on C2 and the 5 P sides of C1's
         # forms (B1^2, A1^2, A1*B1 and the two split checks, each an `over`) per
-        # m, and their 5 Q sides once per admitted (m', a'), 35 of them, whatever
-        # the number of m: 6*(6 + 5) + 35*5 = 241, where reducing every form on
-        # every tuple made 954.  k3a makes 5 on C2 and 3 P sides for its one m and
-        # 3 Q sides per (m', a'): 5 + 3 + 35*3 = 113, where it made 88 (B1^2 once
-        # per (m, m') and 2 per tuple).  ic makes 2 per m (B2^2 and its `over`)
-        # and 2 per tuple that reaches the width-3 step (B1^2 and its `over`):
-        # 2*6 + 2*21 = 54.
+        # m, B1^2's Q side once per m', 13 of them, and the other 4 Q sides once
+        # per admitted (m', a'), 35 of them, whatever the number of m: 6*(6 + 5)
+        # + 13 + 35*4 = 219, where reducing every form on every tuple made 954.
+        # k3a makes 5 on C2 and 3 P sides for its one m, B1^2's Q side per m'
+        # and 2 Q sides per (m', a'): 5 + 3 + 13 + 35*2 = 91, where it made 88
+        # (B1^2 once per (m, m') and 2 per tuple).  ic makes 2 per m (B2^2 and
+        # its `over`) and 2 per tuple that reaches the width-3 step (B1^2 and
+        # its `over`): 2*6 + 2*21 = 54.
         calls = []
 
         def counting(comp, nf):
@@ -647,15 +685,16 @@ class TestPerPairForms:
             calls.clear()
             assert _run_sweep(script, 15).all_contradicted
             counts[script] = len(calls)
-        assert counts == {"kad": 241, "k3a": 113, "ic": 54}
+        assert counts == {"kad": 219, "k3a": 91, "ic": 54}
 
 
 class TestSidesOfC1:
     def test_sides_recombine_to_the_two_point_forms(self):
         # kad and k3a reduce C1's forms one point at a time: the P side from m,
-        # the Q side from (m', a').  Recombined, the sides are the forms that C1's
-        # own tensor and over give, for admissible tuples up to 10^6, with gaps
-        # m' - a' on both sides of 2, where B1^2/A1's Q side starts to borrow
+        # the Q side from m' (B1^2) and (m', a') (the rest).  Recombined, the
+        # sides are the forms that C1's own tensor and over give, for admissible
+        # tuples up to 10^6, with gaps m' - a' on both sides of 2, where
+        # B1^2/A1's Q side starts to borrow
         rng = random.Random(28)
         for _ in range(500):
             subcase = rng.choice(("k3a", "kad"))
@@ -666,8 +705,10 @@ class TestSidesOfC1:
                 if _kad_conditions(subcase, m, mp, ap):
                     break
             up, gap = (m + 1) // 2, mp - ap
-            p = ell_calc._c1_side(_Component(("P",), (m,)), (0, up), (0, 0), True)
-            q = ell_calc._c1_side(_Component(("Q",), (mp,)), (0, gap), (0, 1), True)
+            p1 = _Component(("P",), (m,))
+            p = ell_calc._c1_side(p1, (0, up), (0, 0), p1.tensor((0, 0), (0, 0)), True)
+            q1, b1b1_q = ell_calc._kad_m_prime_stage(mp)
+            q = ell_calc._c1_side(q1, (0, gap), (0, 1), b1b1_q, True)
             c1 = _Component(("P", "Q"), (m, mp))
             a1, b1 = (-1, up, gap), (0, 0, 1)
             b1b1, a1b1 = c1.tensor(b1, b1), c1.tensor(a1, b1)
@@ -680,3 +721,65 @@ class TestSidesOfC1:
             if subcase == "kad":
                 assert step(trace, "split-check-c1").note == (
                     f"splitting obstruction {c1.divisor(whole[3])!r}")
+
+
+# One perturbed degree on C1 of the pair (9, 7), whose a' are 4 (forced), 5
+# and 6: deg(A1) moves the width-2 degree at every a', B1's at a' = 6 alone
+CORRUPTED_WIDTH_TWO_LINES = [
+    ("deg(A1)", (-1, 8, 1),
+     "3 of 188 failed, first (9, 7, 4) at width-2-degree: width-2 degree 1/63 != 0 at a' = 4"),
+    ("deg(B1) at a' = 6", (-1, 5, 1),
+     "3 of 188 failed, first (9, 7, 4) at width-2-degree: width-2 degree -34/63 != -4/7 "
+     "at a' = 6"),
+]
+
+
+class TestIcWidthTwoLine:
+    @pytest.mark.parametrize("form, nf, message", CORRUPTED_WIDTH_TWO_LINES,
+                             ids=[case[0] for case in CORRUPTED_WIDTH_TWO_LINES])
+    def test_corrupt_width_two_line_fails_every_tuple_of_its_pair(self, monkeypatch, form,
+                                                                   nf, message):
+        # ic checks its width-2 degree once per (m, m'), on the line through its
+        # least and greatest a': a pair off that line fails all its tuples
+        real = ell_calc._Component.degree
+
+        def degree(self, a, den):
+            value = real(self, a, den)
+            return value + 1 if self.indices == (9, 7) and a == nf else value
+
+        monkeypatch.setattr(ell_calc._Component, "degree", degree)
+        summary = ic_sweep(15)
+        assert summary.failure == message
+        assert summary.survivors == 21 - 1
+        assert summary.ends == {"width-2-degree": 188 - 21 - 2, "width-3-degree": 21 - 1}
+
+    def test_line_gives_every_tuple_its_width_two_degree(self):
+        # Both sides of the width-2 identity are affine in a', so the pair
+        # stage checks it at the pair's least and greatest a' alone.  Per tuple,
+        # C1's and C2's degrees lie on that line and give (m'+1-2a')/m', for
+        # pairs up to 10^6; the sweep's shared end starts where they turn negative
+        rng = random.Random(29)
+        script = SCRIPTS["ic"]
+        for _ in range(500):
+            m, mp = rng.randrange(5, 10**6, 2), rng.randrange(3, 10**6 + 1)
+            lo, hi = script.min_a_prime(m, mp), mp - 1
+            forms = script.pair_stage(m, mp, script.m_stage(m)[2])
+            c1, c2 = _Component(("P", "R"), (m, mp)), _Component(("P",), (m,))
+            den = m * mp
+
+            def width2(ap):
+                deg_a = c1.degree((-1, m - 1, 1), den) + c2.degree((0, 2), den)
+                deg_b = (c1.degree((-1, (m + 1) // 2, mp - ap), den)
+                         + c2.degree((-1, m - 1), den))
+                return 2 * deg_b + deg_a
+
+            forced = (mp + 1) // 2 if mp % 2 and m > mp else lo
+            for ap in {lo, hi, forced, rng.randrange(lo, hi + 1)}:
+                assert width2(ap) * (hi - lo) == width2(lo) * (hi - ap) + width2(hi) * (ap - lo)
+                assert F(width2(ap), den) == F(mp + 1 - 2 * ap, mp), (m, mp, ap)
+                assert ell_calc._ic_width2(mp, ap, forms)[1] == width2(ap)
+                shared = ("width-2-degree", "contradiction") if width2(ap) < 0 else None
+                assert script.shared_end(m, mp, ap) == shared
+                if gcd(ap, mp) == 1:
+                    trace = script.disproof(m, mp, ap)
+                    assert step(trace, "width-2-degree").value == F(width2(ap), den)
