@@ -27,7 +27,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import count, islice
+from itertools import count
 from math import gcd, lcm
 from operator import add, sub
 
@@ -411,22 +411,22 @@ class Script:
 
     The rule: ``index_rule(m)``, the chain-point rule on (m', a'), and a' at
     least ``min_a_prime(m, m')``, else ``a_prime_rejection``.  Each stage runs
-    the checks that read its parameters: ``m_stage(m)`` returns (head, tail,
-    forms), the records before and after the tuple's own; ``pair_stage(m, m',
-    forms)`` the forms of (m, m'); ``m_prime_stage(m')`` and ``chain_stage(m',
-    a', forms)``, when set, the forms of m' and, given those, of the chain point
-    (m', a'), which follow the pair stage's; ``tuple_stage(m, m', a', forms)``
+    the checks that read its parameters and hands its forms down: ``m_stage(m)``
+    returns (head, tail, forms), the records before and after the tuple's own;
+    ``m_prime_stage(m')`` the forms of m', and ``point_stage(m', a', those
+    forms)`` those of the chain point (m', a'); ``pair_stage(m, m', m forms)``
+    those of (m, m'); and ``tuple_stage(m, m', a', pair forms + point forms)``
     the tuple's own records.  A record is (name, num, den, verdict, note),
     valued num/den or None, its note a string or a (format, component, normal
-    form) that formats the EllDivisor view.  head + own + tail must end in a
-    contradiction, at ``final_step`` for exactly the tuples that
-    ``reaches_final`` names (all when it is None).
+    form) that formats the EllDivisor view.
 
-    A script with a chain stage ends every tuple on its m stage's tail and
-    keeps its checks in its m, m' and chain stages: its pair and tuple stages
-    only join records, so a sweep runs neither.  ``shared_end(m, m', a')``,
-    when set, names the (step, verdict) on which every admitted tuple of (m,
-    m') from a' up ends once the pair stage has passed, or None.
+    ``cells(m, m', a_primes, start)`` splits the pair's a', ``a_primes[start:]``,
+    into runs (lo, hi, end) of ``a_primes[lo:hi]``.  A declared run's end is the
+    (step, verdict) at which its tuples end, a contradiction at a step other than
+    ``final_step``, resting on checks of the stages above.  A run whose end is
+    None leaves it to the records, head + own + tail, which must end in a
+    contradiction at ``final_step``: on the m stage's tail when it has one, so
+    a script with a tail keeps its tuple stage to joining records.
     """
 
     name: str
@@ -435,13 +435,12 @@ class Script:
     min_a_prime: Callable[[int, int], int]
     a_prime_rejection: Callable[[int, int, int], tuple]
     m_stage: Callable[[int], tuple]
+    m_prime_stage: Callable[[int], tuple]
+    point_stage: Callable[[int, int, tuple], tuple]
     pair_stage: Callable[[int, int, tuple], tuple]
     tuple_stage: Callable[[int, int, int, tuple], tuple]
+    cells: Callable[[int, int, list, int], tuple]
     final_step: str
-    reaches_final: Callable[[int, int, int], bool] | None = None
-    m_prime_stage: Callable[[int], tuple] | None = None
-    chain_stage: Callable[[int, int, tuple], tuple] | None = None
-    shared_end: Callable[[int, int, int], tuple | None] | None = None
 
     def rejection(self, m: int, m_prime: int, a_prime: int):
         """Why the run rejects (m, m', a'); None for an admissible tuple."""
@@ -453,15 +452,14 @@ class Script:
         return rejection
 
     def disproof(self, m: int, m_prime: int, a_prime: int) -> DisproofTrace:
-        """The trace on one tuple: the stages in turn, or its rejection."""
+        """The trace on one tuple: every stage in turn, or its rejection."""
         inputs = (m, m_prime, a_prime)
         rejection = self.rejection(*inputs)
         if rejection is not None:
             return DisproofTrace(self.name, inputs, "rejected", (), *rejection)
         head, tail, forms = self.m_stage(m)
-        forms = self.pair_stage(m, m_prime, forms)
-        if self.chain_stage is not None:
-            forms += self.chain_stage(m_prime, a_prime, self.m_prime_stage(m_prime))
+        forms = self.pair_stage(m, m_prime, forms) + self.point_stage(
+            m_prime, a_prime, self.m_prime_stage(m_prime))
         own = self.tuple_stage(m, m_prime, a_prime, forms)
         return DisproofTrace(self.name, inputs, "contradiction", tuple([
             TraceStep(name, None if num is None else Fraction(num, den), verdict,
@@ -470,11 +468,9 @@ class Script:
         ]))
 
     def levels(self, sweep_max: int):
-        """The admissible tuples with m, m' <= sweep_max as (m, [(m', a's,
-        start), ...]), ascending, where the a' of (m, m') are a's[start:], none
-        empty: the index rule judged once per m, the chain-point rule once per
-        (m', a') into one list per m' that every m shares, and each (m, m')
-        bisected at its a'."""
+        """The admissible tuples with m, m' <= sweep_max as (m, [(m', a's, start),
+        ...]), ascending, the a' of (m, m') being a's[start:], none empty: one a'
+        list per m', judged once and shared by every m, bisected at each m's bound."""
         ms = [m for m in range(1, sweep_max + 1) if self.index_rule(m)]
         if not ms:
             return
@@ -488,108 +484,75 @@ class Script:
             if pairs:
                 yield m, pairs
 
-    def sweep(self, sweep_max: int = 49) -> SweepSummary:
-        """Every admissible tuple up to the cap: m, then m', then a', each stage
-        given the forms of the one above, and the m' and chain stages run once
-        per m' and once per (m', a').  A stage that raises in an internal check
-        fails every tuple under it; a tuple also fails when its records are
-        empty or end other than as the class docstring says.  A script with a
-        chain stage ends every tuple on its m's tail, so each (m, m') tallies at
-        once the tuples whose chain point did not raise; one with a shared end
-        runs the tuple stage on a pair's a' in turn until ``shared_end`` names
-        the end of the rest, and tallies those at once."""
-        tuple_stage, chain_stage, shared_end = self.tuple_stage, self.chain_stage, self.shared_end
-        final, reaches = self.final_step, self.reaches_final
-        total, ends, failed = 0, Counter(), []  # failed: (tuples, first tuple, problem)
-        # m' -> [least index run into its a' list, {a': problem} of its raises,
-        # (m' forms, problem)], this sweep's alone
-        chains = {}
+    def _chain_points(self, m_prime: int, a_primes: list) -> tuple[list, dict]:
+        """Each chain point's forms, by the m' stage and then the point stage, and
+        {index: problem} of the chain points that raised."""
+        points, raises = [], {}
+        try:
+            m_prime_forms = self.m_prime_stage(m_prime)
+        except (AssertionError, ValueError) as err:
+            return points, dict.fromkeys(range(len(a_primes)), _raised(err))
+        for i, a_prime in enumerate(a_primes):
+            try:
+                points.append(self.point_stage(m_prime, a_prime, m_prime_forms))
+            except (AssertionError, ValueError) as err:
+                points.append(())
+                raises[i] = _raised(err)
+        return points, raises
 
-        def tally(m, m_prime, a_primes, start, end, verdict):
-            """The tuples (m, m', a') of a_primes[start:], all ending at ``end``."""
-            ends[end] += len(a_primes) - start
-            if verdict != "contradiction":
-                wrong = a_primes[start:]
-            elif reaches is None:
-                wrong = a_primes[start:] if end != final else ()
-            else:
-                at_final = end == final
-                wrong = [a for a in islice(a_primes, start, None)
-                         if reaches(m, m_prime, a) != at_final]
-            if wrong:
-                failed.append((len(wrong), (m, m_prime, wrong[0]), f"ends {verdict} at {end}"))
+    def sweep(self, sweep_max: int = 49) -> SweepSummary:
+        """Every admissible tuple up to the cap, each stage run once per value of what
+        it reads and the tuple stage only in cells whose end its records give.  A
+        raise fails the tuples under its stage, a wrong end those that end there."""
+        final, total, ends, failed, chains = self.final_step, 0, Counter(), [], {}
+
+        def tally(tuples, first, step, verdict, on_records):
+            ends[step] += tuples
+            if verdict != "contradiction" or (step == final) != on_records:
+                failed.append((tuples, first, f"ends {verdict} at {step}"))
 
         for m, pairs in self.levels(sweep_max):
-            under = sum(len(admitted) - start for _, admitted, start in pairs)
-            total += under
-            m_prime, admitted, start = pairs[0]
-            least = (m, m_prime, admitted[start])
+            total += sum(len(admitted) - start for _, admitted, start in pairs)
             try:
                 head, tail, m_forms = self.m_stage(m)
-            except (AssertionError, ValueError) as err:
-                failed.append((under, least, _raised(err)))
+            except (AssertionError, ValueError) as err:  # failed: (tuples, first, problem)
+                failed.extend((len(admitted) - start, (m, m_prime, admitted[start]), _raised(err))
+                              for m_prime, admitted, start in pairs)
                 continue
-            if chain_stage is not None and not tail:
-                failed.append((under, least, "returned no tail"))
-                continue
+            tail_end = (tail[-1][0], tail[-1][3]) if tail else None
             for m_prime, admitted, start in pairs:
-                if chain_stage is None:
-                    try:
-                        forms = self.pair_stage(m, m_prime, m_forms)
-                    except (AssertionError, ValueError) as err:
-                        failed.append((len(admitted) - start, (m, m_prime, admitted[start]),
-                                       _raised(err)))
-                        continue
-                    for i in range(start, len(admitted)):
-                        a_prime = admitted[i]
-                        shared = shared_end is not None and shared_end(m, m_prime, a_prime)
-                        if shared:
-                            tally(m, m_prime, admitted, i, *shared)
-                            break
-                        try:
-                            own = tuple_stage(m, m_prime, a_prime, forms)
-                        except (AssertionError, ValueError) as err:
-                            failed.append((1, (m, m_prime, a_prime), _raised(err)))
-                            continue
-                        records = tail or own or head
-                        if not records:
-                            failed.append((1, (m, m_prime, a_prime), "returned no records"))
-                            continue
-                        tally(m, m_prime, (a_prime,), 0, records[-1][0], records[-1][3])
+                points, raises = chains.get(m_prime) or chains.setdefault(  # for this sweep
+                    m_prime, self._chain_points(m_prime, admitted))
+                try:
+                    forms = self.pair_stage(m, m_prime, m_forms)
+                except (AssertionError, ValueError) as err:
+                    failed.append((len(admitted) - start, (m, m_prime, admitted[start]),
+                                   _raised(err)))
                     continue
-                run = chains.get(m_prime)
-                if run is None:
-                    try:
-                        point = self.m_prime_stage(m_prime), ""
-                    except (AssertionError, ValueError) as err:
-                        point = None, _raised(err)
-                    run = chains[m_prime] = [len(admitted), {}, point]
-                if start < run[0]:
-                    # every pair of m' reads a suffix of its one a' list: run
-                    # the a' below the least run so far
-                    point_forms, problem = run[2]
-                    for a_prime in islice(admitted, start, run[0]):
-                        if problem:
-                            run[1][a_prime] = problem
-                            continue
-                        try:
-                            chain_stage(m_prime, a_prime, point_forms)
-                        except (AssertionError, ValueError) as err:
-                            run[1][a_prime] = _raised(err)
-                    run[0] = start
-                if run[1]:
-                    raised = sorted(a for a in run[1] if a >= admitted[start])
-                    if raised:
-                        failed.append((len(raised), (m, m_prime, raised[0]), run[1][raised[0]]))
-                        admitted = [a for a in islice(admitted, start, None) if a not in run[1]]
-                        start = 0
-                # the tuples whose chain point did not raise all end on the tail
-                if start < len(admitted):
-                    tally(m, m_prime, admitted, start, tail[-1][0], tail[-1][3])
+                if raises:
+                    failed.extend((1, (m, m_prime, admitted[i]), problem)
+                                  for i, problem in raises.items() if i >= start)
+                for lo, hi, end in self.cells(m, m_prime, admitted, start):
+                    live = range(lo, hi)
+                    live = [i for i in live if i not in raises] if raises else live
+                    if end is None and tail_end is None:
+                        for i in live:
+                            first = (m, m_prime, admitted[i])
+                            try:
+                                records = self.tuple_stage(*first, forms + points[i]) or head
+                            except (AssertionError, ValueError) as err:
+                                failed.append((1, first, _raised(err)))
+                                continue
+                            if records:
+                                tally(1, first, records[-1][0], records[-1][3], True)
+                            else:
+                                failed.append((1, first, "returned no records"))
+                    elif live:
+                        tally(len(live), (m, m_prime, admitted[live[0]]), *(end or tail_end),
+                              end is None)
         failures = sum(tuples for tuples, _, _ in failed)
         failure = "no admissible tuples" if total == 0 else ""
         if failed:
-            # a pair's tail tally follows its raises: the first failure is the least tuple
             _, first, problem = min(failed, key=lambda f: f[1])
             failure = f"{failures} of {total} failed, first {first} {problem}"
         return SweepSummary(self.name, total, ends[final], not failure, failures, failure,
@@ -609,32 +572,37 @@ def _ic_a_prime_rejection(m: int, m_prime: int, a_prime: int):
     return "K-negativity fails", Fraction(m + 1, 2 * m) - Fraction(a_prime, m_prime)
 
 
-def _ic_forced(m: int, m_prime: int, a_prime: int) -> bool:
-    """The equalities that a zero width-2 degree forces; exactly the tuples
-    that meet them reach the width-3 step."""
-    return 2 * a_prime == m_prime + 1 and m > m_prime
+def _no_forms(*_) -> tuple:
+    """A stage with no checks: ic reads nothing of m' or of (m', a') alone."""
+    return ()
 
 
 def _ic_m_stage(m: int) -> tuple:
-    """No records; (C2, deg(A2) and deg(B2) as numerators over m, B2^2*dual(A2)),
-    the last C2's splitting obstruction."""
+    """No records; (C2, deg(A2) and deg(B2) as numerators over m, B2^2*dual(A2),
+    C2's splitting obstruction, and the invariant node sections of the gluing)."""
     c2 = _Component(("P",), (m,))
     a2, b2 = (0, 2), (-1, m - 1)
-    return (), (), (c2, c2.degree(a2, m), c2.degree(b2, m), c2.over(c2.tensor(b2, b2), a2))
+    # node residues for the length-2 gluing, pinned from the weight tables:
+    # the A-generator matches the node coordinate weight m-2, so the
+    # obstruction generator sits at -(m-2) + 2*1 = 4 - m.
+    nid = node_invariant_dim((4 - m) % m, (m - 2) % m, 2, m)
+    return (), (), (c2, c2.degree(a2, m), c2.degree(b2, m), c2.over(c2.tensor(b2, b2), a2),
+                    nid)
 
 
 def _ic_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
     """The forms that do not involve a': (C1, C2, A1, (m+1)/2, den, deg(A),
-    C2's share of deg(B), the C2 obstruction), the degrees as numerators over
-    den = mm'.  Checks the width-2 degree of every a' of the pair."""
-    c2, deg_a2, deg_b2, obstruction2 = m_forms
+    C2's share of deg(B), the C2 obstruction, the node sections), the degrees
+    as numerators over den = mm'.  Checks the width-2 degree of every a' of
+    the pair."""
+    c2, deg_a2, deg_b2, obstruction2, nid = m_forms
     # C1 carries the node P and R, C2 carries P; the gluing has length 2
     c1 = _Component(("P", "R"), (m, m_prime))
     a1 = (-1, m - 1, 1)
     den = m * m_prime
     # C2 carries P alone, so its degrees over den are m' times those over m
     forms = (c1, c2, a1, (m + 1) // 2, den, c1.degree(a1, den) + deg_a2 * m_prime,
-             deg_b2 * m_prime, obstruction2)
+             deg_b2 * m_prime, obstruction2, nid)
     # only B1's weight m'-a' at R reads a', and a degree is linear in each
     # weight, so both sides of the width-2 identity are affine in a': equal at
     # the pair's least and greatest a', they are equal at every a' between
@@ -646,7 +614,7 @@ def _ic_pair_stage(m: int, m_prime: int, m_forms: tuple) -> tuple:
 def _ic_width2(m_prime: int, a_prime: int, forms: tuple) -> tuple[int, int]:
     """deg(B) and the width-2 degree 2*deg(B) + deg(A) of a' on the pair of
     ``forms``, as numerators over den, the latter checked to be (m'+1-2a')/m'."""
-    c1, _, _, up, den, deg_a, deg_b2, _ = forms
+    c1, _, _, up, den, deg_a, deg_b2, _, _ = forms
     deg_b = c1.degree((-1, up, m_prime - a_prime), den) + deg_b2
     width2 = 2 * deg_b + deg_a
     paper = m_prime + 1 - 2 * a_prime  # over m'
@@ -656,17 +624,18 @@ def _ic_width2(m_prime: int, a_prime: int, forms: tuple) -> tuple[int, int]:
     return deg_b, width2
 
 
-def _ic_shared_end(m: int, m_prime: int, a_prime: int):
-    """Where every tuple of (m, m') from a' up ends, once 2a' > m'+1: the pair
-    stage checked that each of its a' has the width-2 degree (m'+1-2a')/m',
-    negative from there on.  None at a zero degree, which only the forced
-    tuple has."""
-    return ("width-2-degree", "contradiction") if 2 * a_prime > m_prime + 1 else None
+def _ic_cells(m: int, m_prime: int, a_primes: list, start: int) -> tuple:
+    """The forced a' = (m'+1)/2, a cell of its own on the records when m > m' and
+    m' is odd, and then its pair's least a': K-negativity holds at (m'+1)/2
+    exactly when m > m', and fails at (m'-1)/2.  Every other a' has 2a' > m'+1,
+    so the width-2 degree (m'+1-2a')/m' that the pair stage checked is negative."""
+    cut = start + (m > m_prime and m_prime % 2)
+    return (start, cut, None), (cut, len(a_primes), ("width-2-degree", "contradiction"))
 
 
 def _ic_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, ...]:
     """The records of ic on an admissible tuple, all of which are its own."""
-    c1, c2, a1, up, den, deg_a, _, obstruction2 = forms
+    c1, c2, a1, up, den, deg_a, _, obstruction2, nid = forms
     # the width-d degree d*deg(B) + deg(A) has the sign of the width-d test
     deg_b, width2 = _ic_width2(m_prime, a_prime, forms)  # numerators over den
     k_negativity = ("k-negativity", (m + 1) * m_prime - 2 * m * a_prime, 2 * den, "holds", "")
@@ -680,7 +649,7 @@ def _ic_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, 
              ("width-2-degree", width2, den, "forces_cb",
               "zero degree rules out the birational cases")]
 
-    _check(_ic_forced(m, m_prime, a_prime), "forced-equality",
+    _check(2 * a_prime == m_prime + 1 and m > m_prime, "forced-equality",
            "forced parameter equality failed")
     steps.append(("forced-equality", None, 1, "holds", "2a' = m'+1 and m > m'"))
 
@@ -694,10 +663,6 @@ def _ic_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, 
             raise ScriptCheckError(step, f"splitting obstruction does not vanish on {name}")
     steps.append((step, 0, 1, "holds", "both component obstructions have h1 = 0"))
 
-    # node residues for the length-2 gluing, pinned from the weight tables:
-    # the A-generator matches the node coordinate weight m-2, so the
-    # obstruction generator sits at -(m-2) + 2*1 = 4 - m.
-    nid = node_invariant_dim((4 - m) % m, (m - 2) % m, 2, m)
     _check(nid == 0, "node-invariants", "node invariants unexpectedly nonzero")
     steps.append(("node-invariants", nid, 1, "holds",
                   "no invariant node sections: the extension splits"))
@@ -727,7 +692,7 @@ def _kad_a_prime_rejection(m: int, m_prime: int, a_prime: int):
 _C1_FORMS = (("degree-table", "B1^2", 0), ("degree-table", "A1^2", -2),
              ("degree-table", "A1*B1", -1), ("split-check-c1", "B1^2/A1", 1),
              ("split-check-thickening", "E1*B1/D1", -1))
-# the carries at P that the m stage pins, which the chain stage's h1 values read
+# the carries at P that the m stage pins, which the point stage's h1 values read
 _C1_CARRIES_P = (0, 1, 0, -1, 0)
 
 
@@ -746,9 +711,9 @@ def _c1_whole(i: int, p: tuple, q: tuple) -> tuple:
     return (_C1_FORMS[i][2] + p[0] + q[0], p[1], q[1])
 
 
-def _pin_side(comp: _Component, sides: tuple, want: tuple, first: int = 0) -> None:
-    """Pin the forms of _C1_FORMS from ``first`` on, ``sides[first:]``, to ``want``."""
-    for (step, name, _), got, nf in zip(_C1_FORMS[first:], sides[first:], want):
+def _pin_side(comp: _Component, sides: tuple, want: tuple) -> None:
+    """Pin the forms of _C1_FORMS, ``sides``, to ``want``."""
+    for (step, name, _), got, nf in zip(_C1_FORMS, sides, want):
         _expect(step, name, comp, got, nf)
 
 
@@ -859,20 +824,23 @@ def _kad_m_prime_stage(m_prime: int) -> tuple:
     return q1, b1b1
 
 
-def _kad_chain_stage(subcase: str, m_prime: int, a_prime: int, m_prime_forms: tuple) -> tuple:
-    """The checks that read (m', a') alone, through gap = m' - a': the Q side
-    of C1's other forms, from the m' stage's B1^2, pinned, and for kad the two
-    split checks' h1 values, each of a whole form whose P carry the m stage
-    pins.  kad's forms are the Q side of B1^2/A1 and the two h1 values."""
+def _kad_point_stage(subcase: str, m_prime: int, a_prime: int, m_prime_forms: tuple) -> tuple:
+    """The checks that read (m', a') alone, through gap = m' - a': the Q sides
+    of C1's other forms, from the m' stage's B1^2, pinned (A1^2 and A1*B1, and
+    for kad the two split checks), and for kad the split checks' h1 values, each
+    of a whole form whose P carry the m stage pins.  kad's forms are the Q side
+    of B1^2/A1 and the two h1 values; k3a's are none."""
     gap = m_prime - a_prime
     q1, b1b1 = m_prime_forms
     sides = _c1_side(q1, (0, gap), (0, 1), b1b1, subcase == "kad")
-    # B1^2/A1 reduces 2 - gap at Q, which borrows from c once gap > 2
-    _pin_side(q1, sides, ((0, 2 * gap), (0, gap + 1),
-                          (0, 2 - gap) if gap <= 2 else (-1, m_prime + 2 - gap), (0, gap - 1)),
-              first=1)
+    _expect("degree-table", "A1^2", q1, sides[1], (0, 2 * gap))
+    _expect("degree-table", "A1*B1", q1, sides[2], (0, gap + 1))
     if subcase == "k3a":
         return ()
+    # B1^2/A1 reduces 2 - gap at Q, which borrows from c once gap > 2
+    _expect("split-check-c1", "B1^2/A1", q1, sides[3],
+            (0, 2 - gap) if gap <= 2 else (-1, m_prime + 2 - gap))
+    _expect("split-check-thickening", "E1*B1/D1", q1, sides[4], (0, gap - 1))
     # a whole form's integer part: its c0, the P carry that the m stage pins
     # and the Q carry; C2's share of the thickening check is 0 by _kad_m_stage
     obstruction1, obstruction2 = (_h1(_C1_FORMS[i][2] + _C1_CARRIES_P[i] + sides[i][0])
@@ -882,9 +850,14 @@ def _kad_chain_stage(subcase: str, m_prime: int, a_prime: int, m_prime_forms: tu
     return sides[3], obstruction1, obstruction2
 
 
+def _kad_cells(m: int, m_prime: int, a_primes: list, start: int) -> tuple:
+    """One cell on the records: every tuple of kad and k3a ends on its m's tail."""
+    return ((start, len(a_primes), None),)
+
+
 def _kad_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple, ...]:
     """A kad tuple's own records, the two split checks, joined from the sides
-    of its m and chain stages; k3a's stages hand on no forms and it has none.
+    of its m and point stages; k3a's stages hand on no forms and it has none.
     The note rebuilds B1^2/A1 as a two-point form on C1."""
     if not forms:
         return ()
@@ -898,16 +871,16 @@ def _kad_steps(m: int, m_prime: int, a_prime: int, forms: tuple) -> tuple[tuple,
 # the scripts by the name the CLI gives them
 SCRIPTS = {
     "ic": Script("ic", _odd_from_5, "m must be odd and >= 5", _ic_min_a_prime,
-                 _ic_a_prime_rejection, _ic_m_stage, _ic_pair_stage, _ic_steps,
-                 "width-3-degree", _ic_forced, shared_end=_ic_shared_end),
+                 _ic_a_prime_rejection, _ic_m_stage, _no_forms, _no_forms, _ic_pair_stage,
+                 _ic_steps, _ic_cells, "width-3-degree"),
     "k3a": Script("kad/k3a", lambda m: m == 3, "subcase k3a forces m = 3", _kad_min_a_prime,
-                  _kad_a_prime_rejection, partial(_kad_m_stage, "k3a"), _kad_pair_stage,
-                  _kad_steps, "section-count-conflict", m_prime_stage=_kad_m_prime_stage,
-                  chain_stage=partial(_kad_chain_stage, "k3a")),
+                  _kad_a_prime_rejection, partial(_kad_m_stage, "k3a"), _kad_m_prime_stage,
+                  partial(_kad_point_stage, "k3a"), _kad_pair_stage, _kad_steps, _kad_cells,
+                  "section-count-conflict"),
     "kad": Script("kad/kad", _odd_from_5, "subcase kad needs odd m >= 5", _kad_min_a_prime,
-                  _kad_a_prime_rejection, partial(_kad_m_stage, "kad"), _kad_pair_stage,
-                  _kad_steps, "multiplicity-conflict", m_prime_stage=_kad_m_prime_stage,
-                  chain_stage=partial(_kad_chain_stage, "kad")),
+                  _kad_a_prime_rejection, partial(_kad_m_stage, "kad"), _kad_m_prime_stage,
+                  partial(_kad_point_stage, "kad"), _kad_pair_stage, _kad_steps, _kad_cells,
+                  "multiplicity-conflict"),
 }
 
 

@@ -75,7 +75,7 @@ class TestVerify:
         assert load_corpus() is not load_corpus()  # each caller still gets its own dict
 
     def test_sweep_failure_is_a_fail_line(self, monkeypatch):
-        # kad's chain stage runs once per (m', a'): a raise there fails the
+        # kad's point stage runs once per (m', a'): a raise there fails the
         # tuples (5, 5, 4), (7, 5, 4) and (9, 5, 4)
         def failing(real):
             def stage(mp, ap, forms):
@@ -84,7 +84,7 @@ class TestVerify:
                 return real(mp, ap, forms)
             return stage
 
-        patch_stage(monkeypatch, "kad", "chain_stage", failing)
+        patch_stage(monkeypatch, "kad", "point_stage", failing)
         report = verify_paper(sweep_max=9)
         assert not report.ok
         assert len(report.checks) == 237
@@ -95,9 +95,10 @@ class TestVerify:
             "\n".join(report.render()))
 
     @pytest.mark.parametrize("body, inputs, check, last, problem", [
-        ("_ic_steps", (9, 5, 3), "rigid-chain exclusion", 0, "returned no records"),
+        ("_ic_steps", (9, 5, 3), "rigid-chain exclusion", 0,
+         "got 1 of 33 failed, first (9, 5, 3) returned no records"),
         ("_ic_steps", (9, 5, 3), "rigid-chain exclusion", 4,
-         "ends forces_cb at width-2-degree"),
+         "first (9, 5, 3) ends forces_cb at width-2-degree"),
     ])
     def test_body_without_a_contradiction_is_a_fail_line(
             self, monkeypatch, body, inputs, check, last, problem):
@@ -114,7 +115,7 @@ class TestVerify:
         report = verify_paper(sweep_max=9)
         bad = [c for c in report.checks if not c.ok]
         assert [(c.case, c.check) for c in bad] == [("sweep", check)]
-        assert bad[0].line().endswith(f"first {inputs} {problem})")
+        assert bad[0].line().endswith(f"{problem})")
 
     def test_kad_tail_without_a_contradiction_is_a_fail_line(self, monkeypatch):
         # kad's last records come from its m stage, so cutting them fails every

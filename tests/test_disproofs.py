@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from functools import partial
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -283,20 +284,21 @@ class TestOneRulePerLevel:
     def test_work_per_sweep(self, monkeypatch):
         # These count work, not time: at cap 15 a sweep judges the index rule once
         # per m and the chain-point rule once per (m', a') from the least a' bound
-        # of any m up, runs each stage once per parameter it reads, and builds no
-        # trace.  kad and k3a run each check once per parameter it reads: per m
-        # the 5 section counts, C2's 6 pins (5 for k3a) and the P sides of C1's 5
-        # forms (3 for k3a); per m', 13 of them, B1^2's Q side; per admitted (m',
-        # a'), 35 of them for either, the other Q sides, whatever the number of
-        # m: 6*(6 + 5) + 13 + 35*4 = 219 pins for kad, 5 + 3 + 13 + 35*2 = 91 for
-        # k3a.  Their pair and tuple stages only join a trace's records, so a
-        # sweep runs neither.  Run on every tuple, they were 1050 and 175 section
-        # counts and 2730 and 280 pins.  ic checks its width-2 line once per (m,
-        # m'), 78 pairs, and runs its tuple stage on the 21 forced tuples alone;
-        # its shared end, the sign check that starts a pair's tally, reads each
-        # pair's least a' and the a' after each forced one, but for the 6 at m' =
-        # 3, where a' = 2 stands alone: 78 + 21 - 6 = 93.  Run on every tuple,
-        # its tuple stage ran 188 times.
+        # of any m up, runs each stage once per value of the parameters it reads,
+        # and builds no trace: the m' stage once per m' that some m meets, 13 of
+        # them, the point stage once per admitted (m', a'), 34 for ic and 35 for
+        # kad and k3a, whatever the number of m, and the pair stage and the cells
+        # once per (m, m'), 78 for ic and kad and 13 for k3a.  kad and k3a run
+        # each check once per parameter it reads: per m the 5 section counts,
+        # C2's 6 pins (5 for k3a) and the P sides of C1's 5 forms (3 for k3a);
+        # per m', B1^2's Q side; per (m', a'), the other Q sides: 6*(6 + 5) + 13
+        # + 35*4 = 219 pins for kad, 5 + 3 + 13 + 35*2 = 91 for k3a.  Their
+        # tuples end on their m's tail: their tuple stage only joins a trace's
+        # records, so a sweep does not run it.  Run on every tuple, they were
+        # 1050 and 175 section counts and 2730 and 280 pins.  ic checks its
+        # width-2 line once per (m, m') and runs its tuple stage on the 21 forced
+        # tuples alone, the cells that leave their end to the records; run on
+        # every tuple, it ran 188 times.
         calls = Counter()
 
         def counting(name):
@@ -314,10 +316,9 @@ class TestOneRulePerLevel:
             monkeypatch.setattr(ell_calc.Script, name,
                                 counting(name)(getattr(ell_calc.Script, name)))
         for script in SCRIPTS:
-            for stage in ("index_rule", "m_stage", "pair_stage", "tuple_stage", "m_prime_stage",
-                          "chain_stage", "shared_end"):
-                if getattr(SCRIPTS[script], stage) is not None:
-                    patch_stage(monkeypatch, script, stage, counting(stage))
+            for stage in ("index_rule", "m_stage", "m_prime_stage", "point_stage", "pair_stage",
+                          "tuple_stage", "cells"):
+                patch_stage(monkeypatch, script, stage, counting(stage))
         counts = {}
         for script in ("ic", "k3a", "kad"):
             calls.clear()
@@ -326,13 +327,14 @@ class TestOneRulePerLevel:
             counts[script] = (summary.total, dict(calls))
         assert counts == {
             "ic": (188, {"index_rule": 15, "_chain_point_rejection": 48, "m_stage": 6,
-                         "pair_stage": 78, "shared_end": 78 + 21 - 6, "tuple_stage": 21,
-                         "_expect": 42}),
+                         "m_prime_stage": 13, "point_stage": 34, "pair_stage": 78,
+                         "cells": 78, "tuple_stage": 21, "_expect": 42}),
             "k3a": (35, {"index_rule": 15, "_chain_point_rejection": 49, "m_stage": 1,
-                         "m_prime_stage": 13, "chain_stage": 35, "_sections": 5,
-                         "_expect": 5 + 3 + 13 + 35 * 2}),
+                         "m_prime_stage": 13, "point_stage": 35, "pair_stage": 13,
+                         "cells": 13, "_sections": 5, "_expect": 5 + 3 + 13 + 35 * 2}),
             "kad": (210, {"index_rule": 15, "_chain_point_rejection": 49, "m_stage": 6,
-                          "m_prime_stage": 13, "chain_stage": 35, "_sections": 6 * 5,
+                          "m_prime_stage": 13, "point_stage": 35, "pair_stage": 78,
+                          "cells": 78, "_sections": 6 * 5,
                           "_expect": 6 * (6 + 5) + 13 + 35 * 4}),
         }
 
@@ -448,7 +450,10 @@ class TestStagedSweeps:
         for cap in (15, 29, 49) for script in ("ic", "k3a", "kad")])
     def test_sweep_counts_match_single_tuple_traces(self, script, cap):
         # the sweep reads each tuple's end off its stages' records without
-        # joining them; the single-tuple run joins them into a trace
+        # joining them, or off the cell that declares it; the single-tuple run
+        # joins the records into a trace.  Every tuple ends where its cell says:
+        # at the declared (step, verdict), or at the final step when the cell
+        # leaves its end to the records
         run = ic_disproof if script == "ic" else partial(kad_disproof, subcase=script)
         traces = [run(*t) for t in admissible(script, cap)]
         assert all(t.status == "contradiction" for t in traces)
@@ -456,7 +461,13 @@ class TestStagedSweeps:
         ends = Counter(t.steps[-1].name for t in traces)
         assert summary.total == len(traces)
         assert summary.ends == dict(sorted(ends.items()))
-        assert summary.survivors == ends[SCRIPTS[script].final_step]
+        final = SCRIPTS[script].final_step
+        assert summary.survivors == ends[final]
+        cell_ends = [end or (final, "contradiction")
+                     for m, pairs in SCRIPTS[script].levels(cap) for mp, a_primes, start in pairs
+                     for lo, hi, end in SCRIPTS[script].cells(m, mp, a_primes, start)
+                     for _ in range(lo, hi)]
+        assert cell_ends == [(t.steps[-1].name, t.steps[-1].verdict) for t in traces]
 
     @pytest.mark.parametrize("raising, first", [
         ((5, 4), "(5, 3, 2) ends holds at h0-gr2"),
@@ -465,7 +476,7 @@ class TestStagedSweeps:
     def test_tail_tally_keeps_each_raise_and_the_least_first(self, monkeypatch, raising,
                                                              first):
         # kad's tuples end on their m's tail, tallied once per (m, m') over the
-        # tuples whose chain point did not raise; a chain point that raises fails
+        # tuples whose chain point did not raise; a point stage that raises fails
         # its tuple under every m (5, 7 and 9), the one under m = 5 with them
         def cut(real):
             def stage(m):
@@ -481,7 +492,7 @@ class TestStagedSweeps:
             return stage
 
         patch_stage(monkeypatch, "kad", "m_stage", cut)
-        patch_stage(monkeypatch, "kad", "chain_stage", failing)
+        patch_stage(monkeypatch, "kad", "point_stage", failing)
         summary = kad_sweep("kad", 9)
         under_5 = sum(1 for t in kad_admissible("kad", 9) if t[0] == 5)
         assert summary.failure == f"{under_5 + 2} of 39 failed, first {first}"
@@ -489,8 +500,9 @@ class TestStagedSweeps:
                                 "multiplicity-conflict": 39 - under_5 - 2}
 
     def test_chain_script_without_a_tail_fails_its_m(self, monkeypatch):
-        # a sweep reads a kad tuple's end off its m's tail alone: an m stage that
-        # returns none fails every tuple of its m
+        # a sweep reads a kad tuple's end off its m's tail when there is one: an m
+        # stage that returns none leaves the end to the tuple stage's records,
+        # which end on a split check that holds, and so fails every tuple of its m
         def untailed(real):
             def stage(m):
                 head, tail, forms = real(m)
@@ -500,23 +512,26 @@ class TestStagedSweeps:
         patch_stage(monkeypatch, "kad", "m_stage", untailed)
         summary = kad_sweep("kad", 9)
         under_7 = sum(1 for t in kad_admissible("kad", 9) if t[0] == 7)
-        assert summary.failure == f"{under_7} of 39 failed, first (7, 3, 2) returned no tail"
+        assert summary.failure == (f"{under_7} of 39 failed, first (7, 3, 2) ends holds at "
+                                   "split-check-thickening")
 
     def test_tail_tally_reads_the_final_step_predicate_per_tuple(self, monkeypatch):
-        patch_stage(monkeypatch, "kad", "reaches_final",
-                    lambda real: lambda m, mp, ap: (m, mp, ap) not in ((7, 5, 4), (9, 7, 5)))
+        # a cell that declares its end may not declare the final step: the
+        # records must show it
+        patch_stage(monkeypatch, "kad", "cells",
+                    _flipped_cells({(7, 5, 4), (9, 7, 5)}, "multiplicity-conflict"))
         summary = kad_sweep("kad", 9)
         assert summary.failures == 2
         assert summary.failure == ("2 of 39 failed, first (7, 5, 4) ends contradiction "
                                    "at multiplicity-conflict")
 
     def test_ic_tally_reads_the_final_step_predicate_per_tuple(self, monkeypatch):
-        # ic tallies each pair's tuples from its least negative width-2 degree
-        # on: (7, 4, 3) heads its pair's tally, (9, 5, 4) follows the forced
-        # (9, 5, 3), whose own stage ends it at the final step
+        # ic declares each pair's tuples from its least negative width-2 degree
+        # on: (7, 4, 3) heads its pair's cell, (9, 5, 4) follows the forced
+        # (9, 5, 3), whose own records end it at the final step.  Left to their
+        # records, the first two end before it; declared at it, the third fails
         flipped = {(7, 4, 3), (9, 5, 4), (9, 5, 3)}
-        patch_stage(monkeypatch, "ic", "reaches_final",
-                    lambda real: lambda m, mp, ap: real(m, mp, ap) != ((m, mp, ap) in flipped))
+        patch_stage(monkeypatch, "ic", "cells", _flipped_cells(flipped, "width-3-degree"))
         summary = ic_sweep(9)
         assert summary.failures == 3
         assert summary.failure == ("3 of 33 failed, first (7, 4, 3) ends contradiction "
@@ -545,6 +560,23 @@ class TestStagedSweeps:
 
 def _run_sweep(script, cap):
     return ic_sweep(cap) if script == "ic" else kad_sweep(script, cap)
+
+
+def _flipped_cells(flipped, declared):
+    """A stand-in for a script's cells, given the real ones: each tuple of
+    ``flipped`` in a cell of its own of the other kind, declared to end in a
+    contradiction at ``declared`` if its real cell leaves its end to the
+    records, and left to the records if its real cell declares its end."""
+    def wrap(real):
+        def cells(m, mp, a_primes, start):
+            runs = []
+            for lo, hi, end in real(m, mp, a_primes, start):
+                flip = (declared, "contradiction") if end is None else None
+                runs += [(i, i + 1, flip if (m, mp, a_primes[i]) in flipped else end)
+                         for i in range(lo, hi)]
+            return runs
+        return cells
+    return wrap
 
 
 # One corrupted form per case on the component of the given point indices: the
@@ -723,41 +755,50 @@ class TestSidesOfC1:
                     f"splitting obstruction {c1.divisor(whole[3])!r}")
 
 
-# One perturbed degree on C1 of the pair (9, 7), whose a' are 4 (forced), 5
-# and 6: deg(A1) moves the width-2 degree at every a', B1's at a' = 6 alone
+# One perturbed degree on C1 of a pair.  The a' of (9, 7) are 4 (forced), 5 and
+# 6: deg(A1) moves the width-2 degree at every a', B1's at a' = 6 alone.  The
+# a' of (5, 7) are 5 and 6, from index 1 of m' = 7's list [4, 5, 6]
 CORRUPTED_WIDTH_TWO_LINES = [
-    ("deg(A1)", (-1, 8, 1),
+    ("deg(A1)", (9, 7), (-1, 8, 1),
      "3 of 188 failed, first (9, 7, 4) at width-2-degree: width-2 degree 1/63 != 0 at a' = 4"),
-    ("deg(B1) at a' = 6", (-1, 5, 1),
+    ("deg(B1) at a' = 6", (9, 7), (-1, 5, 1),
      "3 of 188 failed, first (9, 7, 4) at width-2-degree: width-2 degree -34/63 != -4/7 "
      "at a' = 6"),
+    ("deg(A1) past m' = 7's first a'", (5, 7), (-1, 4, 1),
+     "2 of 188 failed, first (5, 7, 5) at width-2-degree: width-2 degree -9/35 != -2/7 "
+     "at a' = 5"),
 ]
 
 
 class TestIcWidthTwoLine:
-    @pytest.mark.parametrize("form, nf, message", CORRUPTED_WIDTH_TWO_LINES,
+    @pytest.mark.parametrize("form, pair, nf, message", CORRUPTED_WIDTH_TWO_LINES,
                              ids=[case[0] for case in CORRUPTED_WIDTH_TWO_LINES])
     def test_corrupt_width_two_line_fails_every_tuple_of_its_pair(self, monkeypatch, form,
-                                                                   nf, message):
+                                                                   pair, nf, message):
         # ic checks its width-2 degree once per (m, m'), on the line through its
         # least and greatest a': a pair off that line fails all its tuples
         real = ell_calc._Component.degree
 
         def degree(self, a, den):
             value = real(self, a, den)
-            return value + 1 if self.indices == (9, 7) and a == nf else value
+            return value + 1 if self.indices == pair and a == nf else value
 
         monkeypatch.setattr(ell_calc._Component, "degree", degree)
         summary = ic_sweep(15)
+        under = [t for t in ic_admissible(15) if t[:2] == pair]
+        forced = sum(1 for m, mp, ap in under if 2 * ap == mp + 1 and m > mp)
         assert summary.failure == message
-        assert summary.survivors == 21 - 1
-        assert summary.ends == {"width-2-degree": 188 - 21 - 2, "width-3-degree": 21 - 1}
+        assert summary.failures == len(under)
+        assert summary.survivors == 21 - forced
+        assert summary.ends == {"width-2-degree": 188 - 21 - (len(under) - forced),
+                                "width-3-degree": 21 - forced}
 
     def test_line_gives_every_tuple_its_width_two_degree(self):
         # Both sides of the width-2 identity are affine in a', so the pair
         # stage checks it at the pair's least and greatest a' alone.  Per tuple,
         # C1's and C2's degrees lie on that line and give (m'+1-2a')/m', for
-        # pairs up to 10^6; the sweep's shared end starts where they turn negative
+        # pairs up to 10^6; ic's cells declare the tuples where they are negative,
+        # which is every a' but the forced one, its pair's least
         rng = random.Random(29)
         script = SCRIPTS["ic"]
         for _ in range(500):
@@ -774,12 +815,72 @@ class TestIcWidthTwoLine:
                 return 2 * deg_b + deg_a
 
             forced = (mp + 1) // 2 if mp % 2 and m > mp else lo
-            for ap in {lo, hi, forced, rng.randrange(lo, hi + 1)}:
+            a_primes = sorted({lo, hi, forced, rng.randrange(lo, hi + 1)})
+            cell_ends = {a_primes[i]: end for i_lo, i_hi, end in script.cells(m, mp, a_primes, 0)
+                         for i in range(i_lo, i_hi)}
+            for ap in a_primes:
                 assert width2(ap) * (hi - lo) == width2(lo) * (hi - ap) + width2(hi) * (ap - lo)
                 assert F(width2(ap), den) == F(mp + 1 - 2 * ap, mp), (m, mp, ap)
                 assert ell_calc._ic_width2(mp, ap, forms)[1] == width2(ap)
                 shared = ("width-2-degree", "contradiction") if width2(ap) < 0 else None
-                assert script.shared_end(m, mp, ap) == shared
+                assert cell_ends[ap] == shared
                 if gcd(ap, mp) == 1:
                     trace = script.disproof(m, mp, ap)
                     assert step(trace, "width-2-degree").value == F(width2(ap), den)
+
+
+def _domain_counts(script, cap):
+    """For each cap from 1 to ``cap``, the (total, ends) that a sweep of
+    ``script`` must report, counted from the paper's inequalities alone: the
+    index rule on m; m' >= 3, 0 < a' < m' and gcd(a', m') = 1; and a' above
+    K-negativity's bound (m+1)m'/(2m) for ic, m' - a' < m'/2 for kad and k3a.
+    Each (m, m') counts its a' from prefix counts of the a' coprime to m'.  ic's
+    forced tuple, the one that reaches the width-3 step, has 2a' = m'+1 and
+    m > m', so each (m, m') with m' odd and 3 <= m' < m has exactly one."""
+    final = {"ic": "width-3-degree", "k3a": "section-count-conflict",
+             "kad": "multiplicity-conflict"}[script]
+    # coprime[m'][k]: the a' with 0 <= a' < k and gcd(a', m') = 1
+    coprime = [list(accumulate((gcd(a, mp) == 1 for a in range(mp)), initial=0))
+               for mp in range(cap + 1)]
+    ends, counts = Counter(), []
+    for n in range(1, cap + 1):
+        # the pairs that cap n adds to cap n - 1
+        for m, mp in [(n, mp) for mp in range(3, n + 1)] + [(m, n) for m in range(1, n)]:
+            if mp < 3 or not (m == 3 if script == "k3a" else m >= 5 and m % 2 == 1):
+                continue
+            if script == "ic":  # 2ma' > (m+1)m'
+                tuples = coprime[mp][mp] - coprime[mp][min((m + 1) * mp // (2 * m) + 1, mp)]
+                forced = int(mp % 2 == 1 and mp < m)
+                ends[final] += forced
+                ends["width-2-degree"] += tuples - forced
+            else:  # 2(m' - a') < m'
+                ends[final] += coprime[mp][mp] - coprime[mp][mp // 2 + 1]
+        counts.append((sum(ends.values()), {k: v for k, v in sorted(ends.items()) if v}))
+    return counts
+
+
+class TestSweptDomain:
+    @pytest.mark.parametrize("script", ["ic", "k3a", "kad"])
+    def test_sweep_counts_the_paper_domain_at_every_cap_to_99(self, script):
+        for cap, (total, ends) in enumerate(_domain_counts(script, 99), 1):
+            summary = _run_sweep(script, cap)
+            assert (summary.total, summary.ends) == (total, ends), cap
+            assert summary.all_contradicted == (total > 0), cap
+
+    def test_domain_counts_at_15_and_49(self):
+        counts = {script: _domain_counts(script, 49) for script in ("ic", "k3a", "kad")}
+        assert [counts[script][cap - 1] for script in counts for cap in (15, 49)] == [
+            (188, {"width-2-degree": 167, "width-3-degree": 21}),
+            (8227, {"width-2-degree": 7951, "width-3-degree": 276}),
+            (35, {"section-count-conflict": 35}), (376, {"section-count-conflict": 376}),
+            (210, {"multiplicity-conflict": 210}), (8648, {"multiplicity-conflict": 8648}),
+        ]
+
+    def test_a_wrong_declared_end_is_left_to_the_domain_count(self, monkeypatch):
+        # declared at the width-2 step, the forced (9, 5, 3) runs no stage that
+        # could object, so the sweep passes; its end histogram does not
+        patch_stage(monkeypatch, "ic", "cells", _flipped_cells({(9, 5, 3)}, "width-2-degree"))
+        summary = ic_sweep(9)
+        assert summary.all_contradicted
+        assert _domain_counts("ic", 9)[-1] == (33, {"width-2-degree": 27, "width-3-degree": 6})
+        assert summary.ends == {"width-2-degree": 27 + 1, "width-3-degree": 6 - 1}
